@@ -36,7 +36,6 @@ from .mobility import (
     expected_los_x_segment,
     expected_los_y_segment,
     p_los_x_segment,
-    p_los_y_segment,
     poisson_truncation_count,
 )
 from .oracle import (

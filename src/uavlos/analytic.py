@@ -15,11 +15,15 @@ expression is closed form; any other height law takes the quadrature path
 (absolute tolerance 1e-10, delegated to an adaptive routine run well below
 that).
 
-``math.erf`` is used directly: CPython's implementation is correctly rounded
-to well under 1e-15 absolute error over the whole real line, which the test
-suite pins against high precision reference values.  The difference of two
-nearly equal erf values is the one cancellation-prone spot, so ``erf_diff``
-switches to a midpoint series there.
+The per-instant pieces (height CDF, void rate, ``erf_diff`` and
+``p_los_contact``) take floats or NumPy arrays, so an epoch evaluator can
+price every contact of every segment in one call.  The error function is
+``scipy.special.erf``, within 2 ulp of the correctly rounded value over the
+real line; the test suite pins it against high precision reference values.
+The difference of two nearly equal erf values is the one cancellation-prone
+spot, so ``erf_diff`` switches to a midpoint series there.  A ``CdfHeights``
+law has no array form: it is evaluated, and its void rate integrated, one
+element at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import erf
 
 from .env import PARALLEL_Y, FirstBlockSide, Uav, model_first_contact
 
@@ -46,12 +52,11 @@ class RayleighHeights:
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
-    def cdf(self, h: float) -> float:
-        if h <= 0:
-            return 0.0
-        if math.isinf(h):
-            return 1.0
-        return -math.expm1(-(h * h) / (2.0 * self.sigma * self.sigma))
+    def cdf(self, h):
+        """CDF at a height or an array of heights (0 at and below the ground)."""
+        h = np.asarray(h, dtype=float)
+        f = -np.expm1(-(h * h) / (2.0 * self.sigma * self.sigma))
+        return np.where(h > 0, f, 0.0)[()]
 
     @property
     def mean(self) -> float:
@@ -73,19 +78,31 @@ class CdfHeights:
 HeightModel = RayleighHeights | CdfHeights
 
 
-def erf_diff(a: float, b: float) -> float:
-    """erf(a) - erf(b), safe against cancellation when a is close to b.
+def _cdf(model: HeightModel, h):
+    """Height CDF at a float or elementwise over an array."""
+    if isinstance(model, RayleighHeights) or np.ndim(h) == 0:
+        return model.cdf(h)
+    return np.array([model.cdf(float(x)) for x in h])
+
+
+def erf_diff(a, b):
+    """erf(a) - erf(b), elementwise, safe against cancellation when a is close to b.
 
     For |a - b| below 1e-5 the direct difference loses relative accuracy, so
     the integral of exp(-t^2) over [b, a] is expanded around the midpoint;
     the kept terms leave a relative error below 1e-12 there.
     """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     h = a - b
-    if abs(h) >= 1e-5:
-        return math.erf(a) - math.erf(b)
-    m = 0.5 * (a + b)
-    c2 = 2.0 * m * m - 1.0
-    return _TWO_OVER_SQRT_PI * math.exp(-m * m) * h * (1.0 + c2 * h * h / 12.0)
+    out = erf(a) - erf(b)
+    near = np.abs(h) < 1e-5
+    if near.any():
+        m = 0.5 * (a + b)
+        c2 = 2.0 * m * m - 1.0
+        series = _TWO_OVER_SQRT_PI * np.exp(-m * m) * h * (1.0 + c2 * h * h / 12.0)
+        out = np.where(near, series, out)
+    return out[()]
 
 
 @dataclass
@@ -148,7 +165,7 @@ def p0_los(h1: float, model: HeightModel) -> float:
     return model.cdf(h1)
 
 
-def _rayleigh_rate(s: float, lam: float, sigma: float, height: float) -> float:
+def _rayleigh_rate(s, lam: float, sigma: float, height: float):
     """Closed-form void rate: -lam * sqrt(pi/2) * (sigma/h) * [erf(c) - erf(c*s)]."""
     c = height / (_SQRT2 * sigma)
     return -lam * math.sqrt(math.pi / 2.0) * (sigma / height) * erf_diff(c, c * s)
@@ -177,11 +194,25 @@ def _generic_rate(s: float, lam: float, model: HeightModel, height: float) -> fl
     return -lam * val
 
 
-def void_rate(s: float, lam: float, model: HeightModel, height: float) -> float:
-    """Nonpositive decay rate of the void probabilities past the contact at s."""
+def void_rate(s, lam: float, model: HeightModel, height: float):
+    """Nonpositive decay rate of the void probabilities past the contact at s.
+
+    ``s`` may be an array; the generic law then runs one quadrature per element.
+    """
     if isinstance(model, RayleighHeights):
         return _rayleigh_rate(s, lam, model.sigma, height)
-    return _generic_rate(s, lam, model, height)
+    if np.ndim(s) == 0:
+        return _generic_rate(float(s), lam, model, height)
+    return np.array([_generic_rate(float(q), lam, model, height) for q in s])
+
+
+def p_los_contact(s, span, lam: float, model: HeightModel, height: float):
+    """Clear probability for a contact at fraction s of a link with horizontal span.
+
+    ``F(height * s) * exp(rate(s) * span)``, elementwise over arrays; span is
+    the sum of the link's |dx| and |dy|.
+    """
+    return _cdf(model, height * s) * np.exp(void_rate(s, lam, model, height) * span)
 
 
 def wall_contact(g: tuple[float, float], u: Uav, wall_x: float) -> FirstBlockSide | None:
@@ -221,9 +252,4 @@ def p_los_static(
     s = contact_ratio(contact, g, u)
     if s is None:
         return 1.0
-    p0 = p0_los(u.height * s, model)
-    if p0 == 0.0:
-        return 0.0
-    rate = void_rate(s, lam, model, u.height)
-    exponent = rate * (abs(u.x - g[0]) + abs(u.y - g[1]))
-    return p0 * math.exp(exponent)
+    return p_los_contact(s, abs(u.x - g[0]) + abs(u.y - g[1]), lam, model, u.height)

@@ -58,6 +58,31 @@ def pair_score(
     ).expected_time
 
 
+def _score_pairs(
+    users: list[UserMotion],
+    uavs: list[Uav],
+    params: GridParams,
+    epsilon: float,
+    street_width: float | None,
+) -> list[list[float]]:
+    """``pair_score`` of every user (row) with every platform (column)."""
+    return [[pair_score(params, m, u, epsilon, street_width) for u in uavs] for m in users]
+
+
+def _greedy(scores: list[list[float]]) -> Assignment:
+    """Greedy assignment from the globally best score down; zero scores never assign."""
+    ranked = sorted(
+        (-s, j, k) for j, row in enumerate(scores) for k, s in enumerate(row) if s > 0.0
+    )
+    pairs: list[int | None] = [None] * len(scores)
+    taken = set()
+    for _, j, k in ranked:
+        if pairs[j] is None and k not in taken:
+            pairs[j] = k
+            taken.add(k)
+    return Assignment(pairs)
+
+
 def assign_max_expected_los(
     users: list[UserMotion],
     uavs: list[Uav],
@@ -71,20 +96,7 @@ def assign_max_expected_los(
     zero score is never assigned, so an all-blocked or out-of-range user
     stays unassigned.
     """
-    scored = []
-    for j, m in enumerate(users):
-        for k, u in enumerate(uavs):
-            s = pair_score(params, m, u, epsilon, street_width)
-            if s > 0.0:
-                scored.append((-s, j, k))
-    scored.sort()
-    pairs: list[int | None] = [None] * len(users)
-    taken = set()
-    for neg, j, k in scored:
-        if pairs[j] is None and k not in taken:
-            pairs[j] = k
-            taken.add(k)
-    return Assignment(pairs)
+    return _greedy(_score_pairs(users, uavs, params, epsilon, street_width))
 
 
 def assign_nearest_los(
@@ -177,10 +189,22 @@ def evaluate_assignment(
 
 @dataclass
 class PolicyComparison:
-    """Paired totals of the mobility-aware policy and the static benchmark."""
+    """Paired totals of the mobility-aware policy and the static benchmark.
+
+    ``assignment`` is the mobility-aware policy's fixed assignment and
+    ``scores[j][k]`` the expected clear seconds it ranked user j with
+    platform k by.
+    """
 
     proposed: TrialStats
     benchmark: TrialStats
+    assignment: Assignment
+    scores: list[list[float]]
+
+    @property
+    def predicted(self) -> float:
+        """Expected clear seconds of the fixed assignment, summed over its pairs."""
+        return sum(self.scores[j][k] for j, k in self.assignment.assigned())
 
     @property
     def difference(self) -> TrialStats:
@@ -206,7 +230,8 @@ def compare_policies(
     """
     y0 = _shared_street(users)
     w = params.mu_s if street_width is None else street_width
-    fixed = assign_max_expected_los(users, uavs, params, epsilon, street_width)
+    scores = _score_pairs(users, uavs, params, epsilon, street_width)
+    fixed = _greedy(scores)
     va = np.empty(trials)
     vb = np.empty(trials)
     for i in range(trials):
@@ -214,4 +239,4 @@ def compare_policies(
         va[i] = realized_value(fixed, grid, users, uavs, tol)
         bench = assign_nearest_los(users, uavs, grid)
         vb[i] = realized_value(bench, grid, users, uavs, tol)
-    return PolicyComparison(TrialStats(va), TrialStats(vb))
+    return PolicyComparison(TrialStats(va), TrialStats(vb), fixed, scores)

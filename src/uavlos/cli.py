@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .assoc import assign_max_expected_los, compare_policies, pair_score
+from .assoc import assign_max_expected_los, compare_policies
 from .env import GridParams, Uav, UserMotion, sample_grid, sample_grid_anchored
 from .mobility import expected_los_total
 from .oracle import coverage_time, monte_carlo_expected_los
@@ -253,14 +253,10 @@ def _run_association(cfg: ExperimentConfig) -> list[ResultRow]:
     for v in cfg.values:
         t0 = time.perf_counter()
         users = [UserMotion(x0, 0.0, v, cfg.duration) for x0 in cfg.user_xs]
-        fixed = assign_max_expected_los(users, uavs, params, cfg.epsilon)
-        predicted = sum(
-            pair_score(params, users[j], uavs[k], cfg.epsilon) for j, k in fixed.assigned()
-        )
         cmp = compare_policies(params, users, uavs, cfg.trials, cfg.seed, cfg.epsilon)
         ms = (time.perf_counter() - t0) * 1000.0
         d = cmp.difference
-        rows.append(ResultRow(cfg.sweep, v, "proposed", predicted,
+        rows.append(ResultRow(cfg.sweep, v, "proposed", cmp.predicted,
                               cmp.proposed.mean, cmp.proposed.stderr, cfg.trials, ms))
         rows.append(ResultRow(cfg.sweep, v, "benchmark", None,
                               cmp.benchmark.mean, cmp.benchmark.stderr, cfg.trials, None))

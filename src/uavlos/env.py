@@ -516,12 +516,13 @@ def _segment_box_entry(
 # -- corner event sweep -------------------------------------------------------
 
 
-def corner_position(corner_x: float, u: Uav, y0: float, street_width: float) -> float:
+def corner_position(corner_x, u: Uav, y0: float, street_width: float):
     """User x at which the projected link sweeps onto a front-line corner.
 
     Similar triangles through the corner at (corner_x, y0 + street_width):
     the ray from the platform through the corner meets the user's line y = y0
     at the returned x.  The user reaches it before reaching corner_x itself.
+    Works elementwise on an array of corners.
     """
     dy = u.y - y0
     if dy <= street_width:
@@ -543,74 +544,145 @@ def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentPlan:
     return _plan_from_columns(west, east, motion, u, w)
 
 
+KINDS = (FACE, WALL, OPEN)  # SegmentTable.kind indexes this tuple
+_FACE, _WALL, _OPEN = range(3)
+
+
+@dataclass
+class SegmentTable:
+    """The segments of one or more plans as flat arrays, plan by plan in time order.
+
+    ``row`` numbers the plan each segment belongs to and ``kind`` indexes
+    ``KINDS``.  A missing wall candidate is stored as +inf ahead and -inf
+    behind: a link aimed at it never reaches a wall, exactly as for no wall.
+    """
+
+    row: np.ndarray
+    kind: np.ndarray
+    t_start: np.ndarray
+    t_end: np.ndarray
+    wall_x: np.ndarray
+    back_wall_x: np.ndarray
+
+    @classmethod
+    def whole_epoch(cls, rows: int, kind: int, duration: float) -> "SegmentTable":
+        """One segment of the given kind over [0, duration] in each of ``rows`` plans."""
+        return cls(np.arange(rows), np.full(rows, kind), np.zeros(rows), np.full(rows, duration),
+                   np.full(rows, math.inf), np.full(rows, -math.inf))
+
+    @classmethod
+    def from_plan(cls, plan: SegmentPlan) -> "SegmentTable":
+        segs = plan.segments
+        return cls(
+            np.zeros(len(segs), dtype=np.intp),
+            np.array([KINDS.index(s.kind) for s in segs]),
+            np.array([s.t_start for s in segs], dtype=float),
+            np.array([s.t_end for s in segs], dtype=float),
+            np.array([math.inf if s.wall_x is None else s.wall_x for s in segs], dtype=float),
+            np.array([-math.inf if s.back_wall_x is None else s.back_wall_x for s in segs],
+                     dtype=float),
+        )
+
+    def plan(self, duration: float) -> SegmentPlan:
+        """The SegmentPlan of a table holding one plan."""
+        return SegmentPlan(duration, [
+            Segment(t0, t1, KINDS[k], None if math.isinf(a) else a, None if math.isinf(b) else b)
+            for k, t0, t1, a, b in zip(
+                self.kind.tolist(), self.t_start.tolist(), self.t_end.tolist(),
+                self.wall_x.tolist(), self.back_wall_x.tolist())
+        ])
+
+
 def _plan_from_columns(
     west: np.ndarray, east: np.ndarray, motion: UserMotion, u: Uav, street_width: float
 ) -> SegmentPlan:
     """Assemble the alternating segment plan from sorted column corners."""
+    table = segment_table(np.asarray(west, dtype=float)[None, :],
+                          np.asarray(east, dtype=float)[None, :], motion, u, street_width)
+    return table.plan(motion.duration)
+
+
+def segment_table(
+    west: np.ndarray, east: np.ndarray, motion: UserMotion, u: Uav, street_width: float
+) -> SegmentTable:
+    """Segment plans of several far-side layouts at once, one per row.
+
+    Row r of ``west`` and ``east`` holds the sorted west and east corners of
+    layout r.  Every corner passage inside the epoch is a boundary; each piece
+    between boundaries is classified by the front-line crossing at its
+    midpoint: on a building face, over a gap (wall segment, with the nearest
+    west wall ahead and east wall behind), or past every column (open).
+    Zero-length pieces are dropped and neighbours of the same kind merged;
+    two wall pieces merge only when they track the same walls.
+    """
     T = motion.duration
-    x0, y0 = motion.x0, motion.y0
-    dy = u.y - y0
-    if dy <= street_width:
+    x0, y0, v = motion.x0, motion.y0, motion.speed
+    if u.y - y0 <= street_width:
         raise DegenerateGeometryError("platform not beyond the street's far line")
+    rows, cols = west.shape
+    if cols == 0:
+        return SegmentTable.whole_epoch(rows, _OPEN, T)
+    if v == 0.0 or T == 0.0:
+        # one piece per layout, classified where the user stands
+        row, t0, t1 = np.arange(rows), np.zeros(rows), np.full(rows, T)
+        xc = np.full(rows, _front_cross(x0, y0, u, street_width))
+        k = np.count_nonzero(west <= xc[:, None], axis=1) - 1
+    else:
+        # corners interleave west, east, west, ... and their passages inherit
+        # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
+        # only zero-length pieces behind
+        corners = np.empty((rows, 2 * cols))
+        corners[:, 0::2] = west
+        corners[:, 1::2] = east
+        pos = corner_position(corners, u, y0, street_width)
+        times = np.where(pos <= x0, 0.0, np.where(pos >= x0 + v * T, T, (pos - x0) / v))
+        if (times[:, 1:] < times[:, :-1]).any():
+            times.sort(axis=1)
+        bounds = np.concatenate([np.zeros((rows, 1)), times, np.full((rows, 1), T)], axis=1)
+        keep = bounds[:, 1:] > bounds[:, :-1]
+        row, j = np.nonzero(keep)
+        t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
+        xc = _front_cross(x0 + v * 0.5 * (t0 + t1), y0, u, street_width)
+        # piece j runs between passages j - 1 and j, so its crossing lies
+        # in column (j - 1) // 2 up to rounding
+        k = (j - 1) // 2
 
-    def gap_segment(t0: float, t1: float, xc: float) -> Segment:
-        """Wall segment for a front-line crossing sitting over the gap at xc."""
-        k = int(np.searchsorted(west, xc, side="left"))
-        ahead = float(west[k]) if k < len(west) else None
-        j = int(np.searchsorted(east, xc, side="right")) - 1
-        back = float(east[j]) if j >= 0 else None
-        if ahead is None and back is None:
-            return Segment(t0, t1, OPEN)
-        return Segment(t0, t1, WALL, ahead, back)
+    # columns padded with -inf and +inf: column k of a row sits at k + 1
+    wp = np.full((rows, cols + 2), math.inf)
+    wp[:, 0] = -math.inf
+    wp[:, 1:-1] = west
+    ep = np.full((rows, cols + 2), math.inf)
+    ep[:, 0] = -math.inf
+    ep[:, 1:-1] = east
+    wp, ep = wp.ravel(), ep.ravel()
+    at = row * (cols + 2) + 1
+    while True:  # step to the last west corner at or below the crossing
+        up = wp[at + k + 1] <= xc
+        if not up.any():
+            break
+        k += up
+    while True:
+        down = wp[at + k] > xc
+        if not down.any():
+            break
+        k -= down
+    west_k, east_k = wp[at + k], ep[at + k]
+    face = xc < east_k
+    ahead = np.where(face, math.inf, wp[at + k + 1 - (west_k == xc)])  # first west not below
+    back = np.where(face, -math.inf, east_k)
+    kind = np.where(face, _FACE, np.where(np.isinf(ahead) & np.isinf(back), _OPEN, _WALL))
 
-    def piece(t0: float, t1: float, x_user: float) -> Segment:
-        xc = _front_cross(x_user, y0, u, street_width)
-        k = int(np.searchsorted(west, xc, side="right")) - 1
-        if 0 <= k < len(west) and xc < east[k]:
-            return Segment(t0, t1, FACE)
-        return gap_segment(t0, t1, xc)
-
-    if motion.speed == 0.0 or T == 0.0 or len(west) == 0:
-        if len(west) == 0:
-            return SegmentPlan(T, [Segment(0.0, T, OPEN)])
-        return SegmentPlan(T, [piece(0.0, T, x0)])
-
-    # user positions at which the front-line crossing meets each corner
-    x_end = x0 + motion.speed * T
-    times = []
-    for c in np.concatenate([west, east]):
-        pos = corner_position(c, u, y0, street_width)
-        if x0 < pos < x_end:
-            times.append((pos - x0) / motion.speed)
-    times.sort()
-
-    segments: list[Segment] = []
-    bounds = [0.0] + times + [T]
-    for t0, t1 in zip(bounds, bounds[1:]):
-        if t1 <= t0:
-            continue
-        # classify by the front-line crossing at the piece midpoint
-        x_mid = x0 + motion.speed * 0.5 * (t0 + t1)
-        segments.append(piece(t0, t1, x_mid))
-    return SegmentPlan(T, _dedupe(segments, T))
+    new = np.ones(len(kind), dtype=bool)
+    new[1:] = (
+        (row[1:] != row[:-1])
+        | (kind[1:] != kind[:-1])
+        | ((kind[1:] == _WALL) & ((ahead[1:] != ahead[:-1]) | (back[1:] != back[:-1])))
+    )
+    first = np.flatnonzero(new)
+    last = np.concatenate([first[1:], [len(kind)]]) - 1
+    return SegmentTable(row[first], kind[first], t0[first], t1[last], ahead[first], back[first])
 
 
-def _dedupe(segments: list[Segment], T: float) -> list[Segment]:
-    """Drop zero-length pieces and merge accidental same-kind neighbours."""
-    out: list[Segment] = []
-    for s in segments:
-        if out and out[-1].kind == s.kind and (
-            s.kind != WALL
-            or (out[-1].wall_x == s.wall_x and out[-1].back_wall_x == s.back_wall_x)
-        ):
-            out[-1] = Segment(out[-1].t_start, s.t_end, s.kind, s.wall_x, s.back_wall_x)
-        else:
-            out.append(s)
-    if not out:
-        out = [Segment(0.0, T, OPEN)]
-    return out
-
-
-def _front_cross(x_user: float, y0: float, u: Uav, street_width: float) -> float:
-    """X where the projected link crosses the building front line y = y0 + w."""
+def _front_cross(x_user, y0: float, u: Uav, street_width: float):
+    """X where the projected link crosses the building front line y = y0 + w (elementwise)."""
     return x_user + (u.x - x_user) * street_width / (u.y - y0)

@@ -2,12 +2,22 @@
 
 The epoch [0, T] splits into segments on which the first-contact side of the
 projected link does not change.  While the contact slides along a building
-front line the contact fraction is constant, the clear probability is a pure
-exponential in time and its integral is closed form.  While the contact is
-pinned on a vertical wall the fraction drifts and the integral is taken with
-the three point Simpson rule (a dense composite rule is kept alongside as the
-error reference).  The epoch expectation weights the per-crossing-count plans
-by a truncated Poisson law over the number of streets the user passes.
+front line the contact fraction is the constant w/dy, the clear probability
+is a pure exponential in time and its integral is closed form.  While the
+contact is pinned on a vertical wall the fraction drifts and the integral is
+taken with the three point Simpson rule (a dense composite rule on the
+scalar ``WallSweep`` is kept alongside as the error reference).
+
+The epoch expectation weights per-crossing-count plans by a truncated
+Poisson law over the number of streets the user passes.  Evaluation is
+batched: the representative layouts of a block of crossing counts (a fixed
+COUNT_BLOCK of them, which bounds the memory of long epochs) are built
+together as one padded (count x corner) array (``env.segment_table``), every
+segment of every count lands in one flat ``SegmentTable``, face and wall
+segments are integrated as arrays, and ``np.bincount`` sums them per count.
+A single plan, canonical, sampled or realized, goes through the same
+evaluator as a table of one row.  The Poisson weights start from the mode,
+so no factor of exp(-lam v T) can underflow.
 """
 
 from __future__ import annotations
@@ -17,45 +27,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import HeightModel, RayleighHeights, p_los_static, void_rate, wall_contact
+from .analytic import (
+    HeightModel,
+    RayleighHeights,
+    p_los_contact,
+    p_los_static,
+    void_rate,
+    wall_contact,
+)
 from .env import (
     FACE,
+    KINDS,
     WALL,
     DegenerateGeometryError,
     Segment,
     SegmentPlan,
+    SegmentTable,
     Uav,
     UserMotion,
     _front_cross,
     _plan_from_columns,
     corner_position,
+    segment_table,
 )
 
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
 NUDGE = 1e-9  # relative node shift off a removable singular instant
+COUNT_BLOCK = 32  # crossing counts whose layouts are built and priced together
+_FACE, _WALL = KINDS.index(FACE), KINDS.index(WALL)
+_SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 
 
-def p_los_x_segment(t: float, base: float, rate: float, v: float) -> float:
+def p_los_x_segment(t, base, rate, v):
     """Clear probability t seconds into a front-line sliding segment.
 
     ``base * exp(rate * v * t)``: the form for a user receding from the
     platform, where the void exponent grows linearly with the walked
     distance.  Approaching callers pass the sign through ``rate``.
     """
-    return base * math.exp(rate * v * t)
+    return base * np.exp(rate * v * t)
 
 
-def expected_los_x_segment(base: float, rate: float, v: float, t_len: float) -> float:
-    """Integral of base * exp(rate * v * t) over [0, t_len].
+def expected_los_x_segment(base, rate, v, t_len):
+    """Integral of base * exp(rate * v * t) over [0, t_len], elementwise.
 
     Closed form base * (exp(rate v T) - 1) / (rate v); switches to the series
     base * T * (1 + rate v T / 2) when |rate v T| < 1e-8, which covers the
     standing-still case exactly (base * T).
     """
-    x = rate * v * t_len
-    if abs(x) < SERIES_SWITCH:
-        return base * t_len * (1.0 + 0.5 * x)
-    return base * math.expm1(x) / (rate * v)
+    rv = rate * v
+    x = rv * t_len
+    series = np.abs(x) < SERIES_SWITCH
+    closed = base * np.expm1(x) / np.where(series, 1.0, rv)
+    return np.where(series, base * t_len * (1.0 + 0.5 * x), closed)[()]
 
 
 @dataclass
@@ -80,7 +104,8 @@ class WallSweep:
     Which wall the link meets flips when the user passes under the platform's
     x: ahead of it the west corner ``wall_ahead``, behind it the east corner
     ``wall_back``.  A missing or unreachable wall means no contact, so the
-    clear probability there is 1.
+    clear probability there is 1.  ``p`` is the scalar reference form, built
+    on ``p_los_static``.
     """
 
     x_start: float
@@ -103,37 +128,107 @@ class WallSweep:
             return 1.0
         return p_los_static((x_t, self.y0), self.u, None, self.lam, self.model, contact=c)
 
-    def singular_time(self) -> float | None:
-        """Instant the user passes under the platform's x, if any motion."""
+    def singular_time(self) -> float:
+        """Instant the user passes under the platform's x; nan when standing still."""
         if self.v == 0.0:
-            return None
+            return math.nan
         return (self.u.x - self.x_start) / self.v
 
 
-def p_los_y_segment(t: float, sweep: WallSweep) -> float:
-    """Clear probability t seconds into a wall-pinned segment."""
-    return sweep.p(t)
-
-
-def _nudged(node: float, t_len: float, t_sing: float | None) -> float:
-    """Shift a quadrature node off the removable singular instant."""
-    if t_sing is None:
-        return node
+def _nudged(node, t_len, t_sing):
+    """Shift quadrature nodes off the removable singular instant (nan: none)."""
     eps = NUDGE * t_len
-    if abs(node - t_sing) < eps:
-        return node + eps if node + eps <= t_len else node - eps
-    return node
+    shifted = np.where(node + eps <= t_len, node + eps, node - eps)
+    return np.where(np.abs(node - t_sing) < eps, shifted, node)[()]
+
+
+def _wall_clear(u: Uav, y0: float, lam: float, model: HeightModel, x, ahead, back):
+    """Clear probability of a wall-pinned link with the user at x, elementwise.
+
+    Array form of ``WallSweep.p``: the wall ahead while the user is west of
+    the platform, the wall behind once past it; the contact fraction is
+    taken along the better conditioned axis, as ``contact_ratio`` does.
+    """
+    dx = u.x - x
+    span_y = u.y - y0
+    wall = np.where(dx > 0, ahead, np.where(dx < 0, back, math.nan))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_wall = (wall - x) / dx  # where the link meets the wall
+        s = s_wall
+        if span_y != 0.0:
+            s = np.where(np.abs(dx) < abs(span_y), ((y0 + span_y * s_wall) - y0) / span_y, s_wall)
+    hit = (s_wall > 0.0) & (s_wall <= 1.0) & (s > 0.0) & (s <= 1.0)
+    p = np.ones(x.shape)
+    p[hit] = p_los_contact(s[hit], np.abs(dx[hit]) + abs(span_y), lam, model, u.height)
+    return p
+
+
+def _wall_integrals(u: Uav, y0: float, v: float, lam: float, model: HeightModel,
+                    x_start, t_len, ahead, back):
+    """Three point Simpson estimate of each wall segment's clear time."""
+    t_sing = (u.x - x_start) / v if v != 0.0 else math.nan
+    nodes = _nudged(_SIMPSON_NODES * t_len, t_len, t_sing)
+    p0, p1, p2 = _wall_clear(u, y0, lam, model, x_start + v * nodes, ahead, back)
+    return np.where(t_len > 0.0, (t_len / 6.0) * (p0 + 4.0 * p1 + p2), 0.0)
+
+
+def _face_integrals(geom: EpochGeometry, t_start, t_len):
+    """Exact clear-time integral of each front-line sliding segment.
+
+    The contact fraction is the constant w/dy, so the first-building term and
+    the void rate are computed once; each segment starts from its own static
+    probability, which then decays while the user recedes from the platform
+    in x and grows while approaching, with an exact split at the instant the
+    user passes underneath.
+    """
+    m, u = geom.motion, geom.u
+    if geom.dy <= geom.street_width:
+        return t_len.copy()  # no contact: always clear
+    s = geom.street_width / geom.dy
+    rate = void_rate(s, geom.lam, geom.model, u.height)
+    x_start = m.x0 + m.speed * t_start
+    base = geom.model.cdf(u.height * s) * np.exp(rate * (np.abs(u.x - x_start) + abs(geom.dy)))
+    if m.speed == 0.0:
+        return base * t_len
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_star = (u.x - x_start) / m.speed
+        approach = np.minimum(np.maximum(t_star, 0.0), t_len)  # up to the pass-under instant
+        recede = t_len - approach
+        e1 = expected_los_x_segment(base, -rate, m.speed, approach)
+        base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, -rate, m.speed)
+        e2 = expected_los_x_segment(base_mid, rate, m.speed, recede)
+    return np.where(base > 0.0, e1 + e2, 0.0)
+
+
+def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
+    """Expected clear seconds of every segment in the table.
+
+    Faces integrate in closed form, walls by the three point Simpson rule,
+    open segments contribute their full length.
+    """
+    m = geom.motion
+    out = table.t_end - table.t_start
+    face = table.kind == _FACE
+    if face.any():
+        out[face] = _face_integrals(geom, table.t_start[face], out[face])
+    wall = table.kind == _WALL
+    if wall.any():
+        out[wall] = _wall_integrals(
+            geom.u, m.y0, m.speed, geom.lam, geom.model,
+            m.x0 + m.speed * table.t_start[wall], out[wall],
+            table.wall_x[wall], table.back_wall_x[wall],
+        )
+    return out
 
 
 def expected_los_y_segment(sweep: WallSweep, t_len: float) -> float:
     """Three point Simpson estimate of the wall-segment clear time."""
-    if t_len <= 0.0:
-        return 0.0
-    ts = sweep.singular_time()
-    n0 = _nudged(0.0, t_len, ts)
-    n1 = _nudged(0.5 * t_len, t_len, ts)
-    n2 = _nudged(t_len, t_len, ts)
-    return (t_len / 6.0) * (sweep.p(n0) + 4.0 * sweep.p(n1) + sweep.p(n2))
+    ahead = math.inf if sweep.wall_ahead is None else sweep.wall_ahead
+    back = -math.inf if sweep.wall_back is None else sweep.wall_back
+    return float(_wall_integrals(
+        sweep.u, sweep.y0, sweep.v, sweep.lam, sweep.model,
+        np.array([sweep.x_start]), np.array([t_len]), np.array([ahead]), np.array([back]),
+    )[0])
 
 
 def expected_los_y_segment_reference(
@@ -148,7 +243,7 @@ def expected_los_y_segment_reference(
         nodes += 1
     ts = sweep.singular_time()
     xs = np.linspace(0.0, t_len, nodes)
-    ps = np.array([sweep.p(_nudged(float(x), t_len, ts)) for x in xs])
+    ps = np.array([sweep.p(float(_nudged(float(x), t_len, ts))) for x in xs])
     h = t_len / (nodes - 1)
     return float(h / 3.0 * (ps[0] + ps[-1] + 4.0 * ps[1:-1:2].sum() + 2.0 * ps[2:-2:2].sum()))
 
@@ -156,51 +251,6 @@ def expected_los_y_segment_reference(
 def simpson_residual(sweep: WallSweep, t_len: float) -> float:
     """Absolute gap between the 3 point rule and the dense reference."""
     return abs(expected_los_y_segment(sweep, t_len) - expected_los_y_segment_reference(sweep, t_len))
-
-
-def _face_expectation(geom: EpochGeometry, t_start: float, t_len: float) -> float:
-    """Exact clear-time integral over one front-line sliding segment.
-
-    The contact fraction is constant, so P(t) = P(start) scaled by the void
-    exponent's linear drift: decaying while the user recedes from the
-    platform in x, growing while approaching, with an exact split at the
-    instant the user passes underneath.
-    """
-    m, u = geom.motion, geom.u
-    x_start = m.x0 + m.speed * t_start
-    base = p_los_static((x_start, m.y0), u, geom.street_width, geom.lam, geom.model)
-    if t_len <= 0.0:
-        return 0.0
-    if m.speed == 0.0 or base == 0.0:
-        return base * t_len
-    s = geom.street_width / geom.dy if geom.dy > geom.street_width else None
-    if s is None:
-        return base * t_len  # no contact, base is 1
-    rate = void_rate(s, geom.lam, geom.model, u.height)
-    t_star = (u.x - x_start) / m.speed
-    if t_star <= 0.0:
-        return expected_los_x_segment(base, rate, m.speed, t_len)
-    if t_star >= t_len:
-        return expected_los_x_segment(base, -rate, m.speed, t_len)
-    # approach up to the pass-under instant, then recede
-    e1 = expected_los_x_segment(base, -rate, m.speed, t_star)
-    base_mid = p_los_x_segment(t_star, base, -rate, m.speed)
-    e2 = expected_los_x_segment(base_mid, rate, m.speed, t_len - t_star)
-    return e1 + e2
-
-
-def _wall_sweep(geom: EpochGeometry, seg: Segment) -> WallSweep:
-    m = geom.motion
-    return WallSweep(
-        x_start=m.x0 + m.speed * seg.t_start,
-        y0=m.y0,
-        v=m.speed,
-        u=geom.u,
-        lam=geom.lam,
-        model=geom.model,
-        wall_ahead=seg.wall_x,
-        wall_back=seg.back_wall_x,
-    )
 
 
 def expected_los_piecewise(
@@ -213,59 +263,107 @@ def expected_los_piecewise(
     segments contribute their full length.  With ``detail`` a list of
     (segment, contribution, simpson residual) comes back alongside the total.
     """
-    total = 0.0
+    table = SegmentTable.from_plan(plan)
+    contrib = _segment_integrals(table, geom)
+    total = float(np.bincount(table.row, weights=contrib, minlength=1)[0])
+    if not detail:
+        return total
+    m = geom.motion
     rows = []
-    for seg in plan.segments:
-        if seg.kind == FACE:
-            c = _face_expectation(geom, seg.t_start, seg.length)
-            resid = 0.0
-        elif seg.kind == WALL:
-            sweep = _wall_sweep(geom, seg)
-            c = expected_los_y_segment(sweep, seg.length)
-            resid = simpson_residual(sweep, seg.length) if detail else 0.0
-        else:
-            c = seg.length
-            resid = 0.0
-        total += float(c)
-        if detail:
-            rows.append((seg, float(c), resid))
-    if detail:
-        return total, rows
-    return total
+    for seg, c in zip(plan.segments, contrib.tolist()):
+        resid = 0.0
+        if seg.kind == WALL:
+            sweep = WallSweep(m.x0 + m.speed * seg.t_start, m.y0, m.speed, geom.u, geom.lam,
+                              geom.model, seg.wall_x, seg.back_wall_x)
+            resid = simpson_residual(sweep, seg.length)
+        rows.append((seg, c, resid))
+    return total, rows
 
 
 # -- crossing-count marginalization -------------------------------------------
 
 
-def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> int:
-    """Smallest N with Poisson(lam v T) mass at least 1 - epsilon on {0..N}.
+def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
+    """Poisson(mu) pmf on 0..N and the mass past N, for the smallest N whose tail
+    mass past N is at most epsilon.
 
-    Stable recurrence on the pmf terms, no factorials.
+    The terms start at the mode with weight 1, follow the ratio recurrence
+    outwards (until they fall far below epsilon above the mode) and are
+    normalized by their sum, so no factor exp(-mu) can underflow however
+    large mu is.  Tail masses are summed from the far end, free of the
+    cancellation in 1 - (mass up to N).
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    mu = lam * v * T
     if mu < 0:
         raise ValueError("negative event rate")
-    term = math.exp(-mu)
-    cdf = term
-    n = 0
-    while cdf < 1.0 - epsilon:
+    mode = math.floor(mu)
+    terms = [1.0]
+    for n in range(mode, 0, -1):
+        terms.append(terms[-1] * (n / mu))
+    terms.reverse()
+    total = sum(terms)
+    n, r = mode, 1.0
+    while True:
         n += 1
-        term *= mu / n
-        cdf += term
-        if n > 100_000:
-            raise RuntimeError("truncation search did not converge")
-    return n
+        r *= mu / n
+        if r <= total * epsilon * 2.0**-60:
+            break
+        terms.append(r)
+        total += r
+    total = math.fsum(terms)
+    pmf = [t / total for t in terms]
+    n_max, tail = len(pmf) - 1, 0.0  # tail: the mass past n_max
+    while n_max > 0 and tail + pmf[n_max] <= epsilon:
+        tail += pmf[n_max]
+        n_max -= 1
+    return pmf[: n_max + 1], tail
 
 
-def _poisson_weights(mu: float, n_max: int) -> list[float]:
-    term = math.exp(-mu)
-    out = [term]
-    for n in range(1, n_max + 1):
-        term *= mu / n
-        out.append(term)
-    return out
+def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> int:
+    """Smallest N with Poisson(lam v T) mass at least 1 - epsilon on {0..N}.
+
+    Raises ValueError unless 0 < epsilon < 1 and lam v T >= 0.
+    """
+    return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
+
+
+def _canonical_table(
+    mu_b: float,
+    mu_s: float,
+    motion: UserMotion,
+    u: Uav,
+    street_width: float,
+    counts: np.ndarray,
+) -> SegmentTable:
+    """Representative segment plans of several crossing counts, row i for counts[i].
+
+    The columns of every layout are an arithmetic progression with the mean
+    period, so one common column range, wide enough for each count, serves
+    them all; surplus columns fall outside the epoch and change nothing.
+    """
+    T = motion.duration
+    rows = len(counts)
+    if motion.speed == 0.0 or T == 0.0 or not counts.any():
+        return SegmentTable.whole_epoch(rows, _FACE, T)  # the contact never leaves its face
+    dy = u.y - motion.y0
+    if dy <= street_width:
+        raise DegenerateGeometryError("platform not beyond the street's far line")
+    moving = counts > 0
+    t_first = T / (counts[moving] + 1.0)
+    enter_x = motion.x0 + motion.speed * t_first
+    first_west = u.x - (u.x - enter_x) * (dy - street_width) / dy
+    period = mu_b + mu_s
+
+    xc0 = _front_cross(motion.x0, motion.y0, u, street_width)
+    xc1 = _front_cross(motion.x0 + motion.speed * T, motion.y0, u, street_width)
+    k_min = np.floor((min(xc0, xc1) - first_west) / period).min() - 1
+    k_max = np.ceil((max(xc0, xc1) - first_west) / period).max() + 1
+    west = np.full((rows, int(k_max - k_min) + 1), math.inf)
+    west[moving] = first_west[:, None] + period * np.arange(k_min, k_max + 1, dtype=float)
+    east = west + mu_b
+    west[~moving, 0] = -math.inf  # zero crossings: one face along the whole line
+    return segment_table(west, east, motion, u, street_width)
 
 
 def canonical_plan(
@@ -287,25 +385,8 @@ def canonical_plan(
     """
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
-    T = motion.duration
-    if crossings == 0 or motion.speed == 0.0 or T == 0.0:
-        return SegmentPlan(T, [Segment(0.0, T, FACE)])
-    dy = u.y - motion.y0
-    if dy <= street_width:
-        raise DegenerateGeometryError("platform not beyond the street's far line")
-    t_first = T / (crossings + 1)
-    enter_x = motion.x0 + motion.speed * t_first
-    first_west = u.x - (u.x - enter_x) * (dy - street_width) / dy
-    period = mu_b + mu_s
-
-    xc0 = _front_cross(motion.x0, motion.y0, u, street_width)
-    xc1 = _front_cross(motion.x0 + motion.speed * T, motion.y0, u, street_width)
-    lo, hi = min(xc0, xc1), max(xc0, xc1)
-    k_min = math.floor((lo - first_west) / period) - 1
-    k_max = math.ceil((hi - first_west) / period) + 1
-    west = first_west + period * np.arange(k_min, k_max + 1, dtype=float)
-    east = west + mu_b
-    return _plan_from_columns(west, east, motion, u, street_width)
+    table = _canonical_table(mu_b, mu_s, motion, u, street_width, np.array([crossings]))
+    return table.plan(motion.duration)
 
 
 def sampled_plan(
@@ -341,12 +422,8 @@ def sampled_plan(
             continue
         west = pts[:-1] + f * np.diff(pts)
         east = pts[1:]
-        enters = 0
-        for c in west:
-            pos = corner_position(float(c), u, motion.y0, street_width)
-            if motion.x0 < pos < x_end:
-                enters += 1
-        if enters == crossings:
+        pos = corner_position(west, u, motion.y0, street_width)
+        if np.count_nonzero((motion.x0 < pos) & (pos < x_end)) == crossings:
             return _plan_from_columns(west, east, motion, u, street_width)
     raise RuntimeError(
         f"could not draw a layout with {crossings} crossings in {max_attempts} attempts"
@@ -355,7 +432,12 @@ def sampled_plan(
 
 @dataclass
 class ExpectedLosResult:
-    """Crossing-count marginalized expectation and its ingredients."""
+    """Crossing-count marginalized expectation and its ingredients.
+
+    ``dropped_mass`` is the Poisson mass past the truncation count, which is
+    1 - sum(weights) in exact arithmetic; it is summed over the tail itself.
+    ``expected_time`` renormalizes the kept weights.
+    """
 
     expected_time: float
     truncation_count: int
@@ -363,6 +445,7 @@ class ExpectedLosResult:
     weights: list[float]
     epsilon: float
     layout: str
+    dropped_mass: float = 0.0
 
 
 def expected_los_total(
@@ -381,8 +464,8 @@ def expected_los_total(
     ``params`` supplies mu_b, mu_s, sigma and the derived axis density; the
     user street width defaults to the mean street width.  ``layout`` picks
     how the per-count plans are built: "canonical" for the deterministic
-    representative layout, "sampled" to average ``n_layouts`` conditioned
-    draws per count.
+    representative layout, whose counts are priced COUNT_BLOCK at a time,
+    "sampled" to average ``n_layouts`` conditioned draws per count.
     """
     if layout not in ("canonical", "sampled"):
         raise ValueError(f"unknown layout mode {layout!r}")
@@ -398,31 +481,31 @@ def expected_los_total(
         # platform over the user's own street: the projection never leaves it
         return ExpectedLosResult(T, 0, [T], [1.0], epsilon, layout)
 
-    n_max = poisson_truncation_count(lam, motion.speed, T, epsilon)
-    mu = lam * motion.speed * T
-    weights = _poisson_weights(mu, n_max)
-    per_count: list[float] = []
-    for count in range(n_max + 1):
-        if layout == "canonical":
-            plan = canonical_plan(params.mu_b, params.mu_s, motion, u, w, count)
-            per_count.append(expected_los_piecewise(plan, geom))
-        else:
+    weights, dropped = _truncated_pmf(lam * motion.speed * T, epsilon)
+    n_max = len(weights) - 1
+    per_count = np.empty(n_max + 1)
+    if layout == "canonical":
+        for first in range(0, n_max + 1, COUNT_BLOCK):
+            counts = np.arange(first, min(first + COUNT_BLOCK, n_max + 1))
+            table = _canonical_table(params.mu_b, params.mu_s, motion, u, w, counts)
+            per_count[counts] = np.bincount(
+                table.row, weights=_segment_integrals(table, geom), minlength=len(counts)
+            )
+    else:
+        for count in range(n_max + 1):
             acc = 0.0
             for i in range(n_layouts):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([layout_seed, count, i])
-                )
+                rng = np.random.default_rng(np.random.SeedSequence([layout_seed, count, i]))
                 try:
-                    plan = sampled_plan(
-                        params.mu_b, params.mu_s, motion, u, w, count, rng
-                    )
+                    plan = sampled_plan(params.mu_b, params.mu_s, motion, u, w, count, rng)
                 except RuntimeError:
                     # deep-tail counts are vanishingly rare under the street
                     # process; their weight is negligible, the canonical
                     # layout stands in
                     plan = canonical_plan(params.mu_b, params.mu_s, motion, u, w, count)
                 acc += expected_los_piecewise(plan, geom)
-            per_count.append(acc / n_layouts)
+            per_count[count] = acc / n_layouts
+    per_count = per_count.tolist()
     wsum = sum(weights)
     expected = sum(wt * e for wt, e in zip(weights, per_count)) / wsum
-    return ExpectedLosResult(expected, n_max, per_count, weights, epsilon, layout)
+    return ExpectedLosResult(expected, n_max, per_count, weights, epsilon, layout, dropped)

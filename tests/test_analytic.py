@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +46,27 @@ def test_erf_reference_values():
     assert math.isclose(math.erf(1.0), 0.8427007929497149, abs_tol=1e-15)
     assert math.isclose(math.erf(0.5), 0.5204998778130465, abs_tol=1e-15)
     assert math.isclose(math.erf(2.0), 0.9953222650189527, abs_tol=1e-15)
+
+
+def test_erf_diff_reference_values():
+    # published values of the error function, through erf_diff's direct branch
+    assert math.isclose(erf_diff(1.0, 0.0), 0.8427007929497149, abs_tol=1e-15)
+    assert math.isclose(erf_diff(0.5, 0.0), 0.5204998778130465, abs_tol=1e-15)
+    assert math.isclose(erf_diff(2.0, 0.0), 0.9953222650189527, abs_tol=1e-15)
+
+
+def test_array_forms_match_scalar_calls():
+    a = np.array([0.3, 1.2, 2.5, 1.0 + 1e-7, -0.4])
+    b = np.array([0.1, 1.2 - 3e-6, 0.0, 1.0, -2.0])
+    got = erf_diff(a, b)
+    assert all(got[i] == erf_diff(float(a[i]), float(b[i])) for i in range(len(a)))
+    s = np.array([0.05, 0.2, 0.5, 0.9])
+    generic = CdfHeights(lambda h: 1.0 - math.exp(-h * h / 128.0))
+    for model in (RAY, generic):
+        rates = void_rate(s, URBAN_LAM, model, 100.0)
+        assert all(rates[i] == void_rate(float(s[i]), URBAN_LAM, model, 100.0) for i in range(4))
+    assert np.array_equal(RAY.cdf(np.array([-1.0, 0.0, 15.0, math.inf])),
+                          [RAY.cdf(-1.0), RAY.cdf(0.0), RAY.cdf(15.0), RAY.cdf(math.inf)])
 
 
 @given(a=st.floats(-6.0, 6.0), b=st.floats(-6.0, 6.0))

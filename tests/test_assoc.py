@@ -128,3 +128,33 @@ def test_compare_policies_paired_difference(urban):
     # the trial streams are shared, so the paired spread is far tighter than
     # the individual ones whenever the policies mostly agree per grid
     assert d.n == 40
+
+
+def test_compare_policies_reports_fixed_assignment_and_scores(urban):
+    users = [UserMotion(-170.0, 0.0, 20.0, 10.0), UserMotion(-55.0, 0.0, 20.0, 10.0)]
+    uavs = [Uav(x, 45.0, 100.0, link_range=130.0) for x in (-195.0, -110.0, -80.0, 5.0)]
+    cmp = compare_policies(urban, users, uavs, trials=3, seed=31)
+    assert cmp.assignment == assign_max_expected_los(users, uavs, urban)
+    assert cmp.scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
+    assert cmp.predicted == sum(cmp.scores[j][k] for j, k in cmp.assignment.assigned())
+
+
+def test_association_sweep_scores_each_pair_once_per_speed(monkeypatch):
+    import uavlos.assoc as assoc
+    from uavlos.cli import ExperimentConfig, run_experiment
+
+    calls = []
+    real = assoc.pair_score
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(assoc, "pair_score", counted)
+    user_xs = [-120.0, -40.0, 40.0]
+    cfg = ExperimentConfig.from_dict(
+        {"sweep": "association", "values": [2.0, 10.0], "trials": 2, "user_xs": user_xs}
+    )
+    run_experiment(cfg, None, False)
+    n_users, n_uavs = len(user_xs), 2 * len(user_xs)
+    assert len(calls) == len(cfg.values) * n_users * n_uavs

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from uavlos.analytic import RayleighHeights, p_los_static
-from uavlos.env import FACE, OPEN, Segment, SegmentPlan, Uav, UserMotion
+from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static
+from uavlos.env import FACE, OPEN, GridParams, Segment, SegmentPlan, Uav, UserMotion
 from uavlos.mobility import (
     EpochGeometry,
     WallSweep,
@@ -91,6 +91,19 @@ def test_wall_sweep_matches_static_probability():
         assert math.isclose(sweep.p(tau), expect, rel_tol=1e-12)
 
 
+def test_y_segment_simpson_uses_the_reference_probability():
+    # the array evaluator's three nodes reproduce WallSweep.p, including a
+    # sweep that passes under the platform onto the wall behind, and one
+    # whose wall behind is missing
+    u = Uav(120.0, 90.0, 100.0)
+    for back in (100.0, None):
+        sweep = WallSweep(110.0, 0.0, 15.0, u, 1.0 / 58.0, RAY, wall_ahead=125.0, wall_back=back)
+        t_len = 1.5
+        ps = [sweep.p(t) for t in (0.0, 0.5 * t_len, t_len)]
+        simpson = t_len / 6.0 * (ps[0] + 4.0 * ps[1] + ps[2])
+        assert math.isclose(expected_los_y_segment(sweep, t_len), simpson, rel_tol=1e-13)
+
+
 def test_y_segment_simpson_against_dense_reference():
     sweep, t_len = _gap_sweep()
     coarse = expected_los_y_segment(sweep, t_len)
@@ -103,13 +116,32 @@ def test_y_segment_simpson_against_dense_reference():
 # -- truncation of the crossing-count series ----------------------------------
 
 
-@pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 150.0 / 58.0, 8.0, 20.0])
+# past mu ~ 745, exp(-mu) underflows to zero
+@pytest.mark.parametrize("mu", [0.05, 0.5, 1.0, 150.0 / 58.0, 8.0, 20.0, 745.0, 1000.0, 5000.0])
 @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, 1e-6])
 def test_truncation_count_minimal_tail(mu, eps):
     n = poisson_truncation_count(1.0, mu, 1.0, eps)  # lam*v*T factorization
     assert poisson.sf(n, mu) <= eps
     if n > 0:
         assert poisson.sf(n - 1, mu) > eps
+
+
+def _recurrence_count(mu: float, eps: float) -> int:
+    # the forward pmf recurrence from exp(-mu), exact wherever exp(-mu) is a
+    # normal float and epsilon is well above float64 resolution
+    term = math.exp(-mu)
+    cdf, n = term, 0
+    while cdf < 1.0 - eps:
+        n += 1
+        term *= mu / n
+        cdf += term
+    return n
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-3, 1e-6])
+def test_truncation_count_matches_forward_recurrence(eps):
+    for mu in np.concatenate([np.linspace(0.01, 2.0, 40), np.linspace(2.0, 700.0, 60)]):
+        assert poisson_truncation_count(1.0, float(mu), 1.0, eps) == _recurrence_count(mu, eps)
 
 
 def test_truncation_count_zero_rate():
@@ -211,6 +243,65 @@ def test_expected_total_frozen_urban_value(urban):
     assert len(r.per_count) == 10 and len(r.weights) == 10
     assert all(0.0 <= e <= 10.0 for e in r.per_count)
     assert 1.0 - 1e-3 <= sum(r.weights) <= 1.0
+
+
+_CDF = CdfHeights(lambda h: 1.0 - math.exp(-h * h / 128.0) if h > 0 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "mu_b, mu_s, speed, duration, ux, model, expected",
+    [
+        # 30 m/s for 120 s at the paper platform in each preset (105, 88, 67 counts)
+        (37.0, 10.0, 30.0, 120.0, 120.0, None, 43.82965766992164),
+        (45.0, 13.0, 30.0, 120.0, 120.0, None, 79.4326054095491),
+        (60.0, 20.0, 30.0, 120.0, 120.0, None, 116.28836950646857),
+        # the generic height law, one quadrature per contact
+        (45.0, 13.0, 15.0, 10.0, 120.0, _CDF, 8.233662496015025),
+        # Simpson nodes on the pass-under instant: the first, the middle and
+        # the last node of a wall segment
+        (45.0, 13.0, 15.0, 10.0, 0.0, None, 8.20653691213218),
+        (45.0, 13.0, 15.0, 10.0, 7.5, None, 8.215319948711054),
+        (45.0, 13.0, 15.0, 10.0, 75.0, None, 8.265531891696813),
+    ],
+)
+def test_expected_total_frozen_values(mu_b, mu_s, speed, duration, ux, model, expected):
+    r = expected_los_total(
+        GridParams(mu_b, mu_s, 8.0), UserMotion(0.0, 0.0, speed, duration),
+        Uav(ux, 90.0, 100.0), model=model,
+    )
+    assert math.isclose(r.expected_time, expected, rel_tol=1e-12)
+
+
+def test_expected_total_past_exp_underflow(urban):
+    # lam v T ~ 1000, where the Poisson weights cannot start from exp(-lam v T)
+    m = UserMotion(0.0, 0.0, 30.0, 1935.0)
+    assert urban.lam * m.speed * m.duration > 1000.0
+    r = expected_los_total(urban, m, Uav(120.0, 90.0, 100.0))
+    assert math.isfinite(r.expected_time)
+    assert 0.0 <= r.expected_time <= m.duration
+    assert 0.0 <= r.dropped_mass <= 1e-3
+
+
+@given(
+    speed=st.floats(0.0, 40.0),
+    duration=st.floats(0.5, 40.0),
+    ux=st.floats(-150.0, 150.0),
+    uy=st.floats(20.0, 150.0),
+    height=st.floats(20.0, 150.0),
+    eps=st.sampled_from([0.1, 1e-3, 1e-6]),
+)
+def test_batched_counts_match_single_plans(speed, duration, ux, uy, height, eps):
+    params = GridParams(45.0, 13.0, 8.0)
+    m = UserMotion(-20.0, 0.0, speed, duration)
+    u = Uav(ux, uy, height)
+    r = expected_los_total(params, m, u, epsilon=eps)
+    geom = EpochGeometry(m, u, params.mu_s, params.lam, RAY)
+    for n, e in enumerate(r.per_count):
+        plan = canonical_plan(params.mu_b, params.mu_s, m, u, params.mu_s, n)
+        assert e == expected_los_piecewise(plan, geom)
+    weighted = sum(w * e for w, e in zip(r.weights, r.per_count)) / sum(r.weights)
+    assert math.isclose(weighted, r.expected_time, rel_tol=1e-12)
+    assert 0.0 <= r.dropped_mass <= eps
 
 
 def test_expected_total_zero_duration(urban):
