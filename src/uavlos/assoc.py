@@ -19,7 +19,7 @@ import numpy as np
 
 from .env import GridParams, Uav, UrbanGrid, UserMotion, sample_grid_anchored
 from .mobility import expected_los_total
-from .oracle import FLIP_TOL, TrialStats, coverage_time, is_los, los_time
+from .oracle import TrialStats, coverage_time, is_los, los_time
 
 
 @dataclass
@@ -133,7 +133,6 @@ def realized_value(
     grid: UrbanGrid,
     users: list[UserMotion],
     uavs: list[Uav],
-    tol: float = FLIP_TOL,
 ) -> float:
     """Total realized clear seconds of an assignment on one city.
 
@@ -146,7 +145,7 @@ def realized_value(
         horizon = coverage_time(users[j], u)
         if horizon <= 0.0:
             continue
-        total += los_time(grid, replace(users[j], duration=horizon), u, tol)
+        total += los_time(grid, replace(users[j], duration=horizon), u)
     return total
 
 
@@ -175,7 +174,6 @@ def evaluate_assignment(
     trials: int,
     seed: int,
     street_width: float | None = None,
-    tol: float = FLIP_TOL,
 ) -> TrialStats:
     """Realized total clear seconds of a fixed assignment over fresh city draws."""
     y0 = _shared_street(users)
@@ -183,7 +181,7 @@ def evaluate_assignment(
     vals = np.empty(trials)
     for i in range(trials):
         grid = _trial_grid(params, seed, i, y0, w)
-        vals[i] = realized_value(assignment, grid, users, uavs, tol)
+        vals[i] = realized_value(assignment, grid, users, uavs)
     return TrialStats(vals)
 
 
@@ -220,7 +218,6 @@ def compare_policies(
     seed: int,
     epsilon: float = 1e-3,
     street_width: float | None = None,
-    tol: float = FLIP_TOL,
 ) -> PolicyComparison:
     """Score both policies on identical city draws.
 
@@ -236,7 +233,7 @@ def compare_policies(
     vb = np.empty(trials)
     for i in range(trials):
         grid = _trial_grid(params, seed, i, y0, w)
-        va[i] = realized_value(fixed, grid, users, uavs, tol)
+        va[i] = realized_value(fixed, grid, users, uavs)
         bench = assign_nearest_los(users, uavs, grid)
-        vb[i] = realized_value(bench, grid, users, uavs, tol)
+        vb[i] = realized_value(bench, grid, users, uavs)
     return PolicyComparison(TrialStats(va), TrialStats(vb), fixed, scores)

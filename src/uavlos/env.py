@@ -210,6 +210,16 @@ def _band_arrays(points: np.ndarray, splits: np.ndarray) -> tuple[np.ndarray, np
     return splits, points[1:]
 
 
+def _band(points: np.ndarray, splits: np.ndarray, c: float) -> tuple[str, int, float, float]:
+    """("street" | "building", cell index, band_lo, band_hi) at c on one axis."""
+    if len(points) < 2 or c < points[0] or c >= points[-1]:
+        return ("street", -1, -math.inf, math.inf)
+    k = int(points.searchsorted(c, "right")) - 1
+    if c < splits[k]:
+        return ("street", k, float(points[k]), float(splits[k]))
+    return ("building", k, float(splits[k]), float(points[k + 1]))
+
+
 @dataclass
 class UrbanGrid:
     """One sampled city: axis points, per-cell band splits, block heights.
@@ -244,25 +254,14 @@ class UrbanGrid:
 
     # -- band queries ---------------------------------------------------------
 
-    def _cell_of(self, points: np.ndarray, c: float) -> int:
-        """Index of the cell containing c, or -1 outside the point range."""
-        if len(points) < 2 or c < points[0] or c >= points[-1]:
-            return -1
-        return int(np.searchsorted(points, c, side="right") - 1)
-
     def band_at(self, axis: str, c: float) -> tuple[str, int, float, float]:
         """("street" | "building", cell index, band_lo, band_hi) at coordinate c.
 
         Outside the sampled point range everything counts as street, cell -1.
         """
-        points = self.x_points if axis == "x" else self.y_points
-        splits = self.x_splits if axis == "x" else self.y_splits
-        k = self._cell_of(points, c)
-        if k < 0:
-            return ("street", -1, -math.inf, math.inf)
-        if c < splits[k]:
-            return ("street", k, float(points[k]), float(splits[k]))
-        return ("building", k, float(splits[k]), float(points[k + 1]))
+        if axis == "x":
+            return _band(self.x_points, self.x_splits, c)
+        return _band(self.y_points, self.y_splits, c)
 
     def street_width_at_y(self, y: float) -> float:
         """Width of the street band containing y; errors if y is in a building band."""
@@ -294,14 +293,17 @@ class UrbanGrid:
         """
         cw, ce = self.building_columns()
         rs, rn = self.building_rows()
-        ci = np.nonzero((ce > x_lo) & (cw < x_hi))[0]
-        rj = np.nonzero((rn > y_lo) & (rs < y_hi))[0]
-        if len(ci) == 0 or len(rj) == 0:
+        # edges ascend, so the bands meeting an open interval form one run
+        i0, i1 = ce.searchsorted(x_lo, "right"), cw.searchsorted(x_hi)
+        j0, j1 = rn.searchsorted(y_lo, "right"), rs.searchsorted(y_hi)
+        n, m = i1 - i0, j1 - j0
+        if n <= 0 or m <= 0:
             e = np.empty(0)
             return e, e, e, e, e
-        ii, jj = np.meshgrid(ci, rj, indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        return cw[ii], ce[ii], rs[jj], rn[jj], self.block_heights[ii, jj]
+        return (cw[i0:i1].repeat(m), ce[i0:i1].repeat(m),
+                rs[None, j0:j1].repeat(n, axis=0).ravel(),
+                rn[None, j0:j1].repeat(n, axis=0).ravel(),
+                self.block_heights[i0:i1, j0:j1].ravel())
 
     # -- serialization --------------------------------------------------------
 
@@ -354,6 +356,18 @@ def _ppp(rng: np.random.Generator, lam: float, lo: float, hi: float) -> np.ndarr
     return np.sort(rng.uniform(lo, hi, n))
 
 
+def _splits(points: np.ndarray, f: float) -> np.ndarray:
+    """Street/building boundary of each cell, a street fraction f into it."""
+    return points[:-1] + f * np.diff(points) if len(points) >= 2 else np.empty(0)
+
+
+def _draw_columns(params: GridParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """X points and splits, the first draw of every city."""
+    x_lo, x_hi, _, _ = params.box
+    xp = _ppp(rng, params.lam, x_lo, x_hi)
+    return xp, _splits(xp, params.street_fraction)
+
+
 def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> UrbanGrid:
     """Draw one city.  Identical (params, seed) gives a bit-identical grid.
 
@@ -361,12 +375,10 @@ def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> Urban
     height matrix row-major over (x cell, y cell).
     """
     rng = np.random.default_rng(seed)
-    x_lo, x_hi, y_lo, y_hi = params.box
-    xp = _ppp(rng, params.lam, x_lo, x_hi)
+    _, _, y_lo, y_hi = params.box
+    xp, xs = _draw_columns(params, rng)
     yp = _ppp(rng, params.lam, y_lo, y_hi)
-    f = params.street_fraction
-    xs = xp[:-1] + f * np.diff(xp) if len(xp) >= 2 else np.empty(0)
-    ys = yp[:-1] + f * np.diff(yp) if len(yp) >= 2 else np.empty(0)
+    ys = _splits(yp, params.street_fraction)
     heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), max(len(yp) - 1, 0)))
     return UrbanGrid(params, seed, xp, yp, xs, ys, heights)
 
@@ -390,12 +402,24 @@ def sample_grid_anchored(
     above, then heights.
     """
     rng = np.random.default_rng(seed)
-    x_lo, x_hi, y_lo, y_hi = params.box
+    xp, xs = _draw_columns(params, rng)
+    return _anchored_rest(params, seed, rng, xp, xs, y_anchor, street_width)
+
+
+def _anchored_rest(
+    params: GridParams,
+    seed: int | np.random.SeedSequence,
+    rng: np.random.Generator,
+    xp: np.ndarray,
+    xs: np.ndarray,
+    y_anchor: float,
+    street_width: float | None,
+) -> UrbanGrid:
+    """The draws of ``sample_grid_anchored`` after the X points, from the same rng."""
+    _, _, y_lo, y_hi = params.box
     if not (y_lo <= y_anchor < y_hi):
         raise DegenerateGridError("anchor outside the region")
-    xp = _ppp(rng, params.lam, x_lo, x_hi)
     f = params.street_fraction
-
     gap = rng.exponential(1.0 / params.lam)
     if street_width is None:
         w = f * gap
@@ -412,9 +436,7 @@ def sample_grid_anchored(
     below = _ppp(rng, params.lam, y_lo, y_anchor)
     above = _ppp(rng, params.lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
     yp = np.concatenate([below, [y_anchor, cell_end], above])
-
-    xs = xp[:-1] + f * np.diff(xp) if len(xp) >= 2 else np.empty(0)
-    ys = yp[:-1] + f * np.diff(yp) if len(yp) >= 2 else np.empty(0)
+    ys = _splits(yp, f)
     # pin the anchor cell's split to the requested street width
     if len(yp) >= 2:
         k = int(np.searchsorted(yp, y_anchor, side="right") - 1)

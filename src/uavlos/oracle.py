@@ -2,11 +2,14 @@
 
 Everything here works from the sampled city itself: a link is clear when no
 building on the ground-projected segment reaches the link's height where the
-segment enters its footprint.  The walk-level engine turns that test into
-exact clear intervals by cutting the epoch at the instants where the set of
-crossed footprints can change (lines of sight through block corners) and
-bisecting the single blockage flip each block can have inside a piece.  None
-of it reuses the closed-form machinery, so it can referee it.
+segment enters its footprint.  For a walk the blocked instants of each block
+come in closed form: the walker moves along its street, so a block's y-slab
+and its height fix the window of link fractions where the link could meet
+it, and the link point at any fixed fraction moves linearly in time, so the
+block blocks on exactly one interval, bounded by the instants the window's
+two ends cross the block's west and east edges.  All blocks are solved at
+once as arrays and the clear intervals are the complement of their union.
+None of it reuses the closed-form machinery, so it can referee it.
 """
 
 from __future__ import annotations
@@ -22,23 +25,36 @@ from .env import (
     UrbanGrid,
     UserInBuildingError,
     UserMotion,
+    _anchored_rest,
+    _band,
+    _draw_columns,
     _front_cross,
-    sample_grid_anchored,
 )
-
-FLIP_TOL = 1e-6  # seconds; interval endpoints are resolved to this
 
 
 def _slab_fracs(lo, hi, start, delta):
-    """Per-axis entry/exit fractions of the segment through [lo, hi) slabs."""
-    if delta == 0.0:
-        inside = (lo <= start) & (start < hi)
-        lo_f = np.where(inside, -np.inf, np.inf)
-        hi_f = np.where(inside, np.inf, -np.inf)
-        return lo_f, hi_f
-    a = (lo - start) / delta
-    b = (hi - start) / delta
-    return np.minimum(a, b), np.maximum(a, b)
+    """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting)."""
+    if np.ndim(delta) == 0 and delta != 0.0:
+        a = (lo - start) / delta
+        b = (hi - start) / delta
+        return np.minimum(a, b), np.maximum(a, b)
+    # a segment with delta 0 lies inside the slab at every fraction or at none
+    inside = (lo <= start) & (start < hi)
+    still = delta == 0.0
+    a = (lo - start) / np.where(still, 1.0, delta)
+    b = (hi - start) / np.where(still, 1.0, delta)
+    return (np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(a, b)),
+            np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(a, b)))
+
+
+def _blocking(west, east, south, north, height, gx, gy, u: Uav) -> np.ndarray:
+    """The static blockage test of ``is_los`` per block, elementwise over broadcast shapes."""
+    sx_lo, sx_hi = _slab_fracs(west, east, gx, u.x - gx)
+    sy_lo, sy_hi = _slab_fracs(south, north, gy, u.y - gy)
+    s_in = np.maximum(sx_lo, sy_lo)
+    s_out = np.minimum(sx_hi, sy_hi)
+    crossed = (s_in < s_out) & (s_out > 0.0) & (s_in < 1.0)
+    return crossed & (height >= u.height * np.clip(s_in, 0.0, 1.0))
 
 
 def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
@@ -56,139 +72,35 @@ def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     )
     if len(west) == 0:
         return True
-    dx, dy = u.x - gx, u.y - gy
-    sx_lo, sx_hi = _slab_fracs(west, east, gx, dx)
-    sy_lo, sy_hi = _slab_fracs(south, north, gy, dy)
-    s_in = np.maximum(sx_lo, sy_lo)
-    s_out = np.minimum(sx_hi, sy_hi)
-    crossed = (s_in < s_out) & (s_out > 0.0) & (s_in < 1.0)
-    if not crossed.any():
-        return True
-    s_entry = np.clip(s_in[crossed], 0.0, 1.0)
-    return not bool((height[crossed] >= u.height * s_entry).any())
+    return not bool(_blocking(west, east, south, north, height, gx, gy, u).any())
 
 
-def _entry_fraction(
-    wx: float, ex: float, sy: float, ny: float, gx: float, gy: float, u: Uav
-) -> float | None:
-    """Entry fraction of the projected link into one footprint, None if no crossing."""
-    dx, dy = u.x - gx, u.y - gy
-    if dx == 0.0:
-        if not (wx <= gx < ex):
-            return None
-        ax, bx = -math.inf, math.inf
-    else:
-        ax, bx = (wx - gx) / dx, (ex - gx) / dx
-        if ax > bx:
-            ax, bx = bx, ax
-    if dy == 0.0:
-        if not (sy <= gy < ny):
-            return None
-        ay, by = -math.inf, math.inf
-    else:
-        ay, by = (sy - gy) / dy, (ny - gy) / dy
-        if ay > by:
-            ay, by = by, ay
-    s_in = max(ax, ay)
-    s_out = min(bx, by)
-    if not (s_in < s_out and s_out > 0.0 and s_in < 1.0):
-        return None
-    return max(s_in, 0.0)
+def _edge_times(edge: np.ndarray, s: np.ndarray, motion: UserMotion, u: Uav) -> np.ndarray:
+    """When the link point at fraction s reaches x = edge, elementwise.
 
-
-def _block_blocked_intervals(
-    wx: float,
-    ex: float,
-    sy: float,
-    ny: float,
-    h: float,
-    motion: UserMotion,
-    u: Uav,
-    tol: float,
-) -> list[tuple[float, float]]:
-    """Times in [0, T] when this one building blocks the link.
-
-    Cut points: the instants the link grazes a footprint corner, and the
-    instant the user passes under the platform's x.  Between cuts the set of
-    crossed edges is fixed and the entry fraction is monotone, so the blocked
-    state flips at most once and a boolean bisection finds the flip.
+    The point sits at (1 - s) x(t) + s u.x = u.x + (1 - s)(x(t) - u.x).  At
+    s = 1 it stands still at u.x, and the time is the limit from s < 1: the
+    walker reaching u.x when the edge is at u.x, never (+inf) past an edge
+    east of u.x and always (-inf) past one west of it.
     """
-    T, v, x0, gy = motion.duration, motion.speed, motion.x0, motion.y0
-    lo_y, hi_y = min(gy, u.y), max(gy, u.y)
-    times = {0.0, T}
-    t_under = (u.x - x0) / v
-    if 0.0 < t_under < T:
-        times.add(t_under)
-    for cx in (wx, ex):
-        for cy in (sy, ny):
-            if lo_y < cy < hi_y:
-                xt = u.x + (cx - u.x) * (gy - u.y) / (cy - u.y)
-                t = (xt - x0) / v
-                if 0.0 < t < T:
-                    times.add(t)
-    bounds = sorted(times)
-
-    def blocked(t: float) -> bool:
-        fr = _entry_fraction(wx, ex, sy, ny, x0 + v * t, gy, u)
-        return fr is not None and h >= u.height * fr
-
-    def flip(lo: float, hi: float, lo_state: bool) -> float:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if blocked(mid) == lo_state:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    out: list[tuple[float, float]] = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a <= 1e-12:
-            continue
-        eps = min(tol, (b - a) * 1e-3)
-        mid = 0.5 * (a + b)
-        if _entry_fraction(wx, ex, sy, ny, x0 + v * mid, gy, u) is None:
-            continue
-        pa, pb = blocked(a + eps), blocked(b - eps)
-        if pa == pb:
-            if blocked(mid) == pa:
-                if pa:
-                    out.append((a, b))
-            else:
-                # two flips in one piece should be impossible; split and recurse
-                half = UserMotion(x0 + v * a, gy, v, mid - a)
-                out.extend(
-                    (a + s, a + e)
-                    for s, e in _block_blocked_intervals(wx, ex, sy, ny, h, half, u, tol)
-                )
-                half = UserMotion(x0 + v * mid, gy, v, b - mid)
-                out.extend(
-                    (mid + s, mid + e)
-                    for s, e in _block_blocked_intervals(wx, ex, sy, ny, h, half, u, tol)
-                )
-        else:
-            t_flip = flip(a + eps, b - eps, pa)
-            out.append((a, t_flip) if pa else (t_flip, b))
-    return out
+    d = edge - u.x
+    gap = 1.0 - s
+    limit = np.where(d == 0.0, 0.0, np.copysign(np.inf, d))
+    offset = np.divide(d, gap, out=limit, where=gap > 0.0)
+    return (u.x - motion.x0 + offset) / motion.speed
 
 
-def _merge(ivs: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    if not ivs:
-        return []
-    ivs = sorted(ivs)
-    out = [list(ivs[0])]
-    for a, b in ivs[1:]:
-        if a <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], b)
-        else:
-            out.append([a, b])
-    return [(a, b) for a, b in out]
+def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[float, float]]:
+    """Maximal clear intervals of the walk, in time order; touching blockages merge.
 
-
-def los_intervals(
-    grid: UrbanGrid, motion: UserMotion, u: Uav, tol: float = FLIP_TOL
-) -> list[tuple[float, float]]:
-    """Maximal clear intervals of the walk, endpoints resolved to tol seconds."""
+    The walker keeps y = y0, so each block's y-slab and height give a fixed
+    window [s_a, s_b] of link fractions where the link can meet it: s_a is
+    the slab entry (at least 0), s_b the slab exit capped at 1 and at h/H, so
+    a graze at exactly the link height counts.  The link point at a fixed
+    fraction s < 1 moves east with the walker, so the block blocks from the
+    first instant either end of the window reaches its west edge until the
+    last instant either end leaves its east edge.
+    """
     T = motion.duration
     if T <= 0.0:
         return []
@@ -205,34 +117,57 @@ def los_intervals(
         min(motion.y0, u.y),
         max(motion.y0, u.y),
     )
-    blocked: list[tuple[float, float]] = []
-    for wx, ex, sy, ny, h in zip(west, east, south, north, height):
-        blocked.extend(_block_blocked_intervals(wx, ex, sy, ny, h, motion, u, tol))
-    clear: list[tuple[float, float]] = []
-    cursor = 0.0
-    for a, b in _merge(blocked):
-        if a > cursor:
-            clear.append((cursor, a))
-        cursor = max(cursor, b)
-    if cursor < T:
-        clear.append((cursor, T))
-    return clear
+    sy_lo, sy_hi = _slab_fracs(south, north, motion.y0, u.y - motion.y0)
+    s_a = np.maximum(sy_lo, 0.0)
+    s_b = np.minimum(np.minimum(sy_hi, 1.0), height / u.height)
+    # the window must be nonempty and the footprint crossed on a stretch of
+    # positive length strictly between the walker and the platform
+    meet = (s_a <= s_b) & (s_a < 1.0) & (sy_hi > 0.0) & (sy_lo < sy_hi) & (west < east)
+    t = _edge_times(np.array([west, west, east, east]), np.array([s_a, s_b, s_a, s_b]), motion, u)
+    start = np.minimum(t[0], t[1])
+    end = np.maximum(t[2], t[3])
+    hit = meet & (end > 0.0) & (start < T)
+    start, end = start[hit], end[hit]
+    order = np.argsort(start)
+    start = np.maximum(start[order], 0.0)
+    end = np.maximum.accumulate(np.minimum(end[order], T))
+    # clear between the running end of the blockages so far and the next start
+    lo = np.concatenate([[0.0], end]).tolist()
+    hi = np.concatenate([start, [T]]).tolist()
+    return [(a, b) for a, b in zip(lo, hi) if b > a]
 
 
-def los_time(grid: UrbanGrid, motion: UserMotion, u: Uav, tol: float = FLIP_TOL) -> float:
+def los_time(grid: UrbanGrid, motion: UserMotion, u: Uav) -> float:
     """Clear seconds over the walk, from the exact interval engine."""
-    return float(sum(b - a for a, b in los_intervals(grid, motion, u, tol)))
+    return float(sum(b - a for a, b in los_intervals(grid, motion, u)))
 
 
 def los_time_sampled(
     grid: UrbanGrid, motion: UserMotion, u: Uav, samples: int = 4096
 ) -> float:
-    """Midpoint-sampled clear seconds; slow cross-check for the interval engine."""
+    """Midpoint-sampled clear seconds; slow cross-check for the interval engine.
+
+    Each sample is judged exactly as ``is_los`` judges it: every block the
+    walk's box query returns is kept for the samples whose own box it
+    overlaps, so all samples are tested in one (sample x block) array.
+    """
     T = motion.duration
     if T <= 0.0:
         return 0.0
     ts = (np.arange(samples) + 0.5) * (T / samples)
-    hits = sum(is_los(grid, motion.position(float(t)), u) for t in ts)
+    gx = motion.x0 + motion.speed * ts
+    gy = motion.y0
+    if grid.band_at("y", gy)[0] == "building":
+        x = next((x for x in gx.tolist() if grid.is_inside_building(x, gy)), None)
+        if x is not None:
+            raise UserInBuildingError(f"ground point ({x}, {gy}) is inside a building")
+    west, east, south, north, height = grid.blocks_overlapping(
+        min(gx[0], u.x), max(gx[-1], u.x), min(gy, u.y), max(gy, u.y)
+    )
+    gx = gx[:, None]
+    near = (east > np.minimum(gx, u.x)) & (west < np.maximum(gx, u.x))
+    blocked = near & _blocking(west, east, south, north, height, gx, gy, u)
+    hits = samples - int(np.count_nonzero(blocked.any(axis=1)))
     return T * hits / samples
 
 
@@ -304,11 +239,18 @@ def _trial_grid(
     street_width: float | None,
     contact_x: float | None,
 ) -> UrbanGrid:
+    """The first city over seeds [seed, trial, attempt], attempt = 0, 1, ..., with a
+    building band at contact_x (the first city when contact_x is None).
+
+    Cities come out exactly as ``sample_grid_anchored`` draws them, but a city
+    is drawn past its X points only when those cover the contact.
+    """
     for attempt in range(1000):
         ss = np.random.SeedSequence([seed, trial, attempt])
-        grid = sample_grid_anchored(params, ss, y_anchor=y_anchor, street_width=street_width)
-        if contact_x is None or grid.band_at("x", contact_x)[0] == "building":
-            return grid
+        rng = np.random.default_rng(ss)
+        xp, xs = _draw_columns(params, rng)
+        if contact_x is None or _band(xp, xs, contact_x)[0] == "building":
+            return _anchored_rest(params, ss, rng, xp, xs, y_anchor, street_width)
     raise RuntimeError("contact conditioning rejected 1000 draws in a row")
 
 
@@ -321,7 +263,6 @@ def monte_carlo_expected_los(
     street_width: float | None = None,
     pin_width: bool = True,
     require_contact: bool = True,
-    tol: float = FLIP_TOL,
 ) -> TrialStats:
     """Clear seconds per epoch over freshly drawn cities.
 
@@ -340,7 +281,7 @@ def monte_carlo_expected_los(
     vals = np.empty(trials)
     for i in range(trials):
         grid = _trial_grid(params, seed, i, motion.y0, pin, cx)
-        vals[i] = los_time(grid, motion, u, tol)
+        vals[i] = los_time(grid, motion, u)
     return TrialStats(vals)
 
 

@@ -143,6 +143,23 @@ def test_blocks_overlapping_brute_force(urban):
     assert got == sorted(expect)
 
 
+def test_blocks_overlapping_x_major_order(urban):
+    # the blocks in the order of the index grid (x cell outer, y cell inner)
+    g = sample_grid(urban, 2)
+    cw, ce = g.building_columns()
+    rs, rn = g.building_rows()
+    boxes = [(-80.0, 40.0, -10.0, 120.0), (-500.0, 500.0, -500.0, 500.0),
+             (float(ce[2]), float(cw[4]), float(rn[1]), float(rs[3])),  # edges touch only
+             (0.0, 0.0, 0.0, 0.0), (300.0, 400.0, 0.0, 10.0)]
+    for box in boxes:
+        ci = np.nonzero((ce > box[0]) & (cw < box[1]))[0]
+        rj = np.nonzero((rn > box[2]) & (rs < box[3]))[0]
+        ii, jj = np.repeat(ci, len(rj)), np.tile(rj, len(ci))
+        expect = (cw[ii], ce[ii], rs[jj], rn[jj], g.block_heights[ii, jj])
+        got = g.blocks_overlapping(*box)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+
+
 def test_is_inside_building(urban):
     g = sample_grid(urban, 2)
     cw, ce = g.building_columns()

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
 from uavlos.env import GridParams, Uav, UserInBuildingError, UserMotion, sample_grid_anchored
 from uavlos.oracle import (
     TrialStats,
+    _start_contact_x,
+    _trial_grid,
     coverage_time,
     is_los,
     los_intervals,
@@ -91,7 +95,125 @@ def test_los_time_frozen_urban_seed():
     params = GridParams(45.0, 13.0, 8.0)
     g = sample_grid_anchored(params, 7, 0.0, 13.0)
     t = los_time(g, UserMotion(0.0, 0.0, 15.0, 10.0), Uav(120.0, 90.0, 100.0))
-    assert math.isclose(t, 9.374757008746045, abs_tol=1e-9)
+    # exact engine; the bisection engine it replaced converges to this value
+    # as its flip tolerance shrinks (1e-6 s: 9.374757008746045, 1e-9 s:
+    # 9.374756813951695, 1e-12 s: 9.374756813873876, 1e-14 s: 9.37475681387372)
+    assert math.isclose(t, 9.374756813873722, abs_tol=1e-9)
+
+
+def _check_midpoints(grid, motion, u, iv):
+    """Clear intervals longer than 1 us are clear at their midpoint, the blocked
+    stretches between and around them blocked at theirs."""
+    T = motion.duration
+    edges = [0.0] + [e for a, b in iv for e in (a, b)] + [T]
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        clear = k % 2 == 1
+        interior = 0 < k < len(edges) - 2
+        assert a <= b
+        if b - a > 1e-6 or (interior and not clear):
+            assert is_los(grid, motion.position(0.5 * (a + b)), u) == clear
+
+
+def _exact(grid, motion, u):
+    with np.errstate(all="raise"):
+        iv = los_intervals(grid, motion, u)
+    _check_midpoints(grid, motion, u, iv)
+    return iv
+
+
+def _close(iv, expect):
+    return len(iv) == len(expect) and all(
+        math.isclose(a, c, abs_tol=1e-12) and math.isclose(b, d, abs_tol=1e-12)
+        for (a, b), (c, d) in zip(iv, expect)
+    )
+
+
+def test_intervals_platform_over_own_street():
+    # the street runs up to y = 16, so the link never reaches the block
+    g = make_single_block_grid(1000.0)
+    assert _exact(g, WALK, Uav(20.0, 10.0, 50.0)) == [(0.0, 25.0)]
+
+
+def test_intervals_walk_passes_under_platform():
+    # platform at x = 10 over the block's far side: the bottom face is at
+    # link fraction 0.4 and h/H = 25/50 caps the window at 0.5, so the block
+    # blocks while 0.5 x + 5 is in [8, 12], i.e. x in [6, 14]; the tall block
+    # caps at the top face, 0.6, and blocks for x in [5, 15]
+    u = Uav(10.0, 40.0, 50.0)
+    walk = UserMotion(0.0, 0.0, 1.0, 20.0)
+    assert _close(_exact(make_single_block_grid(25.0), walk, u), [(0.0, 6.0), (14.0, 20.0)])
+    assert _close(_exact(make_single_block_grid(1000.0), walk, u), [(0.0, 5.0), (15.0, 20.0)])
+
+
+def test_intervals_window_reaching_the_platform():
+    # the platform hovers over the block below its roof, so the window runs to
+    # s_b = 1, where the link point stands still at u.x
+    walk = UserMotion(0.0, 0.0, 1.0, 20.0)
+    g = make_single_block_grid(1000.0)
+    assert _exact(g, walk, Uav(10.0, 20.0, 30.0)) == []
+    # u.x on the east edge: blocked until the walker passes x = 12
+    assert _exact(g, walk, Uav(12.0, 20.0, 30.0)) == [(12.0, 20.0)]
+    # u.x on the west edge: blocked from the moment the walker passes x = 8
+    assert _exact(g, walk, Uav(8.0, 20.0, 30.0)) == [(0.0, 8.0)]
+
+
+def test_intervals_graze_at_link_height_blocks():
+    # h = H * s_entry with entry by the bottom face (s = 0.4): the window is
+    # the single fraction 0.4, which is over the footprint for x in [0, 20/3]
+    g = make_single_block_grid(20.0)
+    assert _close(_exact(g, WALK, UAV), [(0.0, 15.0), (15.0 + 20.0 / 3.0, 25.0)])
+    assert _exact(make_single_block_grid(20.0 - 1e-9), WALK, UAV) == [(0.0, 25.0)]
+
+
+PRESET_WIDTHS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
+
+
+@settings(max_examples=200)
+@given(
+    preset=st.sampled_from(PRESET_WIDTHS),
+    sigma=st.floats(4.0, 16.0),
+    seed=st.integers(0, 2**32 - 1),
+    ux=st.floats(-150.0, 150.0),
+    uy=st.floats(5.0, 150.0),
+    north=st.booleans(),
+    h=st.floats(20.0, 160.0),
+    x0=st.floats(-150.0, 100.0),
+    v=st.floats(0.5, 30.0),
+    T=st.floats(1.0, 20.0),
+)
+def test_intervals_agree_with_static_test(preset, sigma, seed, ux, uy, north, h, x0, v, T):
+    grid = sample_grid_anchored(GridParams(*preset, sigma), seed, 0.0, preset[1])
+    iv = _exact(grid, UserMotion(x0, 0.0, v, T), Uav(ux, uy if north else -uy, h))
+    starts = [a for a, _ in iv]
+    assert starts == sorted(starts)
+    assert all(b1 < a2 for (_, b1), (a2, _) in zip(iv, iv[1:]))
+
+
+def test_los_time_sampled_equals_static_loop():
+    params = GridParams(45.0, 13.0, 8.0)
+    m = UserMotion(-40.0, 0.0, 15.0, 10.0)
+    for seed, u in ((0, Uav(120.0, 90.0, 100.0)), (1, Uav(-30.0, -60.0, 40.0)),
+                    (2, Uav(50.0, 30.0, 60.0))):
+        g = sample_grid_anchored(params, seed, 0.0, 13.0)
+        ts = (np.arange(512) + 0.5) * (m.duration / 512)
+        hits = sum(is_los(g, m.position(float(t)), u) for t in ts)
+        assert los_time_sampled(g, m, u, samples=512) == m.duration * hits / 512
+    # one sample stands exactly at u.x = 8, the block's west edge: its own box
+    # query leaves the block out, so it is clear, though the walk's box holds it
+    g = make_single_block_grid(1000.0)
+    walk, u = UserMotion(-0.5, 0.0, 1.0, 16.0), Uav(8.0, 20.0, 30.0)
+    ts = (np.arange(16) + 0.5) * (walk.duration / 16)
+    assert walk.position(float(ts[8])) == (8.0, 0.0) and is_los(g, (8.0, 0.0), u)
+    hits = sum(is_los(g, walk.position(float(t)), u) for t in ts)
+    assert los_time_sampled(g, walk, u, samples=16) == walk.duration * hits / 16 == 9.0
+
+
+def test_los_time_sampled_user_in_building():
+    g = make_single_block_grid(1000.0)
+    with pytest.raises(UserInBuildingError):
+        los_time_sampled(g, UserMotion(0.0, 20.0, 1.0, 20.0), UAV, samples=64)
+    # the same building band, but every sample west of the block
+    assert los_time_sampled(g, UserMotion(-20.0, 20.0, 1.0, 20.0), UAV, samples=64) == 20.0
 
 
 def test_los_time_empty_grid_is_full_epoch():
@@ -175,6 +297,29 @@ def test_mc_contact_conditioning_lowers_clear_probability(urban):
                                  require_contact=False)
     assert cond.mean < raw.mean
     assert set(cond.values) <= {0.0, 1.0}
+
+
+def test_trial_grid_matches_full_draw_rejection(urban):
+    # reference rule: draw the whole city, then reject it unless a building
+    # band covers the contact point; accepted cities must match bit for bit
+    cx = _start_contact_x(0.0, 0.0, Uav(120.0, 90.0, 100.0), 13.0)
+    rejected = 0
+    for seed in (0, 3):
+        for trial in range(40):
+            for attempt in range(1000):
+                ref = sample_grid_anchored(urban, np.random.SeedSequence([seed, trial, attempt]),
+                                           0.0, 13.0)
+                if ref.band_at("x", cx)[0] == "building":
+                    break
+                rejected += 1
+            for contact in (cx, None):
+                g = _trial_grid(urban, seed, trial, 0.0, 13.0, contact)
+                if contact is None:
+                    ref = sample_grid_anchored(urban, np.random.SeedSequence([seed, trial, 0]),
+                                               0.0, 13.0)
+                for name in ("x_points", "y_points", "x_splits", "y_splits", "block_heights"):
+                    assert np.array_equal(getattr(g, name), getattr(ref, name))
+    assert rejected > 0
 
 
 def test_mc_static_deterministic(urban):
