@@ -21,11 +21,7 @@ from .env import (
 )
 from .analytic import (
     CdfHeights,
-    LosCoefficients,
     RayleighHeights,
-    los_coefficients,
-    los_height_at,
-    p0_los,
     p_los_static,
 )
 from .mobility import (

@@ -105,19 +105,6 @@ def erf_diff(a, b):
     return out[()]
 
 
-@dataclass
-class LosCoefficients:
-    """Per-axis exponential decay rates (1/m) of the void probabilities.
-
-    Both are nonpositive; each multiplies the full horizontal span along its
-    axis in the exponent.  When the contact point lies on the projected link
-    the two rates coincide.
-    """
-
-    x_rate: float
-    y_rate: float
-
-
 def _axis_ratio(c: float, p0: float, p1: float) -> float | None:
     """Fractional position of c between p0 and p1, None when the span is 0."""
     span = p1 - p0
@@ -146,40 +133,10 @@ def contact_ratio(contact: FirstBlockSide, g: tuple[float, float], u: Uav) -> fl
     return s
 
 
-def los_height_at(contact: FirstBlockSide, g: tuple[float, float], u: Uav) -> float:
-    """Height of the link above the contact point.
-
-    Computed from the fractional position along the link; the X and Y forms
-    agree whenever the contact lies on the projected segment.  Returns inf
-    when the user stands under the platform, where no height is defined and
-    nothing can block.
-    """
-    s = contact_ratio(contact, g, u)
-    if s is None:
-        return math.inf
-    return u.height * s
-
-
-def p0_los(h1: float, model: HeightModel) -> float:
-    """Probability that the first contact building passes under the link."""
-    return model.cdf(h1)
-
-
 def _rayleigh_rate(s, lam: float, sigma: float, height: float):
     """Closed-form void rate: -lam * sqrt(pi/2) * (sigma/h) * [erf(c) - erf(c*s)]."""
     c = height / (_SQRT2 * sigma)
     return -lam * math.sqrt(math.pi / 2.0) * (sigma / height) * erf_diff(c, c * s)
-
-
-def los_coefficients(
-    g: tuple[float, float], u: Uav, contact: FirstBlockSide, lam: float, sigma: float
-) -> LosCoefficients:
-    """Rayleigh closed-form decay rates for the given contact geometry."""
-    s = contact_ratio(contact, g, u)
-    if s is None:
-        return LosCoefficients(0.0, 0.0)
-    r = _rayleigh_rate(s, lam, sigma, u.height)
-    return LosCoefficients(r, r)
 
 
 def _generic_rate(s: float, lam: float, model: HeightModel, height: float) -> float:

@@ -159,13 +159,6 @@ def _shared_street(users: list[UserMotion]) -> float:
     return ys.pop()
 
 
-def _trial_grid(
-    params: GridParams, seed: int, trial: int, y_anchor: float, width: float
-) -> UrbanGrid:
-    ss = np.random.SeedSequence([seed, trial])
-    return sample_grid_anchored(params, ss, y_anchor=y_anchor, street_width=width)
-
-
 def evaluate_assignment(
     assignment: Assignment,
     params: GridParams,
@@ -180,7 +173,7 @@ def evaluate_assignment(
     w = params.mu_s if street_width is None else street_width
     vals = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, y0, w)
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, w)
         vals[i] = realized_value(assignment, grid, users, uavs)
     return TrialStats(vals)
 
@@ -232,7 +225,7 @@ def compare_policies(
     va = np.empty(trials)
     vb = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, y0, w)
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, w)
         va[i] = realized_value(fixed, grid, users, uavs)
         bench = assign_nearest_los(users, uavs, grid)
         vb[i] = realized_value(bench, grid, users, uavs)

@@ -19,7 +19,14 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .assoc import assign_max_expected_los, compare_policies
-from .env import GridParams, Uav, UserMotion, sample_grid, sample_grid_anchored
+from .env import (
+    DegenerateGeometryError,
+    GridParams,
+    Uav,
+    UserMotion,
+    sample_grid,
+    sample_grid_anchored,
+)
 from .mobility import expected_los_total
 from .oracle import coverage_time, monte_carlo_expected_los
 
@@ -291,10 +298,6 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None, timing: bool) ->
 # -- validation suites --------------------------------------------------------
 
 
-def _check(name: str, ok: bool, detail: str) -> tuple[str, bool, str]:
-    return (name, ok, detail)
-
-
 def _suite_quadrature() -> list[tuple[str, bool, str]]:
     # closed-form segment expectation against adaptive quadrature
     import numpy as np
@@ -312,8 +315,8 @@ def _suite_quadrature() -> list[tuple[str, bool, str]]:
         closed = expected_los_x_segment(base, rate, v, t_len)
         ref, _ = quad(p_los_x_segment, 0.0, t_len, args=(base, rate, v), epsabs=1e-13)
         worst = max(worst, abs(closed - ref) / abs(ref))
-    return [_check("quadrature/segment-closed-form", worst <= 1e-9,
-                   f"max_rel_err={worst:.3e} n=1000")]
+    return [("quadrature/segment-closed-form", worst <= 1e-9,
+             f"max_rel_err={worst:.3e} n=1000")]
 
 def _suite_mc_agreement() -> list[tuple[str, bool, str]]:
     checks = []
@@ -324,8 +327,8 @@ def _suite_mc_agreement() -> list[tuple[str, bool, str]]:
     ana = expected_los_total(wide, motion, u).expected_time
     mc = monte_carlo_expected_los(wide, motion, u, trials=200, seed=7)
     exact = ana == motion.duration and mc.mean == motion.duration
-    checks.append(_check("mc-agreement/no-building-limit", exact,
-                         f"analytic={ana!r} mc={mc.mean!r}"))
+    checks.append(("mc-agreement/no-building-limit", exact,
+                   f"analytic={ana!r} mc={mc.mean!r}"))
     # moderate urban case within the acceptance gate at reduced trials
     params = GridParams(45.0, 13.0, 8.0)
     u = Uav(70.0, 45.0, 100.0)
@@ -333,8 +336,8 @@ def _suite_mc_agreement() -> list[tuple[str, bool, str]]:
     mc = monte_carlo_expected_los(params, motion, u, trials=1500, seed=7)
     gap = abs(ana - mc.mean)
     ok = gap <= max(0.05 * mc.mean, 3.0 * mc.stderr)
-    checks.append(_check("mc-agreement/urban-h100", ok,
-                         f"analytic={ana:.4f} mc={mc.mean:.4f} stderr={mc.stderr:.4f}"))
+    checks.append(("mc-agreement/urban-h100", ok,
+                   f"analytic={ana:.4f} mc={mc.mean:.4f} stderr={mc.stderr:.4f}"))
     return checks
 
 
@@ -360,15 +363,15 @@ def _suite_assoc() -> list[tuple[str, bool, str]]:
         diffs.append(realized_value(fixed, grid, user, uav)
                      - realized_value(bench, grid, user, uav))
     zero = all(d == 0.0 for d in diffs)
-    checks.append(_check("assoc/1x1-identical", same and zero,
-                         f"identical={same} max_abs_diff={max(map(abs, diffs)):g}"))
+    checks.append(("assoc/1x1-identical", same and zero,
+                   f"identical={same} max_abs_diff={max(map(abs, diffs)):g}"))
     # capacity and uniqueness on a crowded instance
     users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-60.0, -20.0, 20.0)]
     uavs = [UavT(x, 45.0, 100.0) for x in (-40.0, 30.0)]
     a = assign_max_expected_los(users, uavs, params)
     used = [k for k in a.pairs if k is not None]
-    checks.append(_check("assoc/capacity", len(used) == len(set(used)) and len(used) <= 2,
-                         f"pairs={a.pairs}"))
+    checks.append(("assoc/capacity", len(used) == len(set(used)) and len(used) <= 2,
+                   f"pairs={a.pairs}"))
     # nearest policy against an exhaustive search on one realized city
     grid = sample_grid_anchored(params, 99, 0.0, params.mu_s)
     bench = assign_nearest_los(users, uavs, grid)
@@ -388,8 +391,8 @@ def _suite_assoc() -> list[tuple[str, bool, str]]:
         expect.append(pick)
         if pick is not None:
             taken.add(pick)
-    checks.append(_check("assoc/nearest-brute-force", bench.pairs == expect,
-                         f"policy={bench.pairs} brute={expect}"))
+    checks.append(("assoc/nearest-brute-force", bench.pairs == expect,
+                   f"policy={bench.pairs} brute={expect}"))
     return checks
 
 
@@ -509,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except DegenerateGeometryError as e:
+        print(f"geometry error: {e}", file=sys.stderr)
         return 2
 
 

@@ -89,10 +89,6 @@ class Uav:
         if self.link_range <= 0:
             raise ValueError("link range must be positive")
 
-    @property
-    def ground_xy(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass
 class UserMotion:
@@ -120,10 +116,6 @@ class FirstBlockSide:
     x: float
     y: float
     orientation: str  # PARALLEL_X or PARALLEL_Y
-
-    @property
-    def point(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 FACE = "face"  # first contact slides along a building front line (parallel X)
@@ -467,10 +459,28 @@ def model_first_contact(
     return FirstBlockSide(x0 + (u.x - x0) * s, y0 + street_width, PARALLEL_X)
 
 
+def _slab_fracs(lo, hi, start, delta):
+    """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting)."""
+    if np.ndim(delta) == 0 and delta != 0.0:
+        a = (lo - start) / delta
+        b = (hi - start) / delta
+        return np.minimum(a, b), np.maximum(a, b)
+    # a segment with delta 0 lies inside the slab at every fraction or at none
+    inside = (lo <= start) & (start < hi)
+    still = delta == 0.0
+    a = (lo - start) / np.where(still, 1.0, delta)
+    b = (hi - start) / np.where(still, 1.0, delta)
+    return (np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(a, b)),
+            np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(a, b)))
+
+
 def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBlockSide | None:
     """First building-footprint edge crossed by the projected link, if any.
 
-    Pure 2D sweep over the realized grid, heights play no role here.  Raises
+    Pure 2D sweep over the realized grid, heights play no role here.  A block
+    is entered at the later of its two slab entries t, when 0 < t and t is at
+    most both slab exits and 1; the earliest entry wins, the first block on a
+    tie, and an x/y tie (a corner) counts as the wall.  Raises
     UserInBuildingError when g is inside a footprint, DegenerateGeometryError
     when the projection leaves the region before meeting any building edge.
     """
@@ -482,18 +492,15 @@ def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBl
         min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
     )
     dx, dy = x1 - x0, y1 - y0
-    best_t = math.inf
-    best: FirstBlockSide | None = None
-    for bw, be, bs, bn in zip(w, e, s, n):
-        hit = _segment_box_entry(x0, y0, dx, dy, bw, be, bs, bn)
-        if hit is None:
-            continue
-        t, px, py, orient = hit
-        if t < best_t:
-            best_t = t
-            best = FirstBlockSide(px, py, orient)
-    if best is not None:
-        return best
+    sx_lo, sx_hi = _slab_fracs(w, e, x0, dx)
+    sy_lo, sy_hi = _slab_fracs(s, n, y0, dy)
+    t = np.maximum(sx_lo, sy_lo)
+    entered = (t > 0.0) & (t <= np.minimum(np.minimum(sx_hi, sy_hi), 1.0))
+    if entered.any():
+        i = int(np.argmin(np.where(entered, t, np.inf)))
+        ti = float(t[i])
+        orient = PARALLEL_X if sy_lo[i] > sx_lo[i] else PARALLEL_Y
+        return FirstBlockSide(x0 + ti * dx, y0 + ti * dy, orient)
     x_lo, x_hi, y_lo, y_hi = grid.params.box
     inside = (
         x_lo <= min(x0, x1) and max(x0, x1) <= x_hi
@@ -504,35 +511,6 @@ def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBl
             "projection leaves the modeled region before any building edge"
         )
     return None
-
-
-def _segment_box_entry(
-    x0: float, y0: float, dx: float, dy: float,
-    bw: float, be: float, bs: float, bn: float,
-) -> tuple[float, float, float, str] | None:
-    """Entry of the parametric segment into a box, as (t, x, y, orientation).
-
-    Standard slab test.  Returns None when the segment misses the box or
-    starts inside it (no entry edge is crossed then).
-    """
-    t_lo, t_hi = 0.0, 1.0
-    orient = None
-    for d, p, lo, hi, o in ((dx, x0, bw, be, PARALLEL_Y), (dy, y0, bs, bn, PARALLEL_X)):
-        if d == 0.0:
-            if p < lo or p >= hi:
-                return None
-            continue
-        ta, tb = (lo - p) / d, (hi - p) / d
-        if ta > tb:
-            ta, tb = tb, ta
-        if ta > t_lo:
-            t_lo, orient = ta, o
-        t_hi = min(t_hi, tb)
-        if t_lo > t_hi:
-            return None
-    if orient is None or t_lo <= 0.0:
-        return None  # started inside, or slab-degenerate
-    return t_lo, x0 + t_lo * dx, y0 + t_lo * dy, orient
 
 
 # -- corner event sweep -------------------------------------------------------
@@ -563,7 +541,7 @@ def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentPlan:
     """
     w = grid.street_width_at_y(motion.y0)
     west, east = grid.building_columns()
-    return _plan_from_columns(west, east, motion, u, w)
+    return segment_table(west[None, :], east[None, :], motion, u, w).plan(motion.duration)
 
 
 KINDS = (FACE, WALL, OPEN)  # SegmentTable.kind indexes this tuple
@@ -613,15 +591,6 @@ class SegmentTable:
                 self.kind.tolist(), self.t_start.tolist(), self.t_end.tolist(),
                 self.wall_x.tolist(), self.back_wall_x.tolist())
         ])
-
-
-def _plan_from_columns(
-    west: np.ndarray, east: np.ndarray, motion: UserMotion, u: Uav, street_width: float
-) -> SegmentPlan:
-    """Assemble the alternating segment plan from sorted column corners."""
-    table = segment_table(np.asarray(west, dtype=float)[None, :],
-                          np.asarray(east, dtype=float)[None, :], motion, u, street_width)
-    return table.plan(motion.duration)
 
 
 def segment_table(

@@ -15,9 +15,9 @@ COUNT_BLOCK of them, which bounds the memory of long epochs) are built
 together as one padded (count x corner) array (``env.segment_table``), every
 segment of every count lands in one flat ``SegmentTable``, face and wall
 segments are integrated as arrays, and ``np.bincount`` sums them per count.
-A single plan, canonical, sampled or realized, goes through the same
-evaluator as a table of one row.  The Poisson weights start from the mode,
-so no factor of exp(-lam v T) can underflow.
+A single plan, canonical or realized, goes through the same evaluator as a
+table of one row.  The Poisson weights start from the mode, so no factor of
+exp(-lam v T) can underflow.
 """
 
 from __future__ import annotations
@@ -40,14 +40,11 @@ from .env import (
     KINDS,
     WALL,
     DegenerateGeometryError,
-    Segment,
     SegmentPlan,
     SegmentTable,
     Uav,
     UserMotion,
     _front_cross,
-    _plan_from_columns,
-    corner_position,
     segment_table,
 )
 
@@ -389,47 +386,6 @@ def canonical_plan(
     return table.plan(motion.duration)
 
 
-def sampled_plan(
-    mu_b: float,
-    mu_s: float,
-    motion: UserMotion,
-    u: Uav,
-    street_width: float,
-    crossings: int,
-    rng: np.random.Generator,
-    max_attempts: int = 5000,
-) -> SegmentPlan:
-    """Far-side layout drawn from the street process, conditioned by rejection
-    on exactly ``crossings`` face-enter events inside the epoch.
-    """
-    T = motion.duration
-    if motion.speed == 0.0 or T == 0.0:
-        return SegmentPlan(T, [Segment(0.0, T, FACE)])
-    dy = u.y - motion.y0
-    if dy <= street_width:
-        raise DegenerateGeometryError("platform not beyond the street's far line")
-    lam = 1.0 / (mu_b + mu_s)
-    f = mu_s / (mu_b + mu_s)
-    xc0 = _front_cross(motion.x0, motion.y0, u, street_width)
-    xc1 = _front_cross(motion.x0 + motion.speed * T, motion.y0, u, street_width)
-    lo = min(xc0, xc1) - 8.0 * (mu_b + mu_s)
-    hi = max(xc0, xc1) + 8.0 * (mu_b + mu_s)
-    x_end = motion.x0 + motion.speed * T
-    for _ in range(max_attempts):
-        n = rng.poisson(lam * (hi - lo))
-        pts = np.sort(rng.uniform(lo, hi, n))
-        if len(pts) < 2:
-            continue
-        west = pts[:-1] + f * np.diff(pts)
-        east = pts[1:]
-        pos = corner_position(west, u, motion.y0, street_width)
-        if np.count_nonzero((motion.x0 < pos) & (pos < x_end)) == crossings:
-            return _plan_from_columns(west, east, motion, u, street_width)
-    raise RuntimeError(
-        f"could not draw a layout with {crossings} crossings in {max_attempts} attempts"
-    )
-
-
 @dataclass
 class ExpectedLosResult:
     """Crossing-count marginalized expectation and its ingredients.
@@ -444,7 +400,6 @@ class ExpectedLosResult:
     per_count: list[float]
     weights: list[float]
     epsilon: float
-    layout: str
     dropped_mass: float = 0.0
 
 
@@ -455,20 +410,14 @@ def expected_los_total(
     epsilon: float = 1e-3,
     street_width: float | None = None,
     model: HeightModel | None = None,
-    layout: str = "canonical",
-    n_layouts: int = 48,
-    layout_seed: int = 0,
 ) -> ExpectedLosResult:
     """Expected clear seconds over [0, T], marginalized over crossing counts.
 
     ``params`` supplies mu_b, mu_s, sigma and the derived axis density; the
-    user street width defaults to the mean street width.  ``layout`` picks
-    how the per-count plans are built: "canonical" for the deterministic
-    representative layout, whose counts are priced COUNT_BLOCK at a time,
-    "sampled" to average ``n_layouts`` conditioned draws per count.
+    user street width defaults to the mean street width.  Each count is
+    priced on its canonical representative layout, COUNT_BLOCK counts at a
+    time.
     """
-    if layout not in ("canonical", "sampled"):
-        raise ValueError(f"unknown layout mode {layout!r}")
     w = params.mu_s if street_width is None else street_width
     m = RayleighHeights(params.sigma) if model is None else model
     lam = params.lam
@@ -476,36 +425,21 @@ def expected_los_total(
     geom = EpochGeometry(motion, u, w, lam, m)
 
     if T == 0.0:
-        return ExpectedLosResult(0.0, 0, [], [], epsilon, layout)
+        return ExpectedLosResult(0.0, 0, [], [], epsilon)
     if u.y - motion.y0 <= w:
         # platform over the user's own street: the projection never leaves it
-        return ExpectedLosResult(T, 0, [T], [1.0], epsilon, layout)
+        return ExpectedLosResult(T, 0, [T], [1.0], epsilon)
 
     weights, dropped = _truncated_pmf(lam * motion.speed * T, epsilon)
     n_max = len(weights) - 1
     per_count = np.empty(n_max + 1)
-    if layout == "canonical":
-        for first in range(0, n_max + 1, COUNT_BLOCK):
-            counts = np.arange(first, min(first + COUNT_BLOCK, n_max + 1))
-            table = _canonical_table(params.mu_b, params.mu_s, motion, u, w, counts)
-            per_count[counts] = np.bincount(
-                table.row, weights=_segment_integrals(table, geom), minlength=len(counts)
-            )
-    else:
-        for count in range(n_max + 1):
-            acc = 0.0
-            for i in range(n_layouts):
-                rng = np.random.default_rng(np.random.SeedSequence([layout_seed, count, i]))
-                try:
-                    plan = sampled_plan(params.mu_b, params.mu_s, motion, u, w, count, rng)
-                except RuntimeError:
-                    # deep-tail counts are vanishingly rare under the street
-                    # process; their weight is negligible, the canonical
-                    # layout stands in
-                    plan = canonical_plan(params.mu_b, params.mu_s, motion, u, w, count)
-                acc += expected_los_piecewise(plan, geom)
-            per_count[count] = acc / n_layouts
+    for first in range(0, n_max + 1, COUNT_BLOCK):
+        counts = np.arange(first, min(first + COUNT_BLOCK, n_max + 1))
+        table = _canonical_table(params.mu_b, params.mu_s, motion, u, w, counts)
+        per_count[counts] = np.bincount(
+            table.row, weights=_segment_integrals(table, geom), minlength=len(counts)
+        )
     per_count = per_count.tolist()
     wsum = sum(weights)
     expected = sum(wt * e for wt, e in zip(weights, per_count)) / wsum
-    return ExpectedLosResult(expected, n_max, per_count, weights, epsilon, layout, dropped)
+    return ExpectedLosResult(expected, n_max, per_count, weights, epsilon, dropped)

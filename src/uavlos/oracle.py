@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import (
+    DegenerateGeometryError,
     GridParams,
     Uav,
     UrbanGrid,
@@ -29,22 +30,8 @@ from .env import (
     _band,
     _draw_columns,
     _front_cross,
+    _slab_fracs,
 )
-
-
-def _slab_fracs(lo, hi, start, delta):
-    """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting)."""
-    if np.ndim(delta) == 0 and delta != 0.0:
-        a = (lo - start) / delta
-        b = (hi - start) / delta
-        return np.minimum(a, b), np.maximum(a, b)
-    # a segment with delta 0 lies inside the slab at every fraction or at none
-    inside = (lo <= start) & (start < hi)
-    still = delta == 0.0
-    a = (lo - start) / np.where(still, 1.0, delta)
-    b = (hi - start) / np.where(still, 1.0, delta)
-    return (np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(a, b)),
-            np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(a, b)))
 
 
 def _blocking(west, east, south, north, height, gx, gy, u: Uav) -> np.ndarray:
@@ -236,14 +223,16 @@ def _trial_grid(
     seed: int,
     trial: int,
     y_anchor: float,
-    street_width: float | None,
+    street_width: float,
     contact_x: float | None,
 ) -> UrbanGrid:
     """The first city over seeds [seed, trial, attempt], attempt = 0, 1, ..., with a
     building band at contact_x (the first city when contact_x is None).
 
     Cities come out exactly as ``sample_grid_anchored`` draws them, but a city
-    is drawn past its X points only when those cover the contact.
+    is drawn past its X points only when those cover the contact.  Raises
+    DegenerateGeometryError after 1000 rejected draws, as happens when the
+    contact lies outside the region.
     """
     for attempt in range(1000):
         ss = np.random.SeedSequence([seed, trial, attempt])
@@ -251,7 +240,9 @@ def _trial_grid(
         xp, xs = _draw_columns(params, rng)
         if contact_x is None or _band(xp, xs, contact_x)[0] == "building":
             return _anchored_rest(params, ss, rng, xp, xs, y_anchor, street_width)
-    raise RuntimeError("contact conditioning rejected 1000 draws in a row")
+    raise DegenerateGeometryError(
+        f"no building band covered the start contact at x = {contact_x:g} in 1000 city draws"
+    )
 
 
 def monte_carlo_expected_los(
@@ -260,27 +251,24 @@ def monte_carlo_expected_los(
     u: Uav,
     trials: int,
     seed: int,
-    street_width: float | None = None,
-    pin_width: bool = True,
     require_contact: bool = True,
 ) -> TrialStats:
     """Clear seconds per epoch over freshly drawn cities.
 
-    Cities are drawn conditioned on a street edge at the walk line; by
-    default the walk street's width is pinned to the mean street width so the
-    run estimates the expectation at that width rather than averaging the
-    width law through the nonlinearity, and draws are rejected until a
+    Cities are drawn conditioned on a street edge at the walk line; the walk
+    street's width is pinned to the mean street width so the run estimates
+    the expectation at that width rather than averaging the width law
+    through the nonlinearity, and by default draws are rejected until a
     building face covers the link's street crossing at the walk start, since
     the closed form conditions on that first contact existing.  Trial i draws
     from seed sequences [seed, i, attempt] regardless of trials, so extending
     a run keeps its prefix.
     """
-    w = params.mu_s if street_width is None else street_width
-    pin = w if pin_width else None
+    w = params.mu_s
     cx = _start_contact_x(motion.x0, motion.y0, u, w) if require_contact else None
     vals = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, motion.y0, pin, cx)
+        grid = _trial_grid(params, seed, i, motion.y0, w, cx)
         vals[i] = los_time(grid, motion, u)
     return TrialStats(vals)
 
@@ -291,21 +279,18 @@ def monte_carlo_static_los(
     u: Uav,
     trials: int,
     seed: int,
-    street_width: float | None = None,
-    pin_width: bool = True,
     require_contact: bool = True,
 ) -> TrialStats:
     """Clear-at-an-instant indicator over freshly drawn cities (0/1 values).
 
     Same ensemble as the epoch runner: street edge anchored at the ground
-    point, width pinned by default, and draws conditioned on the contact
-    building existing unless ``require_contact`` is off.
+    point, width pinned to the mean street width, and draws conditioned on
+    the contact building existing unless ``require_contact`` is off.
     """
-    w = params.mu_s if street_width is None else street_width
-    pin = w if pin_width else None
+    w = params.mu_s
     cx = _start_contact_x(g[0], g[1], u, w) if require_contact else None
     vals = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, g[1], pin, cx)
+        grid = _trial_grid(params, seed, i, g[1], w, cx)
         vals[i] = 1.0 if is_los(grid, g, u) else 0.0
     return TrialStats(vals)

@@ -10,7 +10,6 @@ from uavlos.analytic import (
     RayleighHeights,
     contact_ratio,
     erf_diff,
-    p0_los,
     p_los_static,
     void_rate,
     wall_contact,
@@ -87,7 +86,7 @@ def test_erf_diff_near_cancellation(m, h):
 
 
 def test_p0_frozen_value():
-    assert math.isclose(p0_los(15.0, RAY), 0.8275783761062472, rel_tol=1e-15)
+    assert math.isclose(RAY.cdf(15.0), 0.8275783761062472, rel_tol=1e-15)
 
 
 def test_void_rate_frozen_value():

@@ -178,6 +178,14 @@ def test_run_config_errors_exit_two(tmp_path):
     assert main(["run", "--config", str(bogus)]) == 2
 
 
+def test_run_degenerate_geometry_exits_two(tmp_path, capsys):
+    # the start contact of this platform lies outside the region
+    rc, _ = _run(tmp_path, _cfg(values=[15.0], uav_dx=5000.0, uav_dy=14.0))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("geometry error:") and err.count("\n") == 1
+
+
 def test_run_unwritable_output_exits_two(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_cfg(values=[10.0])))

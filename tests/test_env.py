@@ -200,6 +200,25 @@ def test_first_block_side_hand_cases():
     assert first_block_side(g, (-12.0, 0.0), u) is None
     with pytest.raises(UserInBuildingError):
         first_block_side(g, (10.0, 20.0), u)
+    # x and y entries tie at the south-west corner: the wall wins
+    c = first_block_side(g, (0.0, 0.0), Uav(16.0, 32.0, 50.0))
+    assert (c.x, c.y, c.orientation) == (8.0, 16.0, PARALLEL_Y)
+    # a link with dx = 0 inside the x slab enters through the front face
+    c = first_block_side(g, (10.0, 0.0), Uav(10.0, 40.0, 50.0))
+    assert (c.x, c.y, c.orientation) == (10.0, 16.0, PARALLEL_X)
+    # a link with dy = 0 inside the y slab enters through the west wall
+    c = first_block_side(g, (0.0, 20.0), Uav(40.0, 20.0, 50.0))
+    assert (c.x, c.y, c.orientation) == (8.0, 20.0, PARALLEL_Y)
+    # a link starting on the north edge crosses no entry edge
+    assert first_block_side(g, (10.0, 24.0), Uav(10.0, -40.0, 50.0)) is None
+    # a link that leaves the region without meeting a block
+    with pytest.raises(DegenerateGeometryError):
+        first_block_side(g, (0.0, 0.0), Uav(0.0, 300.0, 50.0))
+    # of two blocks on the link, the nearer one is met first
+    two = UrbanGrid(g.params, 0, np.array([8.0, 12.0, 20.0]), np.array([16.0, 24.0]),
+                    np.array([8.0, 16.0]), np.array([16.0]), np.array([[30.0], [30.0]]))
+    c = first_block_side(two, (0.0, 20.0), Uav(40.0, 20.0, 50.0))
+    assert (c.x, c.y, c.orientation) == (8.0, 20.0, PARALLEL_Y)
 
 
 @given(

@@ -20,7 +20,6 @@ from uavlos.mobility import (
     expected_los_y_segment_reference,
     p_los_x_segment,
     poisson_truncation_count,
-    sampled_plan,
     simpson_residual,
 )
 
@@ -187,15 +186,6 @@ def test_canonical_plan_structure_and_spacing():
         assert math.isclose(plan.segments[-1].t_end, m.duration)
 
 
-def test_sampled_plan_conditioned_crossing_count():
-    m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    u = Uav(120.0, 90.0, 100.0)
-    for n in (0, 1, 3):
-        rng = np.random.default_rng(n)
-        plan = sampled_plan(45.0, 13.0, m, u, 13.0, n, rng)
-        assert len(plan.face_enter_times) == n
-
-
 # -- piecewise expectation against direct numerical integration ---------------
 
 
@@ -320,24 +310,6 @@ def test_expected_total_static_user_reduces_to_point_probability(urban):
     p = p_los_static((0.0, 0.0), u, 13.0, urban.lam, RAY)
     assert math.isclose(r.expected_time, p * 10.0, rel_tol=1e-12)
     assert r.truncation_count == 0
-
-
-def test_expected_total_sampled_layout_agrees_roughly(urban):
-    m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    u = Uav(120.0, 90.0, 100.0)
-    canon = expected_los_total(urban, m, u).expected_time
-    samp = expected_los_total(
-        urban, m, u, layout="sampled", n_layouts=16, layout_seed=1
-    ).expected_time
-    assert abs(samp - canon) / canon < 0.1
-
-
-def test_expected_total_rejects_unknown_layout(urban):
-    with pytest.raises(ValueError):
-        expected_los_total(
-            urban, UserMotion(0.0, 0.0, 15.0, 10.0), Uav(120.0, 90.0, 100.0),
-            layout="bogus",
-        )
 
 
 @given(speed=st.floats(0.0, 40.0), duration=st.floats(0.0, 12.0))

@@ -6,7 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
-from uavlos.env import GridParams, Uav, UserInBuildingError, UserMotion, sample_grid_anchored
+from uavlos.env import (
+    DegenerateGeometryError,
+    GridParams,
+    Uav,
+    UserInBuildingError,
+    UserMotion,
+    sample_grid_anchored,
+)
 from uavlos.oracle import (
     TrialStats,
     _start_contact_x,
@@ -320,6 +327,14 @@ def test_trial_grid_matches_full_draw_rejection(urban):
                 for name in ("x_points", "y_points", "x_splits", "y_splits", "block_heights"):
                     assert np.array_equal(getattr(g, name), getattr(ref, name))
     assert rejected > 0
+
+
+def test_mc_contact_outside_region_raises(urban):
+    # the start contact sits at x = 5000 * 13/14, far outside the 400 m region,
+    # so no draw can put a building band under it
+    with pytest.raises(DegenerateGeometryError, match="x = 4642.86"):
+        monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0),
+                                 Uav(5000.0, 14.0, 100.0), 1, 0)
 
 
 def test_mc_static_deterministic(urban):
