@@ -46,16 +46,13 @@ def pair_score(
     motion: UserMotion,
     u: Uav,
     epsilon: float = 1e-3,
-    street_width: float | None = None,
 ) -> float:
     """Expected clear seconds for one pair, over the in-range part of the walk."""
     horizon = coverage_time(motion, u)
     if horizon <= 0.0:
         return 0.0
     clipped = replace(motion, duration=horizon)
-    return expected_los_total(
-        params, clipped, u, epsilon=epsilon, street_width=street_width
-    ).expected_time
+    return expected_los_total(params, clipped, u, epsilon=epsilon).expected_time
 
 
 def _score_pairs(
@@ -63,10 +60,9 @@ def _score_pairs(
     uavs: list[Uav],
     params: GridParams,
     epsilon: float,
-    street_width: float | None,
 ) -> list[list[float]]:
     """``pair_score`` of every user (row) with every platform (column)."""
-    return [[pair_score(params, m, u, epsilon, street_width) for u in uavs] for m in users]
+    return [[pair_score(params, m, u, epsilon) for u in uavs] for m in users]
 
 
 def _greedy(scores: list[list[float]]) -> Assignment:
@@ -88,7 +84,6 @@ def assign_max_expected_los(
     uavs: list[Uav],
     params: GridParams,
     epsilon: float = 1e-3,
-    street_width: float | None = None,
 ) -> Assignment:
     """Greedy assignment from the globally best expected clear time down.
 
@@ -96,7 +91,7 @@ def assign_max_expected_los(
     zero score is never assigned, so an all-blocked or out-of-range user
     stays unassigned.
     """
-    return _greedy(_score_pairs(users, uavs, params, epsilon, street_width))
+    return _greedy(_score_pairs(users, uavs, params, epsilon))
 
 
 def assign_nearest_los(
@@ -166,14 +161,12 @@ def evaluate_assignment(
     uavs: list[Uav],
     trials: int,
     seed: int,
-    street_width: float | None = None,
 ) -> TrialStats:
     """Realized total clear seconds of a fixed assignment over fresh city draws."""
     y0 = _shared_street(users)
-    w = params.mu_s if street_width is None else street_width
     vals = np.empty(trials)
     for i in range(trials):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, w)
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, params.mu_s)
         vals[i] = realized_value(assignment, grid, users, uavs)
     return TrialStats(vals)
 
@@ -210,7 +203,6 @@ def compare_policies(
     trials: int,
     seed: int,
     epsilon: float = 1e-3,
-    street_width: float | None = None,
 ) -> PolicyComparison:
     """Score both policies on identical city draws.
 
@@ -219,13 +211,12 @@ def compare_policies(
     realized start-of-walk blockage.
     """
     y0 = _shared_street(users)
-    w = params.mu_s if street_width is None else street_width
-    scores = _score_pairs(users, uavs, params, epsilon, street_width)
+    scores = _score_pairs(users, uavs, params, epsilon)
     fixed = _greedy(scores)
     va = np.empty(trials)
     vb = np.empty(trials)
     for i in range(trials):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, w)
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, params.mu_s)
         va[i] = realized_value(fixed, grid, users, uavs)
         bench = assign_nearest_los(users, uavs, grid)
         vb[i] = realized_value(bench, grid, users, uavs)

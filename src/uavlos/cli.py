@@ -5,7 +5,8 @@ street ratio at two street widths, walking speed, and the association policy
 comparison.  Every run is reproducible: identical config and seed give a
 byte-identical CSV (the runtime column is left blank unless --timing is on,
 and the header carries a hash of the resolved config).  ``validate`` runs the
-cross-module consistency suites and exits nonzero on any failure.
+acceptance criteria of ``uavlos.checks``, one JSON verdict line each, and
+exits 1 on any failure that is not the expected one.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .assoc import assign_max_expected_los, compare_policies
+from .assoc import compare_policies
 from .env import (
     DegenerateGeometryError,
     GridParams,
@@ -295,121 +296,21 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | None, timing: bool) ->
             fh.write(text)
 
 
-# -- validation suites --------------------------------------------------------
+# -- validation ---------------------------------------------------------------
 
 
-def _suite_quadrature() -> list[tuple[str, bool, str]]:
-    # closed-form segment expectation against adaptive quadrature
-    import numpy as np
-    from scipy.integrate import quad
+def run_validate(name: str) -> int:
+    """Run one acceptance criterion, or all of them, one line each; 1 on any FAIL."""
+    from .checks import CRITERIA  # checks builds its sweeps through this module
 
-    from .mobility import expected_los_x_segment, p_los_x_segment
-
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(1000):
-        base = float(rng.uniform(0.05, 1.0))
-        rate = float(rng.uniform(-0.05, 0.05)) or 1e-4
-        v = float(rng.uniform(0.1, 40.0))
-        t_len = float(rng.uniform(0.01, 10.0))
-        closed = expected_los_x_segment(base, rate, v, t_len)
-        ref, _ = quad(p_los_x_segment, 0.0, t_len, args=(base, rate, v), epsabs=1e-13)
-        worst = max(worst, abs(closed - ref) / abs(ref))
-    return [("quadrature/segment-closed-form", worst <= 1e-9,
-             f"max_rel_err={worst:.3e} n=1000")]
-
-def _suite_mc_agreement() -> list[tuple[str, bool, str]]:
-    checks = []
-    # street so wide the link never leaves it: both sides exactly T
-    wide = GridParams(20.0, 1e6, 8.0)
-    u = Uav(70.0, 45.0, 100.0)
-    motion = UserMotion(0.0, 0.0, 15.0, 10.0)
-    ana = expected_los_total(wide, motion, u).expected_time
-    mc = monte_carlo_expected_los(wide, motion, u, trials=200, seed=7)
-    exact = ana == motion.duration and mc.mean == motion.duration
-    checks.append(("mc-agreement/no-building-limit", exact,
-                   f"analytic={ana!r} mc={mc.mean!r}"))
-    # moderate urban case within the acceptance gate at reduced trials
-    params = GridParams(45.0, 13.0, 8.0)
-    u = Uav(70.0, 45.0, 100.0)
-    ana = expected_los_total(params, motion, u).expected_time
-    mc = monte_carlo_expected_los(params, motion, u, trials=1500, seed=7)
-    gap = abs(ana - mc.mean)
-    ok = gap <= max(0.05 * mc.mean, 3.0 * mc.stderr)
-    checks.append(("mc-agreement/urban-h100", ok,
-                   f"analytic={ana:.4f} mc={mc.mean:.4f} stderr={mc.stderr:.4f}"))
-    return checks
-
-
-def _suite_assoc() -> list[tuple[str, bool, str]]:
-    import numpy as np
-
-    from .assoc import assign_nearest_los, realized_value
-    from .env import Uav as UavT
-
-    checks = []
-    params = GridParams(45.0, 13.0, 8.0)
-    # one user, one platform over the user's own street: no blockage is
-    # possible, so both policies must assign it on every draw
-    user = [UserMotion(0.0, 0.0, 15.0, 10.0)]
-    uav = [UavT(10.0, 8.0, 100.0)]
-    fixed = assign_max_expected_los(user, uav, params)
-    same = fixed.pairs == [0]
-    diffs = []
-    for i in range(50):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([13, i]), 0.0, params.mu_s)
-        bench = assign_nearest_los(user, uav, grid)
-        same = same and bench.pairs == [0]
-        diffs.append(realized_value(fixed, grid, user, uav)
-                     - realized_value(bench, grid, user, uav))
-    zero = all(d == 0.0 for d in diffs)
-    checks.append(("assoc/1x1-identical", same and zero,
-                   f"identical={same} max_abs_diff={max(map(abs, diffs)):g}"))
-    # capacity and uniqueness on a crowded instance
-    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-60.0, -20.0, 20.0)]
-    uavs = [UavT(x, 45.0, 100.0) for x in (-40.0, 30.0)]
-    a = assign_max_expected_los(users, uavs, params)
-    used = [k for k in a.pairs if k is not None]
-    checks.append(("assoc/capacity", len(used) == len(set(used)) and len(used) <= 2,
-                   f"pairs={a.pairs}"))
-    # nearest policy against an exhaustive search on one realized city
-    grid = sample_grid_anchored(params, 99, 0.0, params.mu_s)
-    bench = assign_nearest_los(users, uavs, grid)
-    from .oracle import is_los
-
-    taken: set[int] = set()
-    expect: list[int | None] = []
-    for m in users:
-        cands = []
-        for k, u2 in enumerate(uavs):
-            if k in taken:
-                continue
-            d = math.hypot(m.x0 - u2.x, m.y0 - u2.y, u2.height)
-            if d <= u2.link_range and is_los(grid, (m.x0, m.y0), u2):
-                cands.append((d, k))
-        pick = min(cands)[1] if cands else None
-        expect.append(pick)
-        if pick is not None:
-            taken.add(pick)
-    checks.append(("assoc/nearest-brute-force", bench.pairs == expect,
-                   f"policy={bench.pairs} brute={expect}"))
-    return checks
-
-
-SUITES = {
-    "quadrature": _suite_quadrature,
-    "mc-agreement": _suite_mc_agreement,
-    "assoc": _suite_assoc,
-}
-
-
-def run_validate(suite: str) -> int:
-    names = list(SUITES) if suite == "all" else [suite]
-    failed = 0
-    for name in names:
-        for check, ok, detail in SUITES[name]():
-            print(f"{'PASS' if ok else 'FAIL'} {check} {detail}")
-            failed += 0 if ok else 1
+    if name != "all" and name not in CRITERIA:
+        raise ConfigError(f"unknown criterion {name!r}; choose from {', '.join(CRITERIA)} or all")
+    failed = False
+    for key in CRITERIA if name == "all" else [name]:
+        v = CRITERIA[key]()
+        tag = "PASS" if v.ok else ("XFAIL" if v.expected_fail else "FAIL")
+        print(f"{tag} {key} {json.dumps(asdict(v))}", flush=True)
+        failed = failed or tag == "FAIL"
     return 1 if failed else 0
 
 
@@ -485,10 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="fill the runtime_ms column (off keeps output byte-identical)")
     run.set_defaults(fn=_cmd_run)
 
-    val = sub.add_parser("validate", help="run cross-module consistency suites")
-    val.add_argument("suite", nargs="?", default="all",
-                     choices=sorted(SUITES) + ["all"])
-    val.set_defaults(fn=lambda a: run_validate(a.suite))
+    val = sub.add_parser("validate", help="run the acceptance criteria")
+    val.add_argument("criterion", nargs="?", default="all",
+                     help="criterion name, such as c1 or c5b-width (default all)")
+    val.set_defaults(fn=lambda a: run_validate(a.criterion))
 
     grid = sub.add_parser("grid", help="grid utilities")
     gsub = grid.add_subparsers(dest="grid_cmd", required=True)

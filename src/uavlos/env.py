@@ -478,9 +478,11 @@ def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBl
     """First building-footprint edge crossed by the projected link, if any.
 
     Pure 2D sweep over the realized grid, heights play no role here.  A block
-    is entered at the later of its two slab entries t, when 0 < t and t is at
-    most both slab exits and 1; the earliest entry wins, the first block on a
-    tie, and an x/y tie (a corner) counts as the wall.  Raises
+    is entered at the later of its two slab entries t, when 0 < t <= 1 and t
+    is strictly below both slab exits, so footprints are half-open as in
+    ``oracle.is_los`` and a link that only grazes a corner enters nothing.
+    The earliest entry wins, the first block on a tie, and an x/y entry tie
+    (a corner the link passes through) counts as the wall.  Raises
     UserInBuildingError when g is inside a footprint, DegenerateGeometryError
     when the projection leaves the region before meeting any building edge.
     """
@@ -495,7 +497,7 @@ def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBl
     sx_lo, sx_hi = _slab_fracs(w, e, x0, dx)
     sy_lo, sy_hi = _slab_fracs(s, n, y0, dy)
     t = np.maximum(sx_lo, sy_lo)
-    entered = (t > 0.0) & (t <= np.minimum(np.minimum(sx_hi, sy_hi), 1.0))
+    entered = (t > 0.0) & (t < np.minimum(sx_hi, sy_hi)) & (t <= 1.0)
     if entered.any():
         i = int(np.argmin(np.where(entered, t, np.inf)))
         ti = float(t[i])

@@ -408,17 +408,16 @@ def expected_los_total(
     motion: UserMotion,
     u: Uav,
     epsilon: float = 1e-3,
-    street_width: float | None = None,
     model: HeightModel | None = None,
 ) -> ExpectedLosResult:
     """Expected clear seconds over [0, T], marginalized over crossing counts.
 
     ``params`` supplies mu_b, mu_s, sigma and the derived axis density; the
-    user street width defaults to the mean street width.  Each count is
+    user's street is as wide as the mean street width.  Each count is
     priced on its canonical representative layout, COUNT_BLOCK counts at a
     time.
     """
-    w = params.mu_s if street_width is None else street_width
+    w = params.mu_s
     m = RayleighHeights(params.sigma) if model is None else model
     lam = params.lam
     T = motion.duration

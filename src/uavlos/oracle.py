@@ -223,23 +223,30 @@ def _trial_grid(
     seed: int,
     trial: int,
     y_anchor: float,
-    street_width: float,
     contact_x: float | None,
 ) -> UrbanGrid:
     """The first city over seeds [seed, trial, attempt], attempt = 0, 1, ..., with a
     building band at contact_x (the first city when contact_x is None).
 
-    Cities come out exactly as ``sample_grid_anchored`` draws them, but a city
-    is drawn past its X points only when those cover the contact.  Raises
-    DegenerateGeometryError after 1000 rejected draws, as happens when the
-    contact lies outside the region.
+    Cities come out exactly as ``sample_grid_anchored`` draws them, with the
+    anchored street as wide as the mean street width, but a city is drawn past
+    its X points only when those cover the contact.  Raises
+    DegenerateGeometryError before any draw when the contact lies outside the
+    region's [x_lo, x_hi), where no building band can reach, and after 1000
+    rejected draws otherwise.
     """
+    x_lo, x_hi, _, _ = params.box
+    if contact_x is not None and not x_lo <= contact_x < x_hi:
+        raise DegenerateGeometryError(
+            f"the start contact at x = {contact_x:g} lies outside the region "
+            f"[{x_lo:g}, {x_hi:g})"
+        )
     for attempt in range(1000):
         ss = np.random.SeedSequence([seed, trial, attempt])
         rng = np.random.default_rng(ss)
         xp, xs = _draw_columns(params, rng)
         if contact_x is None or _band(xp, xs, contact_x)[0] == "building":
-            return _anchored_rest(params, ss, rng, xp, xs, y_anchor, street_width)
+            return _anchored_rest(params, ss, rng, xp, xs, y_anchor, params.mu_s)
     raise DegenerateGeometryError(
         f"no building band covered the start contact at x = {contact_x:g} in 1000 city draws"
     )
@@ -268,7 +275,7 @@ def monte_carlo_expected_los(
     cx = _start_contact_x(motion.x0, motion.y0, u, w) if require_contact else None
     vals = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, motion.y0, w, cx)
+        grid = _trial_grid(params, seed, i, motion.y0, cx)
         vals[i] = los_time(grid, motion, u)
     return TrialStats(vals)
 
@@ -291,6 +298,6 @@ def monte_carlo_static_los(
     cx = _start_contact_x(g[0], g[1], u, w) if require_contact else None
     vals = np.empty(trials)
     for i in range(trials):
-        grid = _trial_grid(params, seed, i, g[1], w, cx)
+        grid = _trial_grid(params, seed, i, g[1], cx)
         vals[i] = 1.0 if is_los(grid, g, u) else 0.0
     return TrialStats(vals)

@@ -1,314 +1,46 @@
-"""End-to-end acceptance checks, one verdict line per criterion.
+"""Acceptance tests, one per entry of ``uavlos.checks.CRITERIA``.
 
-Each test exercises one promise the package makes, at full stated tolerance
-and trial counts, and records a PASS/FAIL line that pytest echoes in its
-terminal summary.  The width-ordering clause of the curve-shape criterion is
-expected to fail and is marked accordingly; see that test for the analysis
-pointer.
+Each records its verdict line for the terminal summary; ``c5b-width``, the
+expected failure, is marked xfail.
 """
 
-import csv
-import math
-import time
-
-import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import poisson
 
 import conftest
-from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static
-from uavlos.cli import ExperimentConfig, run_experiment
-from uavlos.env import GridParams, Uav, UserMotion, sample_grid_anchored
-from uavlos.mobility import (
-    expected_los_total,
-    expected_los_x_segment,
-    p_los_x_segment,
-    poisson_truncation_count,
-)
-from uavlos.oracle import (
-    los_intervals,
-    los_time_sampled,
-    monte_carlo_expected_los,
-    monte_carlo_static_los,
-)
-from uavlos.assoc import compare_policies
+from uavlos.checks import CRITERIA
 
-PRESET_PARAMS = {
-    "suburban": (37.0, 10.0),
-    "urban": (45.0, 13.0),
-    "dense_urban": (60.0, 20.0),
-}
+_COVERED: list[str] = []
 
 
-def _verdict(name: str, ok: bool, detail: str, expected_fail: bool = False) -> bool:
-    tag = "FAIL (expected)" if (not ok and expected_fail) else ("PASS" if ok else "FAIL")
-    conftest.ACCEPTANCE_LINES.append(f"{tag}  {name}: {detail}")
-    return ok
+def _criterion(name: str):
+    _COVERED.append(name)
+
+    def test():
+        v = CRITERIA[name]()
+        tag = "FAIL (expected)" if (not v.ok and v.expected_fail) else ("PASS" if v.ok else "FAIL")
+        conftest.ACCEPTANCE_LINES.append(f"{tag}  {v.name}: {v.detail}")
+        if v.expected_fail and not v.ok:
+            pytest.xfail(v.detail)
+        assert v.ok, v.detail
+
+    return test
 
 
-def test_c1_segment_expectation_matches_quadrature():
-    rng = np.random.default_rng(101)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(1000):
-        base = float(rng.uniform(0.05, 1.0))
-        rate = float(rng.uniform(-0.05, 0.05)) or 1e-4
-        v = float(rng.uniform(0.1, 40.0))
-        t_len = float(rng.uniform(0.01, 10.0))
-        closed = expected_los_x_segment(base, rate, v, t_len)
-        ref, _ = quad(p_los_x_segment, 0.0, t_len, args=(base, rate, v), epsabs=1e-13)
-        worst = max(worst, abs(closed - ref) / abs(ref))
-    elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 5.0
-    assert _verdict(
-        "1/8 segment expectation vs quadrature",
-        ok,
-        f"1000 random segments, max rel err {worst:.2e} (tol 1e-9), {elapsed:.2f} s",
-    )
+test_c1_segment_expectation_matches_quadrature = _criterion("c1")
+test_c2_generic_height_law_matches_closed_form = _criterion("c2")
+test_c3_expected_los_matches_geometric_ensemble = _criterion("c3")
+test_c4_static_point_probability = _criterion("c4")
+test_c5a_height_sweep_peaks_inside_range = _criterion("c5a")
+test_c5b_ratio_sweep_decreases_per_width = _criterion("c5b")
+test_c5b_width_ordering_expected_failure = _criterion("c5b-width")
+test_c5c_velocity_sweep_peaks_inside_range = _criterion("c5c")
+test_c6_association_beats_nearest_when_moving = _criterion("c6")
+test_c7_truncation_count_minimal = _criterion("c7")
+test_c8_interval_engine_matches_millisecond_sampling = _criterion("c8")
+test_no_building_limit_is_exact = _criterion("no-building-limit")
+test_assoc_1x1_policies_identical = _criterion("assoc-1x1-identical")
+test_assoc_nearest_matches_brute_force = _criterion("assoc-nearest-brute-force")
 
 
-def test_c2_generic_height_law_matches_closed_form():
-    sigma = 8.0
-    generic = CdfHeights(lambda h: 1.0 - math.exp(-h * h / (2.0 * sigma * sigma)))
-    closed = RayleighHeights(sigma)
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(1000):
-        w = float(rng.uniform(5.0, 25.0))
-        dy = float(rng.uniform(w + 5.0, 200.0))
-        dx = float(rng.uniform(-200.0, 200.0))
-        h = float(rng.uniform(20.0, 160.0))
-        lam = float(rng.uniform(1.0 / 90.0, 1.0 / 40.0))
-        u = Uav(dx, dy, h)
-        a = p_los_static((0.0, 0.0), u, w, lam, closed)
-        b = p_los_static((0.0, 0.0), u, w, lam, generic)
-        worst = max(worst, abs(a - b) / max(a, 1e-300))
-    ok = worst <= 1e-8
-    assert _verdict(
-        "2/8 generic height CDF path vs closed form",
-        ok,
-        f"1000 geometries, max rel gap {worst:.2e} (tol 1e-8)",
-    )
-
-
-def test_c3_expected_los_matches_geometric_ensemble():
-    motion = UserMotion(0.0, 0.0, 15.0, 10.0)
-    trials = 10_000
-    worst = 0.0
-    cells = []
-    for preset, (mu_b, mu_s) in PRESET_PARAMS.items():
-        params = GridParams(mu_b, mu_s, 8.0)
-        for h in (60.0, 100.0, 140.0):
-            u = Uav(70.0, 45.0, h)
-            ana = expected_los_total(params, motion, u).expected_time
-            mc = monte_carlo_expected_los(params, motion, u, trials, seed=17)
-            rel = abs(ana - mc.mean) / mc.mean
-            worst = max(worst, rel)
-            cells.append(f"{preset[:3]}/h{h:.0f}:{100 * rel:.1f}%")
-    ok = worst <= 0.05
-    assert _verdict(
-        "3/8 mobile expectation vs grid ensemble",
-        ok,
-        f"9 preset/height cells at {trials} trials, worst gap {100 * worst:.1f}% "
-        f"(tol 5%) [{', '.join(cells)}]",
-    )
-
-
-def test_c4_static_point_probability():
-    params = GridParams(45.0, 13.0, 8.0)
-    u = Uav(70.0, 45.0, 70.0)
-    # a motionless epoch must reduce exactly to probability x duration
-    r = expected_los_total(params, UserMotion(0.0, 0.0, 0.0, 10.0), u)
-    p = p_los_static((0.0, 0.0), u, 13.0, params.lam, RayleighHeights(8.0))
-    exact = math.isclose(r.expected_time, 10.0 * p, rel_tol=1e-12)
-    # and the point probability must match the conditioned grid ensemble
-    trials = 10_000
-    mc = monte_carlo_static_los(params, (0.0, 0.0), u, trials, seed=21)
-    gate = 3.0 * math.sqrt(p * (1.0 - p) / trials)
-    gap = abs(mc.mean - p)
-    ok = exact and gap <= gate
-    assert _verdict(
-        "4/8 static probability, exact reduction and ensemble",
-        ok,
-        f"v=0 reduction exact={exact}; |{mc.mean:.4f} - {p:.4f}| = {gap:.4f} "
-        f"<= 3 binomial sd = {gate:.4f} at {trials} trials",
-    )
-
-
-def _sweep_rows(tmp_path, cfg_dict):
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    out = tmp_path / "sweep.csv"
-    run_experiment(cfg, str(out), timing=False)
-    return list(csv.DictReader(out.read_text().splitlines()[1:]))
-
-
-def _unimodal_with_interior_peak(values: list[float], tol: float = 1e-9) -> bool:
-    peak = max(range(len(values)), key=values.__getitem__)
-    if peak in (0, len(values) - 1):
-        return False
-    rising = all(b >= a - tol for a, b in zip(values[: peak + 1], values[1 : peak + 1]))
-    falling = all(b <= a + tol for a, b in zip(values[peak:], values[peak + 1 :]))
-    return rising and falling
-
-
-def test_c5a_height_sweep_peaks_inside_range(tmp_path):
-    rows = _sweep_rows(tmp_path, {
-        "sweep": "uav_height", "preset": "urban", "trials": 25, "seed": 5,
-        "initial_distance": 160.0, "uav_dy": 45.0, "link_range": 165.0,
-    })
-    vals = [float(r["analytic_s"]) for r in rows]
-    hs = [float(r["value"]) for r in rows]
-    ok = _unimodal_with_interior_peak(vals)
-    peak = hs[max(range(len(vals)), key=vals.__getitem__)]
-    assert _verdict(
-        "5a/8 height sweep rises to an interior peak then falls",
-        ok,
-        f"fixed 160 m start distance, peak at {peak:.0f} m, "
-        f"ends {vals[0]:.2f} s / {vals[-1]:.2f} s, top {max(vals):.2f} s",
-    )
-
-
-def test_c5b_ratio_sweep_decreases_per_width(tmp_path):
-    rows = _sweep_rows(tmp_path, {
-        "sweep": "building_ratio", "preset": "urban", "trials": 25, "seed": 5,
-        "street_widths": [10.0, 20.0],
-    })
-    curves: dict[str, list[float]] = {}
-    for r in rows:
-        curves.setdefault(r["variant"], []).append(float(r["analytic_s"]))
-    dec10 = all(b < a for a, b in zip(curves["w=10"], curves["w=10"][1:]))
-    dec20 = all(b < a for a, b in zip(curves["w=20"], curves["w=20"][1:]))
-    ok = dec10 and dec20
-    assert _verdict(
-        "5b/8 denser builds shorten clear time at both street widths",
-        ok,
-        f"w=10: {curves['w=10'][0]:.2f}->{curves['w=10'][-1]:.2f} s, "
-        f"w=20: {curves['w=20'][0]:.2f}->{curves['w=20'][-1]:.2f} s, both decreasing",
-    )
-
-
-def test_c5b_width_ordering_expected_failure(tmp_path):
-    # The narrower-street curve would have to sit above the wider one for
-    # this clause to hold.  With the street width pinned to the user's own
-    # street, a 20 m street puts the first building line twice as far out,
-    # drops the contact fraction, and lifts the whole curve; every
-    # parametrization consistent with the rest of the suite orders the
-    # curves the other way.  Full analysis lives in the project notes.
-    rows = _sweep_rows(tmp_path, {
-        "sweep": "building_ratio", "preset": "urban", "trials": 25, "seed": 5,
-        "street_widths": [10.0, 20.0],
-    })
-    curves: dict[str, list[float]] = {}
-    for r in rows:
-        curves.setdefault(r["variant"], []).append(float(r["analytic_s"]))
-    dominant = all(a > b for a, b in zip(curves["w=10"], curves["w=20"]))
-    _verdict(
-        "5b/8 narrow-street curve dominates the wide one",
-        dominant,
-        f"w=10 mean {sum(curves['w=10']) / len(curves['w=10']):.2f} s vs "
-        f"w=20 mean {sum(curves['w=20']) / len(curves['w=20']):.2f} s",
-        expected_fail=True,
-    )
-    if not dominant:
-        pytest.xfail("wide-street curve sits above the narrow one at this geometry")
-    assert dominant
-
-
-def test_c5c_velocity_sweep_peaks_inside_range(tmp_path):
-    rows = _sweep_rows(tmp_path, {
-        "sweep": "velocity", "preset": "urban", "trials": 25, "seed": 5,
-        "uav_dx": 120.0, "uav_dy": 60.0, "uav_height": 60.0, "link_range": 155.0,
-    })
-    vals = [float(r["analytic_s"]) for r in rows]
-    vs = [float(r["value"]) for r in rows]
-    ok = _unimodal_with_interior_peak(vals)
-    peak = vs[max(range(len(vals)), key=vals.__getitem__)]
-    assert _verdict(
-        "5c/8 speed sweep rises to an interior peak then falls",
-        ok,
-        f"range-limited link, peak at {peak:g} m/s, "
-        f"ends {vals[0]:.2f} s / {vals[-1]:.2f} s, top {max(vals):.2f} s",
-    )
-
-
-def test_c6_association_beats_nearest_when_moving():
-    params = GridParams(45.0, 13.0, 8.0)
-    trials = 1000
-    uavs = []
-    for x0 in (-170.0, -55.0):
-        uavs.append(Uav(x0 - 25.0, 45.0, 100.0, link_range=130.0))
-        uavs.append(Uav(x0 + 60.0, 45.0, 100.0, link_range=130.0))
-
-    def run(v):
-        users = [UserMotion(x0, 0.0, v, 10.0) for x0 in (-170.0, -55.0)]
-        return compare_policies(params, users, uavs, trials, seed=31)
-
-    slow = run(2.0)
-    fast = run(20.0)
-    s_lo, s_hi = slow.difference.ci95()
-    band = 0.05 * slow.benchmark.mean
-    slow_ok = s_lo <= band and s_hi >= -band
-    f_lo, _ = fast.difference.ci95()
-    fast_ok = fast.difference.mean > 0.0 and f_lo > 0.0
-    ok = slow_ok and fast_ok
-    assert _verdict(
-        "6/8 mobility-aware association vs nearest-in-sight",
-        ok,
-        f"{trials} paired trials; slow walk diff CI [{s_lo:.3f}, {s_hi:.3f}] s "
-        f"within +-{band:.3f} s of zero; fast walk gain "
-        f"{fast.difference.mean:.2f} s, CI low {f_lo:.2f} s > 0",
-    )
-
-
-def test_c7_truncation_count_minimal():
-    ok = True
-    checked = 0
-    for mu in (0.01, 0.1, 0.5, 1.0, 2.0, 150.0 / 58.0, 5.0, 10.0, 20.0):
-        for eps in (0.1, 0.01, 1e-3, 1e-4, 1e-6):
-            n = poisson_truncation_count(1.0, mu, 1.0, eps)
-            good = poisson.sf(n, mu) <= eps and (n == 0 or poisson.sf(n - 1, mu) > eps)
-            ok = ok and good
-            checked += 1
-    assert _verdict(
-        "7/8 crossing-count truncation is minimal",
-        ok,
-        f"{checked} (rate, tolerance) pairs, tail bound tight in every case",
-    )
-
-
-def test_c8_interval_engine_matches_millisecond_sampling():
-    rng = np.random.default_rng(808)
-    T = 10.0
-    samples = 10_000  # 1 ms resolution
-    worst = 0.0
-    ok = True
-    for trial in range(100):
-        params = GridParams(
-            float(rng.uniform(30.0, 70.0)),
-            float(rng.uniform(8.0, 25.0)),
-            float(rng.uniform(4.0, 12.0)),
-        )
-        grid = sample_grid_anchored(
-            params, np.random.SeedSequence([808, trial]), 0.0, params.mu_s
-        )
-        u = Uav(
-            float(rng.uniform(40.0, 160.0)),
-            float(rng.uniform(20.0, 120.0)),
-            float(rng.uniform(30.0, 150.0)),
-        )
-        motion = UserMotion(0.0, 0.0, float(rng.uniform(5.0, 30.0)), T)
-        iv = los_intervals(grid, motion, u)
-        exact = sum(b - a for a, b in iv)
-        approx = los_time_sampled(grid, motion, u, samples=samples)
-        flips = sum(1 for a, b in iv for e in (a, b) if 1e-9 < e < T - 1e-9)
-        budget = 2.0 * (T / samples) * max(1, flips)
-        gap = abs(exact - approx)
-        worst = max(worst, gap / budget)
-        ok = ok and gap <= budget
-    assert _verdict(
-        "8/8 interval engine vs 1 ms dense sampling",
-        ok,
-        f"100 random cities, worst gap at {100 * worst:.0f}% of the "
-        f"per-transition budget",
-    )
+def test_every_criterion_has_one_test():
+    assert _COVERED == list(CRITERIA)

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from uavlos import checks
+from uavlos.checks import Verdict
 from uavlos.cli import (
     DEFAULT_VALUES,
     PRESETS,
@@ -214,6 +216,32 @@ def test_grid_dump_anchored(tmp_path):
 
 
 def test_validate_quadrature_passes(capsys):
-    assert main(["validate", "quadrature"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS quadrature/segment-closed-form" in out
+    assert main(["validate", "c1"]) == 0
+    tag, name, blob = capsys.readouterr().out.split(" ", 2)
+    v = json.loads(blob)
+    assert (tag, name, v["ok"], v["tolerance"], v["trials"]) == ("PASS", "c1", True, 1e-9, 1000)
+    assert set(v) == {"name", "ok", "measured", "tolerance", "trials", "detail", "expected_fail"}
+
+
+# (ok, expected_fail) of the entries of a stand-in registry
+PASSES, FAILS, XFAILS = (True, False), (False, False), (False, True)
+
+
+@pytest.mark.parametrize("argv, registry, rc, printed", [
+    (["validate"], {"a": PASSES, "b": FAILS}, 1, [["PASS", "a"], ["FAIL", "b"]]),
+    (["validate", "all"], {"a": PASSES, "b": XFAILS}, 0, [["PASS", "a"], ["XFAIL", "b"]]),
+    (["validate", "c99"], {"a": PASSES, "b": PASSES}, 2, []),
+    (["validate", "b"], {"a": FAILS, "b": PASSES}, 0, [["PASS", "b"]]),
+], ids=["fail-exits-1", "lone-xfail-exits-0", "unknown-exits-2", "name-runs-alone"])
+def test_validate_verb(monkeypatch, capsys, argv, registry, rc, printed):
+    runs: list[str] = []
+
+    def entry(key, ok, xfail):
+        return lambda: runs.append(key) or Verdict(key, ok, 0.5, 1.0, 3, "detail", xfail)
+
+    monkeypatch.setattr(checks, "CRITERIA", {k: entry(k, *v) for k, v in registry.items()})
+    assert main(argv) == rc
+    out = capsys.readouterr()
+    assert [line.split(" ", 2)[:2] for line in out.out.splitlines()] == printed
+    assert runs == [name for _, name in printed]
+    assert rc != 2 or "unknown criterion 'c99'" in out.err

@@ -27,6 +27,7 @@ from uavlos.env import (
     sample_grid_anchored,
     _front_cross,
 )
+from uavlos.oracle import is_los
 
 
 def test_params_derived_quantities(urban):
@@ -203,6 +204,11 @@ def test_first_block_side_hand_cases():
     # x and y entries tie at the south-west corner: the wall wins
     c = first_block_side(g, (0.0, 0.0), Uav(16.0, 32.0, 50.0))
     assert (c.x, c.y, c.orientation) == (8.0, 16.0, PARALLEL_Y)
+    # a link that only grazes the south-east corner (12, 16) enters nothing,
+    # as is_los sees it even over the tallest block
+    tall = make_single_block_grid(1000.0)
+    assert first_block_side(tall, (0.0, 0.0), Uav(24.0, 32.0, 50.0)) is None
+    assert is_los(tall, (0.0, 0.0), Uav(24.0, 32.0, 50.0))
     # a link with dx = 0 inside the x slab enters through the front face
     c = first_block_side(g, (10.0, 0.0), Uav(10.0, 40.0, 50.0))
     assert (c.x, c.y, c.orientation) == (10.0, 16.0, PARALLEL_X)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
+from uavlos import oracle
 from uavlos.env import (
     DegenerateGeometryError,
     GridParams,
@@ -320,7 +321,7 @@ def test_trial_grid_matches_full_draw_rejection(urban):
                     break
                 rejected += 1
             for contact in (cx, None):
-                g = _trial_grid(urban, seed, trial, 0.0, 13.0, contact)
+                g = _trial_grid(urban, seed, trial, 0.0, contact)
                 if contact is None:
                     ref = sample_grid_anchored(urban, np.random.SeedSequence([seed, trial, 0]),
                                                0.0, 13.0)
@@ -329,12 +330,16 @@ def test_trial_grid_matches_full_draw_rejection(urban):
     assert rejected > 0
 
 
-def test_mc_contact_outside_region_raises(urban):
-    # the start contact sits at x = 5000 * 13/14, far outside the 400 m region,
-    # so no draw can put a building band under it
-    with pytest.raises(DegenerateGeometryError, match="x = 4642.86"):
-        monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0),
-                                 Uav(5000.0, 14.0, 100.0), 1, 0)
+def test_mc_contact_outside_region_raises(urban, monkeypatch):
+    # no draw can put a building band under a start contact outside the
+    # region's [-200, 200) in x, so none is made: at x = 5000 * 13/14, far
+    # outside, and at x = 400 * 13/26 = 200, the open edge
+    draws = []
+    monkeypatch.setattr(oracle, "_draw_columns", lambda *a: draws.append(a))
+    for u, x in ((Uav(5000.0, 14.0, 100.0), "4642.86"), (Uav(400.0, 26.0, 100.0), "200")):
+        with pytest.raises(DegenerateGeometryError, match=f"x = {x} "):
+            monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, 1, 0)
+    assert draws == []
 
 
 def test_mc_static_deterministic(urban):
