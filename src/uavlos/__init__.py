@@ -8,7 +8,6 @@ from .env import (
     DegenerateGridError,
     FirstBlockSide,
     GridParams,
-    SegmentPlan,
     Uav,
     UrbanGrid,
     UserInBuildingError,
@@ -50,7 +49,6 @@ from .assoc import (
     assign_max_expected_los,
     assign_nearest_los,
     compare_policies,
-    evaluate_assignment,
     realized_value,
 )
 

@@ -154,23 +154,6 @@ def _shared_street(users: list[UserMotion]) -> float:
     return ys.pop()
 
 
-def evaluate_assignment(
-    assignment: Assignment,
-    params: GridParams,
-    users: list[UserMotion],
-    uavs: list[Uav],
-    trials: int,
-    seed: int,
-) -> TrialStats:
-    """Realized total clear seconds of a fixed assignment over fresh city draws."""
-    y0 = _shared_street(users)
-    vals = np.empty(trials)
-    for i in range(trials):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, params.mu_s)
-        vals[i] = realized_value(assignment, grid, users, uavs)
-    return TrialStats(vals)
-
-
 @dataclass
 class PolicyComparison:
     """Paired totals of the mobility-aware policy and the static benchmark.

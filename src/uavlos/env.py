@@ -123,78 +123,6 @@ WALL = "wall"  # first contact pinned on a west wall (parallel Y)
 OPEN = "open"  # no contact at all, the link sees no building edge
 
 
-@dataclass
-class Segment:
-    """One piece of an epoch over which the first-contact side does not change.
-
-    Wall segments track two candidate walls, because which one the link
-    actually meets depends on the sweep direction at evaluation time:
-    ``wall_x`` is the west corner ahead of the front-line crossing (met while
-    the user is west of the platform), ``back_wall_x`` the east corner behind
-    it (met once the user has passed under the platform's x).
-    """
-
-    t_start: float
-    t_end: float
-    kind: str
-    wall_x: float | None = None
-    back_wall_x: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (FACE, WALL, OPEN):
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.kind == WALL and self.wall_x is None and self.back_wall_x is None:
-            raise ValueError("wall segment needs at least one wall candidate")
-        if self.t_end < self.t_start:
-            raise ValueError("segment runs backwards")
-
-    @property
-    def length(self) -> float:
-        return self.t_end - self.t_start
-
-
-@dataclass
-class SegmentPlan:
-    """Alternating first-contact segments covering one motion epoch [0, T].
-
-    Face-enter times (the link sweeping onto a west corner) and face-exit
-    times (sweeping past an east corner) are the interior segment boundaries.
-    """
-
-    duration: float
-    segments: list[Segment]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("a plan needs at least one segment")
-        if abs(self.segments[0].t_start) > 1e-12:
-            raise ValueError("plan must start at t = 0")
-        if abs(self.segments[-1].t_end - self.duration) > 1e-9:
-            raise ValueError("plan must end at t = duration")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if abs(a.t_end - b.t_start) > 1e-9:
-                raise ValueError("segments must tile the epoch")
-            if a.kind == b.kind and not (
-                a.kind == WALL
-                and (a.wall_x, a.back_wall_x) != (b.wall_x, b.back_wall_x)
-            ):
-                # two wall segments may abut when a sliver of face between two
-                # corners collapses to zero width; anything else must alternate
-                raise ValueError("adjacent segments must alternate kind")
-
-    @property
-    def face_enter_times(self) -> list[float]:
-        return [s.t_start for s in self.segments if s.kind == FACE and s.t_start > 0]
-
-    @property
-    def face_exit_times(self) -> list[float]:
-        return [s.t_end for s in self.segments if s.kind == FACE and s.t_end < self.duration]
-
-    @property
-    def event_times(self) -> list[float]:
-        return sorted(self.face_enter_times + self.face_exit_times)
-
-
 def _band_arrays(points: np.ndarray, splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Building band [lo, hi) per cell; empty arrays when fewer than 2 points."""
     if len(points) < 2:
@@ -532,8 +460,8 @@ def corner_position(corner_x, u: Uav, y0: float, street_width: float):
     return u.x - (u.x - corner_x) * dy / (dy - street_width)
 
 
-def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentPlan:
-    """Segment plan for a user walking one realized street past real corners.
+def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentTable:
+    """Segment plan, a one-row table, for a user walking one realized street.
 
     The far-side corner set comes from the vertical building bands: west
     corners at the cell splits, east corners at the cell's high boundary.
@@ -543,7 +471,7 @@ def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentPlan:
     """
     w = grid.street_width_at_y(motion.y0)
     west, east = grid.building_columns()
-    return segment_table(west[None, :], east[None, :], motion, u, w).plan(motion.duration)
+    return segment_table(west[None, :], east[None, :], motion, u, w)
 
 
 KINDS = (FACE, WALL, OPEN)  # SegmentTable.kind indexes this tuple
@@ -552,11 +480,18 @@ _FACE, _WALL, _OPEN = range(3)
 
 @dataclass
 class SegmentTable:
-    """The segments of one or more plans as flat arrays, plan by plan in time order.
+    """Segment plans of one or more epochs [0, T] as flat arrays, plan by plan.
 
-    ``row`` numbers the plan each segment belongs to and ``kind`` indexes
-    ``KINDS``.  A missing wall candidate is stored as +inf ahead and -inf
-    behind: a link aimed at it never reaches a wall, exactly as for no wall.
+    A segment is a piece of the epoch over which the first-contact side does
+    not change.  ``row`` numbers the plan each segment belongs to and
+    ``kind`` indexes ``KINDS``.  Each row tiles [0, T] in time order, and
+    neighbouring segments differ in kind, except two walls that track
+    different walls.  A wall segment tracks two candidates, because which
+    one the link meets depends on the sweep direction: ``wall_x`` is the west
+    corner ahead of the front-line crossing (met while the user is west of
+    the platform), ``back_wall_x`` the east corner behind it (met once the
+    user has passed under the platform's x).  A missing candidate is +inf
+    ahead and -inf behind: a link aimed at it never reaches a wall.
     """
 
     row: np.ndarray
@@ -571,28 +506,6 @@ class SegmentTable:
         """One segment of the given kind over [0, duration] in each of ``rows`` plans."""
         return cls(np.arange(rows), np.full(rows, kind), np.zeros(rows), np.full(rows, duration),
                    np.full(rows, math.inf), np.full(rows, -math.inf))
-
-    @classmethod
-    def from_plan(cls, plan: SegmentPlan) -> "SegmentTable":
-        segs = plan.segments
-        return cls(
-            np.zeros(len(segs), dtype=np.intp),
-            np.array([KINDS.index(s.kind) for s in segs]),
-            np.array([s.t_start for s in segs], dtype=float),
-            np.array([s.t_end for s in segs], dtype=float),
-            np.array([math.inf if s.wall_x is None else s.wall_x for s in segs], dtype=float),
-            np.array([-math.inf if s.back_wall_x is None else s.back_wall_x for s in segs],
-                     dtype=float),
-        )
-
-    def plan(self, duration: float) -> SegmentPlan:
-        """The SegmentPlan of a table holding one plan."""
-        return SegmentPlan(duration, [
-            Segment(t0, t1, KINDS[k], None if math.isinf(a) else a, None if math.isinf(b) else b)
-            for k, t0, t1, a, b in zip(
-                self.kind.tolist(), self.t_start.tolist(), self.t_end.tolist(),
-                self.wall_x.tolist(), self.back_wall_x.tolist())
-        ])
 
 
 def segment_table(
@@ -628,7 +541,8 @@ def segment_table(
         corners[:, 0::2] = west
         corners[:, 1::2] = east
         pos = corner_position(corners, u, y0, street_width)
-        times = np.where(pos <= x0, 0.0, np.where(pos >= x0 + v * T, T, (pos - x0) / v))
+        with np.errstate(over="ignore"):  # a tiny v overflows only times that get pinned
+            times = np.where(pos <= x0, 0.0, np.where(pos >= x0 + v * T, T, (pos - x0) / v))
         if (times[:, 1:] < times[:, :-1]).any():
             times.sort(axis=1)
         bounds = np.concatenate([np.zeros((rows, 1)), times, np.full((rows, 1), T)], axis=1)

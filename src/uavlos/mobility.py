@@ -15,9 +15,10 @@ COUNT_BLOCK of them, which bounds the memory of long epochs) are built
 together as one padded (count x corner) array (``env.segment_table``), every
 segment of every count lands in one flat ``SegmentTable``, face and wall
 segments are integrated as arrays, and ``np.bincount`` sums them per count.
-A single plan, canonical or realized, goes through the same evaluator as a
-table of one row.  The Poisson weights start from the mode, so no factor of
-exp(-lam v T) can underflow.
+``SegmentTable`` is the only plan type: a single plan, canonical
+(``canonical_plan``) or realized (``env.corner_events``), is a table of one
+row and goes through the same evaluator.  The Poisson weights start from
+the mode, so no factor of exp(-lam v T) can underflow.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from .analytic import (
     wall_contact,
 )
 from .env import (
-    FACE,
+    _FACE,
+    _WALL,
     KINDS,
-    WALL,
     DegenerateGeometryError,
-    SegmentPlan,
     SegmentTable,
     Uav,
     UserMotion,
@@ -51,7 +51,6 @@ from .env import (
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
 NUDGE = 1e-9  # relative node shift off a removable singular instant
 COUNT_BLOCK = 32  # crossing counts whose layouts are built and priced together
-_FACE, _WALL = KINDS.index(FACE), KINDS.index(WALL)
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 
 
@@ -100,7 +99,8 @@ class WallSweep:
 
     Which wall the link meets flips when the user passes under the platform's
     x: ahead of it the west corner ``wall_ahead``, behind it the east corner
-    ``wall_back``.  A missing or unreachable wall means no contact, so the
+    ``wall_back``.  A missing wall is +inf ahead and -inf behind, as in
+    ``SegmentTable``; a missing or unreachable wall means no contact, so the
     clear probability there is 1.  ``p`` is the scalar reference form, built
     on ``p_los_static``.
     """
@@ -111,15 +111,13 @@ class WallSweep:
     u: Uav
     lam: float
     model: HeightModel
-    wall_ahead: float | None = None
-    wall_back: float | None = None
+    wall_ahead: float = math.inf
+    wall_back: float = -math.inf
 
     def p(self, tau: float) -> float:
         x_t = self.x_start + self.v * tau
-        dx = self.u.x - x_t
-        wall = self.wall_ahead if dx > 0 else self.wall_back if dx < 0 else None
-        if wall is None:
-            return 1.0
+        wall = self.wall_ahead if self.u.x > x_t else self.wall_back
+        # no contact when the wall is out of reach or the user is under the platform
         c = wall_contact((x_t, self.y0), self.u, wall)
         if c is None:
             return 1.0
@@ -220,11 +218,9 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
 
 def expected_los_y_segment(sweep: WallSweep, t_len: float) -> float:
     """Three point Simpson estimate of the wall-segment clear time."""
-    ahead = math.inf if sweep.wall_ahead is None else sweep.wall_ahead
-    back = -math.inf if sweep.wall_back is None else sweep.wall_back
     return float(_wall_integrals(
-        sweep.u, sweep.y0, sweep.v, sweep.lam, sweep.model,
-        np.array([sweep.x_start]), np.array([t_len]), np.array([ahead]), np.array([back]),
+        sweep.u, sweep.y0, sweep.v, sweep.lam, sweep.model, np.array([sweep.x_start]),
+        np.array([t_len]), np.array([sweep.wall_ahead]), np.array([sweep.wall_back]),
     )[0])
 
 
@@ -250,30 +246,32 @@ def simpson_residual(sweep: WallSweep, t_len: float) -> float:
     return abs(expected_los_y_segment(sweep, t_len) - expected_los_y_segment_reference(sweep, t_len))
 
 
-def expected_los_piecewise(
-    plan: SegmentPlan, geom: EpochGeometry, detail: bool = False
-):
-    """Expected clear seconds over the whole epoch, segment by segment.
+def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: bool = False):
+    """Expected clear seconds over the whole epoch of a one-row segment table.
 
     Front-line segments integrate in closed form from a freshly evaluated
     start probability; wall segments take the 3 point Simpson rule; open
-    segments contribute their full length.  With ``detail`` a list of
-    (segment, contribution, simpson residual) comes back alongside the total.
+    segments contribute their full length.  The sum is the same
+    ``np.bincount`` that ``expected_los_total`` takes per count, so both
+    agree bit for bit.  With ``detail`` a list of (kind, t_start, t_end,
+    contribution, simpson residual) rows comes back alongside the total.
     """
-    table = SegmentTable.from_plan(plan)
     contrib = _segment_integrals(table, geom)
     total = float(np.bincount(table.row, weights=contrib, minlength=1)[0])
     if not detail:
         return total
     m = geom.motion
     rows = []
-    for seg, c in zip(plan.segments, contrib.tolist()):
+    for k, t0, t1, ahead, back, c in zip(
+        table.kind.tolist(), table.t_start.tolist(), table.t_end.tolist(),
+        table.wall_x.tolist(), table.back_wall_x.tolist(), contrib.tolist(),
+    ):
         resid = 0.0
-        if seg.kind == WALL:
-            sweep = WallSweep(m.x0 + m.speed * seg.t_start, m.y0, m.speed, geom.u, geom.lam,
-                              geom.model, seg.wall_x, seg.back_wall_x)
-            resid = simpson_residual(sweep, seg.length)
-        rows.append((seg, c, resid))
+        if k == _WALL:
+            sweep = WallSweep(m.x0 + m.speed * t0, m.y0, m.speed, geom.u, geom.lam,
+                              geom.model, ahead, back)
+            resid = simpson_residual(sweep, t1 - t0)
+        rows.append((KINDS[k], t0, t1, c, resid))
     return total, rows
 
 
@@ -370,8 +368,8 @@ def canonical_plan(
     u: Uav,
     street_width: float,
     crossings: int,
-) -> SegmentPlan:
-    """Representative segment plan for a given number of street crossings.
+) -> SegmentTable:
+    """Representative segment plan, a one-row table, for a crossing count.
 
     The far side of the user's street is laid out as repeating periods of one
     mean street gap followed by one mean building face.  The layout is slid
@@ -382,8 +380,7 @@ def canonical_plan(
     """
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
-    table = _canonical_table(mu_b, mu_s, motion, u, street_width, np.array([crossings]))
-    return table.plan(motion.duration)
+    return _canonical_table(mu_b, mu_s, motion, u, street_width, np.array([crossings]))
 
 
 @dataclass

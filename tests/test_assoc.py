@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import make_single_block_grid
@@ -9,7 +8,6 @@ from uavlos.assoc import (
     assign_max_expected_los,
     assign_nearest_los,
     compare_policies,
-    evaluate_assignment,
     pair_score,
     realized_value,
 )
@@ -105,14 +103,6 @@ def test_compare_policies_needs_shared_street(urban):
     uavs = [Uav(70.0, 45.0, 100.0)]
     with pytest.raises(ValueError):
         compare_policies(urban, users, uavs, trials=5, seed=0)
-
-
-def test_evaluate_assignment_deterministic(urban):
-    users = [UserMotion(0.0, 0.0, 15.0, 10.0)]
-    uavs = [Uav(70.0, 45.0, 100.0)]
-    a = evaluate_assignment(Assignment([0]), urban, users, uavs, trials=40, seed=9)
-    b = evaluate_assignment(Assignment([0]), urban, users, uavs, trials=40, seed=9)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_compare_policies_paired_difference(urban):

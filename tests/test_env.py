@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavlos.env import (
     FACE,
+    KINDS,
     OPEN,
     PARALLEL_X,
     PARALLEL_Y,
     WALL,
     DegenerateGeometryError,
     GridParams,
-    Segment,
-    SegmentPlan,
+    SegmentTable,
     Uav,
     UrbanGrid,
     UserInBuildingError,
@@ -25,8 +25,10 @@ from uavlos.env import (
     model_first_contact,
     sample_grid,
     sample_grid_anchored,
+    _WALL,
     _front_cross,
 )
+from uavlos.mobility import _canonical_table
 from uavlos.oracle import is_los
 
 
@@ -247,43 +249,57 @@ def test_corner_position_needs_far_platform():
 # -- segment plans -------------------------------------------------------------
 
 
-def test_segment_validation():
-    with pytest.raises(ValueError):
-        Segment(0.0, 1.0, "bogus")
-    with pytest.raises(ValueError):
-        Segment(1.0, 0.0, FACE)
-    with pytest.raises(ValueError):
-        Segment(0.0, 1.0, WALL)  # no wall candidate
-    s = Segment(0.5, 2.0, WALL, wall_x=30.0)
-    assert s.length == 1.5
-
-
-def test_segment_plan_validation():
-    with pytest.raises(ValueError):
-        SegmentPlan(10.0, [])
-    with pytest.raises(ValueError):
-        SegmentPlan(10.0, [Segment(1.0, 10.0, FACE)])  # does not start at 0
-    with pytest.raises(ValueError):
-        SegmentPlan(10.0, [Segment(0.0, 5.0, FACE)])  # does not reach T
-    with pytest.raises(ValueError):
-        SegmentPlan(
-            10.0, [Segment(0.0, 4.0, FACE), Segment(5.0, 10.0, WALL, 1.0)]
-        )  # gap
-    with pytest.raises(ValueError):
-        SegmentPlan(
-            10.0, [Segment(0.0, 4.0, FACE), Segment(4.0, 10.0, FACE)]
-        )  # same kind should have merged
-    plan = SegmentPlan(
-        10.0,
-        [
-            Segment(0.0, 2.0, FACE),
-            Segment(2.0, 5.0, WALL, 40.0),
-            Segment(5.0, 10.0, FACE),
-        ],
+def _assert_valid_plans(t: SegmentTable, rows: int, duration: float) -> None:
+    """The invariants every segment plan keeps, checked on each row of a table."""
+    assert np.array_equal(np.unique(t.row), np.arange(rows))
+    assert np.all(t.row[1:] >= t.row[:-1])
+    assert np.all((0 <= t.kind) & (t.kind < 3))
+    length = t.t_end - t.t_start
+    assert np.all(length > 0.0) if duration > 0.0 else np.all(length == 0.0)
+    first = np.flatnonzero(np.r_[True, t.row[1:] != t.row[:-1]])
+    last = np.r_[first[1:], len(t.row)] - 1
+    assert np.all(np.abs(t.t_start[first]) <= 1e-9)
+    assert np.all(np.abs(t.t_end[last] - duration) <= 1e-9)
+    same_row = t.row[1:] == t.row[:-1]
+    assert np.array_equal(t.t_end[:-1][same_row], t.t_start[1:][same_row])
+    # neighbours alternate kind, except two walls tracking different walls
+    other_walls = (t.kind[1:] == _WALL) & (
+        (t.wall_x[1:] != t.wall_x[:-1]) | (t.back_wall_x[1:] != t.back_wall_x[:-1])
     )
-    assert plan.face_enter_times == [5.0]
-    assert plan.face_exit_times == [2.0]
-    assert plan.event_times == [2.0, 5.0]
+    assert not np.any(same_row & (t.kind[1:] == t.kind[:-1]) & ~other_walls)
+
+
+_WALKS = dict(
+    x0=st.floats(-150.0, 150.0),
+    speed=st.floats(0.0, 40.0),
+    duration=st.sampled_from([0.0, 0.5, 10.0, 60.0]),
+    ux=st.floats(-150.0, 150.0),
+    uy=st.floats(35.0, 200.0),
+)
+# a street width far below float resolution closes every cross street, so the
+# faces on either side meet and must merge into one segment
+_STREETS = st.sampled_from([10.0, 13.0, 20.0, 1e-300])
+
+
+@settings(max_examples=200)
+@given(
+    **_WALKS,
+    mu_b=st.floats(20.0, 80.0),
+    mu_s=_STREETS,
+    counts=st.lists(st.integers(0, 40), min_size=1, max_size=6),
+)
+def test_canonical_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_b, mu_s, counts):
+    m = UserMotion(x0, 0.0, speed, duration)
+    t = _canonical_table(mu_b, mu_s, m, Uav(ux, uy, 100.0), mu_s, np.array(counts))
+    _assert_valid_plans(t, len(counts), duration)
+
+
+@settings(max_examples=200)
+@given(**_WALKS, mu_s=_STREETS, seed=st.integers(0, 10_000))
+def test_corner_event_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_s, seed):
+    g = sample_grid_anchored(GridParams(45.0, mu_s, 8.0), seed, 0.0, 13.0)
+    m = UserMotion(x0, 0.0, speed, duration)
+    _assert_valid_plans(corner_events(g, m, Uav(ux, uy, 100.0)), 1, duration)
 
 
 def test_corner_events_on_realized_grid(urban):
@@ -291,11 +307,10 @@ def test_corner_events_on_realized_grid(urban):
     u = Uav(120.0, 90.0, 100.0)
     for seed in range(4):
         g = sample_grid_anchored(urban, seed, 0.0, 13.0)
-        plan = corner_events(g, motion, u)
-        assert plan.duration == motion.duration
-        assert plan.segments[0].t_start == 0.0
-        assert math.isclose(plan.segments[-1].t_end, motion.duration)
-        for a, b in zip(plan.segments, plan.segments[1:]):
-            assert math.isclose(a.t_end, b.t_start)
-        kinds = {s.kind for s in plan.segments}
-        assert kinds <= {FACE, WALL, OPEN}
+        t = corner_events(g, motion, u)
+        assert np.all(t.row == 0)
+        assert t.t_start[0] == 0.0
+        assert math.isclose(t.t_end[-1], motion.duration)
+        for end, start in zip(t.t_end[:-1].tolist(), t.t_start[1:].tolist()):
+            assert math.isclose(end, start)
+        assert set(KINDS[k] for k in t.kind.tolist()) <= {FACE, WALL, OPEN}

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import poisson
 
 from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static
-from uavlos.env import FACE, OPEN, GridParams, Segment, SegmentPlan, Uav, UserMotion
+from uavlos.env import _FACE, _OPEN, KINDS, GridParams, SegmentTable, Uav, UserMotion
 from uavlos.mobility import (
     EpochGeometry,
     WallSweep,
@@ -95,7 +95,7 @@ def test_y_segment_simpson_uses_the_reference_probability():
     # sweep that passes under the platform onto the wall behind, and one
     # whose wall behind is missing
     u = Uav(120.0, 90.0, 100.0)
-    for back in (100.0, None):
+    for back in (100.0, -math.inf):
         sweep = WallSweep(110.0, 0.0, 15.0, u, 1.0 / 58.0, RAY, wall_ahead=125.0, wall_back=back)
         t_len = 1.5
         ps = [sweep.p(t) for t in (0.0, 0.5 * t_len, t_len)]
@@ -154,8 +154,8 @@ def test_truncation_count_zero_rate():
 def test_canonical_plan_zero_crossings_single_face():
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
     plan = canonical_plan(45.0, 13.0, m, Uav(120.0, 90.0, 100.0), 13.0, 0)
-    assert [s.kind for s in plan.segments] == [FACE]
-    assert plan.segments[0].t_end == 10.0
+    assert plan.kind.tolist() == [_FACE]
+    assert plan.t_end[0] == 10.0
 
 
 def test_canonical_plan_structure_and_spacing():
@@ -168,7 +168,7 @@ def test_canonical_plan_structure_and_spacing():
     gap = (mu_b + mu_s) * dy / (dy - w) / m.speed
     for n in (1, 2, 3, 5):
         plan = canonical_plan(mu_b, mu_s, m, u, w, n)
-        enters = plan.face_enter_times
+        enters = plan.t_start[(plan.kind == _FACE) & (plan.t_start > 0.0)].tolist()
         anchor = m.duration / (n + 1)
         k_lo = math.floor(-anchor / gap) if anchor > 0 else 0
         expect = sorted(
@@ -180,10 +180,10 @@ def test_canonical_plan_structure_and_spacing():
         for a, b in zip(enters, expect):
             assert math.isclose(a, b, rel_tol=1e-9)
         assert any(math.isclose(t, anchor, rel_tol=1e-9) for t in enters)
-        for a, b in zip(plan.segments, plan.segments[1:]):
-            assert math.isclose(a.t_end, b.t_start)
-        assert plan.segments[0].t_start == 0.0
-        assert math.isclose(plan.segments[-1].t_end, m.duration)
+        for end, start in zip(plan.t_end[:-1].tolist(), plan.t_start[1:].tolist()):
+            assert math.isclose(end, start)
+        assert plan.t_start[0] == 0.0
+        assert math.isclose(plan.t_end[-1], m.duration)
 
 
 # -- piecewise expectation against direct numerical integration ---------------
@@ -196,8 +196,7 @@ def test_face_expectation_matches_dense_integral():
     m = UserMotion(-30.0, 0.0, 15.0, 10.0)
     w, lam = 13.0, 1.0 / 58.0
     geom = EpochGeometry(m, u, w, lam, RAY)
-    plan = SegmentPlan(m.duration, [Segment(0.0, m.duration, FACE)])
-    got = expected_los_piecewise(plan, geom)
+    got = expected_los_piecewise(SegmentTable.whole_epoch(1, _FACE, m.duration), geom)
     ts = np.linspace(0.0, m.duration, 20001)
     ps = [p_los_static(m.position(float(t)), u, w, lam, RAY) for t in ts]
     ref = float(np.trapezoid(ps, ts))
@@ -208,8 +207,7 @@ def test_open_segment_counts_full_length():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
     geom = EpochGeometry(m, u, 13.0, 1.0 / 58.0, RAY)
-    plan = SegmentPlan(10.0, [Segment(0.0, 10.0, OPEN)])
-    assert expected_los_piecewise(plan, geom) == 10.0
+    assert expected_los_piecewise(SegmentTable.whole_epoch(1, _OPEN, 10.0), geom) == 10.0
 
 
 def test_piecewise_detail_rows_sum_to_total():
@@ -218,8 +216,11 @@ def test_piecewise_detail_rows_sum_to_total():
     geom = EpochGeometry(m, u, 13.0, 1.0 / 58.0, RAY)
     plan = canonical_plan(45.0, 13.0, m, u, 13.0, 3)
     total, rows = expected_los_piecewise(plan, geom, detail=True)
-    assert math.isclose(total, sum(contrib for _, contrib, _ in rows), rel_tol=1e-12)
-    assert len(rows) == len(plan.segments)
+    assert math.isclose(total, sum(contrib for *_, contrib, _ in rows), rel_tol=1e-12)
+    assert [r[:3] for r in rows] == [
+        (KINDS[k], a, b)
+        for k, a, b in zip(plan.kind.tolist(), plan.t_start.tolist(), plan.t_end.tolist())
+    ]
 
 
 # -- marginalized total -------------------------------------------------------
