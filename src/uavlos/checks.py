@@ -8,6 +8,7 @@ runner and the association benchmark.  ``c5b-width`` is the one expected failure
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -171,7 +172,8 @@ def c5a_height_sweep_interior_peak() -> Verdict:
     )
 
 
-def _ratio_curves() -> dict[str, list[float]]:
+@functools.cache  # c5b and c5b-width read the same sweep
+def _ratio_curves() -> dict[str, tuple[float, ...]]:
     rows = _sweep_rows({
         "sweep": "building_ratio", "preset": "urban", "trials": 25, "seed": 5,
         "street_widths": [10.0, 20.0],
@@ -179,7 +181,7 @@ def _ratio_curves() -> dict[str, list[float]]:
     curves: dict[str, list[float]] = {}
     for r in rows:
         curves.setdefault(r["variant"], []).append(float(r["analytic_s"]))
-    return curves
+    return {variant: tuple(values) for variant, values in curves.items()}
 
 
 def c5b_ratio_sweep_decreases_per_width() -> Verdict:

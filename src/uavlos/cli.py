@@ -29,7 +29,7 @@ from .env import (
     sample_grid_anchored,
 )
 from .mobility import expected_los_total
-from .oracle import coverage_time, monte_carlo_expected_los
+from .oracle import coverage_time, monte_carlo_expected_los, start_contact_x
 
 # Table I presets: (mean building height, mean building width, mean street width)
 PRESETS = {
@@ -207,8 +207,7 @@ def _clipped_motion(cfg: ExperimentConfig, speed: float, u: Uav) -> UserMotion:
 
 
 def _paired_point(
-    cfg: ExperimentConfig, params: GridParams, u: Uav, speed: float, value: float,
-    variant: str = "",
+    cfg: ExperimentConfig, params: GridParams, u: Uav, speed: float, value: float, variant: str
 ) -> ResultRow:
     t0 = time.perf_counter()
     motion = _clipped_motion(cfg, speed, u)
@@ -220,30 +219,41 @@ def _paired_point(
     return ResultRow(cfg.sweep, value, variant, ana, mc.mean, mc.stderr, cfg.trials, ms)
 
 
+def _paired_rows(
+    cfg: ExperimentConfig, points: list[tuple[GridParams, Uav, float, float, str]]
+) -> list[ResultRow]:
+    """One row per (params, platform, speed, value, variant) point.
+
+    Every start contact the Monte Carlo conditions on is checked first, so a
+    geometry that no city draw can cover fails before any point is priced.
+    """
+    for params, u, speed, _, _ in points:
+        motion = _clipped_motion(cfg, speed, u)
+        if motion.duration > 0.0:
+            start_contact_x(params, (motion.x0, motion.y0), u)
+    return [_paired_point(cfg, *point) for point in points]
+
+
 def _run_uav_height(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.grid_params()
-    rows = []
+    points = []
     for h in cfg.values:
         dx = math.sqrt(cfg.initial_distance**2 - h * h - cfg.uav_dy**2)
         u = Uav(dx, cfg.uav_dy, h, link_range=cfg.link_range)
-        rows.append(_paired_point(cfg, params, u, cfg.speed, h))
-    return rows
+        points.append((params, u, cfg.speed, h, ""))
+    return _paired_rows(cfg, points)
 
 
 def _run_building_ratio(cfg: ExperimentConfig) -> list[ResultRow]:
     u = Uav(cfg.uav_dx, cfg.uav_dy, cfg.uav_height, link_range=cfg.link_range)
-    rows = []
-    for w in cfg.street_widths:
-        for r in cfg.values:
-            params = cfg.grid_params(mu_b=r * w, mu_s=w)
-            rows.append(_paired_point(cfg, params, u, cfg.speed, r, f"w={w:g}"))
-    return rows
+    return _paired_rows(cfg, [(cfg.grid_params(mu_b=r * w, mu_s=w), u, cfg.speed, r, f"w={w:g}")
+                              for w in cfg.street_widths for r in cfg.values])
 
 
 def _run_velocity(cfg: ExperimentConfig) -> list[ResultRow]:
     params = cfg.grid_params()
     u = Uav(cfg.uav_dx, cfg.uav_dy, cfg.uav_height, link_range=cfg.link_range)
-    return [_paired_point(cfg, params, u, v, v) for v in cfg.values]
+    return _paired_rows(cfg, [(params, u, v, v, "") for v in cfg.values])
 
 
 def _association_layout(cfg: ExperimentConfig) -> list[Uav]:

@@ -130,6 +130,24 @@ def _band_arrays(points: np.ndarray, splits: np.ndarray) -> tuple[np.ndarray, np
     return splits, points[1:]
 
 
+def _check_cells(lo: np.ndarray, hi: np.ndarray, splits: np.ndarray) -> None:
+    """Axis invariants of ``UrbanGrid`` on cells [lo, hi) and their band splits."""
+    if (hi - lo <= 0.0).any():
+        raise ValueError("axis points must be strictly increasing")
+    if (splits < lo).any() or (splits > hi).any():
+        raise ValueError("band split outside its cell")
+
+
+def _check_shape(x_points: np.ndarray, y_points: np.ndarray, heights: np.ndarray) -> None:
+    if heights.shape != (max(len(x_points) - 1, 0), max(len(y_points) - 1, 0)):
+        raise ValueError("height matrix shape does not match cell counts")
+
+
+def _check_heights(heights: np.ndarray) -> None:
+    if (heights < 0).any():
+        raise ValueError("negative building height")
+
+
 def _band(points: np.ndarray, splits: np.ndarray, c: float) -> tuple[str, int, float, float]:
     """("street" | "building", cell index, band_lo, band_hi) at c on one axis."""
     if len(points) < 2 or c < points[0] or c >= points[-1]:
@@ -161,16 +179,9 @@ class UrbanGrid:
     def __post_init__(self) -> None:
         for pts, spl in ((self.x_points, self.x_splits), (self.y_points, self.y_splits)):
             if len(pts) >= 2:
-                if np.any(np.diff(pts) <= 0):
-                    raise ValueError("axis points must be strictly increasing")
-                if np.any(spl < pts[:-1]) or np.any(spl > pts[1:]):
-                    raise ValueError("band split outside its cell")
-        nx = max(len(self.x_points) - 1, 0)
-        ny = max(len(self.y_points) - 1, 0)
-        if self.block_heights.shape != (nx, ny):
-            raise ValueError("height matrix shape does not match cell counts")
-        if nx and ny and np.any(self.block_heights < 0):
-            raise ValueError("negative building height")
+                _check_cells(pts[:-1], pts[1:], spl)
+        _check_shape(self.x_points, self.y_points, self.block_heights)
+        _check_heights(self.block_heights)
 
     # -- band queries ---------------------------------------------------------
 
@@ -272,13 +283,14 @@ class UrbanGrid:
 
 def _ppp(rng: np.random.Generator, lam: float, lo: float, hi: float) -> np.ndarray:
     """Homogeneous Poisson draws on [lo, hi), sorted."""
-    n = rng.poisson(lam * (hi - lo))
-    return np.sort(rng.uniform(lo, hi, n))
+    points = rng.uniform(lo, hi, rng.poisson(lam * (hi - lo)))
+    points.sort()
+    return points
 
 
 def _splits(points: np.ndarray, f: float) -> np.ndarray:
     """Street/building boundary of each cell, a street fraction f into it."""
-    return points[:-1] + f * np.diff(points) if len(points) >= 2 else np.empty(0)
+    return points[:-1] + f * (points[1:] - points[:-1]) if len(points) >= 2 else np.empty(0)
 
 
 def _draw_columns(params: GridParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -322,20 +334,22 @@ def sample_grid_anchored(
     above, then heights.
     """
     rng = np.random.default_rng(seed)
-    xp, xs = _draw_columns(params, rng)
-    return _anchored_rest(params, seed, rng, xp, xs, y_anchor, street_width)
+    return UrbanGrid(params, seed, *_draw_anchored(params, rng, y_anchor, street_width))
 
 
-def _anchored_rest(
+def _draw_anchored(
     params: GridParams,
-    seed: int | np.random.SeedSequence,
     rng: np.random.Generator,
-    xp: np.ndarray,
-    xs: np.ndarray,
     y_anchor: float,
     street_width: float | None,
-) -> UrbanGrid:
-    """The draws of ``sample_grid_anchored`` after the X points, from the same rng."""
+    contact_x: float | None = None,
+) -> tuple[np.ndarray, ...] | None:
+    """The draws of ``sample_grid_anchored`` from rng, as its (x_points,
+    y_points, x_splits, y_splits, block_heights), or None without drawing past
+    the X points when contact_x is given and no building band covers it."""
+    xp, xs = _draw_columns(params, rng)
+    if contact_x is not None and _band(xp, xs, contact_x)[0] != "building":
+        return None
     _, _, y_lo, y_hi = params.box
     if not (y_lo <= y_anchor < y_hi):
         raise DegenerateGridError("anchor outside the region")
@@ -357,13 +371,73 @@ def _anchored_rest(
     above = _ppp(rng, params.lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
     yp = np.concatenate([below, [y_anchor, cell_end], above])
     ys = _splits(yp, f)
-    # pin the anchor cell's split to the requested street width
-    if len(yp) >= 2:
-        k = int(np.searchsorted(yp, y_anchor, side="right") - 1)
-        if 0 <= k < len(ys):
-            ys[k] = min(y_anchor + w, yp[k + 1])
-    heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), max(len(yp) - 1, 0)))
-    return UrbanGrid(params, seed, xp, yp, xs, ys, heights)
+    # pin the anchor cell's split, cell len(below), to the requested street width
+    ys[len(below)] = min(y_anchor + w, cell_end)
+    heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), len(ys)))
+    return xp, yp, xs, ys, heights
+
+
+@dataclass
+class _Cities:
+    """Several sampled cities as flat arrays, city after city.
+
+    ``west`` and ``east`` hold every city's building columns (as
+    ``UrbanGrid.building_columns`` gives them), ``south`` and ``north`` its
+    building rows, and ``heights`` its height matrix row-major.  ``nx`` and
+    ``ny`` count the columns and rows of each city, and ``draws`` the city
+    draws it took.
+    """
+
+    west: np.ndarray
+    east: np.ndarray
+    south: np.ndarray
+    north: np.ndarray
+    heights: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+    draws: np.ndarray
+
+
+def _draw_cities(
+    params: GridParams,
+    seed: int,
+    trials: range,
+    y_anchor: float,
+    contact_x: float | None,
+) -> _Cities:
+    """For each trial, the first city over seeds [seed, trial, attempt],
+    attempt = 0, 1, ..., with a building band at contact_x (the first city
+    when contact_x is None), exactly as ``sample_grid_anchored`` draws it
+    with the anchored street as wide as the mean street width.
+
+    The invariants ``UrbanGrid`` checks hold for every city, checked on the
+    flat arrays.  Raises DegenerateGeometryError after 1000 rejected draws.
+    """
+    cities, draws = [], []
+    for trial in trials:
+        for attempt in range(1000):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial, attempt]))
+            city = _draw_anchored(params, rng, y_anchor, params.mu_s, contact_x)
+            if city is not None:
+                break
+        else:
+            raise DegenerateGeometryError(
+                f"no building band covered the start contact at x = {contact_x:g} "
+                "in 1000 city draws"
+            )
+        cities.append(city)
+        draws.append(attempt + 1)
+    xp, yp, xs, ys, hs = zip(*cities)
+    for x, y, h in zip(xp, yp, hs):
+        _check_shape(x, y, h)
+    west, south = np.concatenate(xs), np.concatenate(ys)
+    east, north = np.concatenate([p[1:] for p in xp]), np.concatenate([p[1:] for p in yp])
+    _check_cells(np.concatenate([p[:-1] for p in xp]), east, west)
+    _check_cells(np.concatenate([p[:-1] for p in yp]), north, south)
+    heights = np.concatenate([h.ravel() for h in hs])
+    _check_heights(heights)
+    return _Cities(west, east, south, north, heights, np.array([len(x) for x in xs]),
+                   np.array([len(y) for y in ys]), np.array(draws))
 
 
 # -- first contact geometry ---------------------------------------------------

@@ -26,9 +26,8 @@ from .env import (
     UrbanGrid,
     UserInBuildingError,
     UserMotion,
-    _anchored_rest,
-    _band,
-    _draw_columns,
+    _Cities,
+    _draw_cities,
     _front_cross,
     _slab_fracs,
 )
@@ -77,8 +76,16 @@ def _edge_times(edge: np.ndarray, s: np.ndarray, motion: UserMotion, u: Uav) -> 
     return (u.x - motion.x0 + offset) / motion.speed
 
 
-def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[float, float]]:
-    """Maximal clear intervals of the walk, in time order; touching blockages merge.
+def _walk_box(motion: UserMotion, u: Uav) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi) of the box every link of the walk lies in."""
+    x_end = motion.x0 + motion.speed * motion.duration
+    return (min(motion.x0, x_end, u.x), max(motion.x0, x_end, u.x),
+            min(motion.y0, u.y), max(motion.y0, u.y))
+
+
+def _blocked_spans(west, east, south, north, height, motion: UserMotion, u: Uav):
+    """(start, end, hit): the instants each block blocks the walk, elementwise,
+    and whether that span reaches into (0, T).
 
     The walker keeps y = y0, so each block's y-slab and height give a fixed
     window [s_a, s_b] of link fractions where the link can meet it: s_a is
@@ -89,21 +96,6 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
     last instant either end leaves its east edge.
     """
     T = motion.duration
-    if T <= 0.0:
-        return []
-    kind, _, _, _ = grid.band_at("y", motion.y0)
-    if kind != "street":
-        raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-    v = motion.speed
-    if v == 0.0:
-        return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
-    x_end = motion.x0 + v * T
-    west, east, south, north, height = grid.blocks_overlapping(
-        min(motion.x0, x_end, u.x),
-        max(motion.x0, x_end, u.x),
-        min(motion.y0, u.y),
-        max(motion.y0, u.y),
-    )
     sy_lo, sy_hi = _slab_fracs(south, north, motion.y0, u.y - motion.y0)
     s_a = np.maximum(sy_lo, 0.0)
     s_b = np.minimum(np.minimum(sy_hi, 1.0), height / u.height)
@@ -113,15 +105,43 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
     t = _edge_times(np.array([west, west, east, east]), np.array([s_a, s_b, s_a, s_b]), motion, u)
     start = np.minimum(t[0], t[1])
     end = np.maximum(t[2], t[3])
-    hit = meet & (end > 0.0) & (start < T)
-    start, end = start[hit], end[hit]
-    order = np.argsort(start)
-    start = np.maximum(start[order], 0.0)
-    end = np.maximum.accumulate(np.minimum(end[order], T))
-    # clear between the running end of the blockages so far and the next start
-    lo = np.concatenate([[0.0], end]).tolist()
-    hi = np.concatenate([start, [T]]).tolist()
-    return [(a, b) for a, b in zip(lo, hi) if b > a]
+    return start, end, meet & (end > 0.0) & (start < T)
+
+
+def _clear_pieces(start: np.ndarray, end: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) of the clear pieces of each row of blocked spans, in time order.
+
+    Piece k runs from the latest end of the spans before span k to its start,
+    the last piece on to T; a piece with hi <= lo is empty.  A span with
+    start = end = T adds only empty pieces.
+    """
+    # sort each row by start, as flat indices into the row-major arrays
+    order = np.argsort(start, axis=1) + (np.arange(len(start)) * start.shape[1])[:, None]
+    start = np.maximum(start.ravel()[order], 0.0)
+    end = np.maximum.accumulate(np.minimum(end.ravel()[order], T), axis=1)
+    lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
+    hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
+    return lo, hi
+
+
+def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[float, float]]:
+    """Maximal clear intervals of the walk, in time order; touching blockages merge.
+
+    Each block blocks on one interval (see ``_blocked_spans``), and the walk
+    is clear on the complement of their union.
+    """
+    T = motion.duration
+    if T <= 0.0:
+        return []
+    kind, _, _, _ = grid.band_at("y", motion.y0)
+    if kind != "street":
+        raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
+    v = motion.speed
+    if v == 0.0:
+        return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
+    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*_walk_box(motion, u)), motion, u)
+    lo, hi = _clear_pieces(start[hit][None], end[hit][None], T)
+    return [(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()) if b > a]
 
 
 def los_time(grid: UrbanGrid, motion: UserMotion, u: Uav) -> float:
@@ -185,9 +205,15 @@ def coverage_time(motion: UserMotion, u: Uav) -> float:
 
 @dataclass
 class TrialStats:
-    """Per-trial values of a Monte Carlo run with the usual summaries."""
+    """Per-trial values of a Monte Carlo run with the usual summaries.
+
+    ``draws`` holds the city draws behind each trial when the runner rejects
+    draws (accepted draw included), so ``draws.mean() - 1`` is the number of
+    rejected draws per accepted trial; None for values from other sources.
+    """
 
     values: np.ndarray
+    draws: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -211,45 +237,80 @@ class TrialStats:
         return (self.mean - half, self.mean + half)
 
 
-def _start_contact_x(gx: float, gy: float, u: Uav, w: float) -> float | None:
-    """Where the start-of-walk link crosses the street's far line, if it does."""
-    if u.y - gy <= w:
-        return None
-    return _front_cross(gx, gy, u, w)
+def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float | None:
+    """Where the link from g crosses the far line of a street as wide as the
+    mean street width: the building contact the Monte Carlo runners condition
+    on, None when the link never leaves that street.
 
-
-def _trial_grid(
-    params: GridParams,
-    seed: int,
-    trial: int,
-    y_anchor: float,
-    contact_x: float | None,
-) -> UrbanGrid:
-    """The first city over seeds [seed, trial, attempt], attempt = 0, 1, ..., with a
-    building band at contact_x (the first city when contact_x is None).
-
-    Cities come out exactly as ``sample_grid_anchored`` draws them, with the
-    anchored street as wide as the mean street width, but a city is drawn past
-    its X points only when those cover the contact.  Raises
-    DegenerateGeometryError before any draw when the contact lies outside the
-    region's [x_lo, x_hi), where no building band can reach, and after 1000
-    rejected draws otherwise.
+    Raises DegenerateGeometryError when the contact lies outside the region's
+    [x_lo, x_hi), where no building band can reach.
     """
+    gx, gy = g
+    if u.y - gy <= params.mu_s:
+        return None
+    cx = _front_cross(gx, gy, u, params.mu_s)
     x_lo, x_hi, _, _ = params.box
-    if contact_x is not None and not x_lo <= contact_x < x_hi:
+    if not x_lo <= cx < x_hi:
         raise DegenerateGeometryError(
-            f"the start contact at x = {contact_x:g} lies outside the region "
-            f"[{x_lo:g}, {x_hi:g})"
+            f"the start contact at x = {cx:g} lies outside the region [{x_lo:g}, {x_hi:g})"
         )
-    for attempt in range(1000):
-        ss = np.random.SeedSequence([seed, trial, attempt])
-        rng = np.random.default_rng(ss)
-        xp, xs = _draw_columns(params, rng)
-        if contact_x is None or _band(xp, xs, contact_x)[0] == "building":
-            return _anchored_rest(params, ss, rng, xp, xs, y_anchor, params.mu_s)
-    raise DegenerateGeometryError(
-        f"no building band covered the start contact at x = {contact_x:g} in 1000 city draws"
-    )
+    return cx
+
+
+# trials drawn and refereed per array pass: large enough to spread the fixed
+# cost of a pass, small enough that padding every city's row to the busiest
+# one stays cheap
+_CHUNK = 256
+
+
+def _in_bands(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, c: float) -> np.ndarray:
+    """Per city, whether one of its building bands [lo, hi) on an axis holds c."""
+    city = np.repeat(np.arange(len(counts)), counts)
+    return np.bincount(city[(lo <= c) & (c < hi)], minlength=len(counts)) > 0
+
+
+def _box_blocks(cities: _Cities, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+    """(west, east, south, north, height) of the blocks of each city meeting
+    the box, as ``UrbanGrid.blocks_overlapping`` finds them, one row per city.
+
+    Rows are padded to the longest with blocks of height -inf, which block
+    nothing.
+    """
+    n = len(cities.nx)
+    col_city = np.repeat(np.arange(n), cities.nx)
+    row_city = np.repeat(np.arange(n), cities.ny)
+    # edges ascend within a city, so the bands meeting an open interval form
+    # one run, from the first band past the low end to the last below the high
+    i0 = np.bincount(col_city[cities.east <= x_lo], minlength=n)
+    i1 = np.bincount(col_city[cities.west < x_hi], minlength=n)
+    j0 = np.bincount(row_city[cities.north <= y_lo], minlength=n)
+    j1 = np.bincount(row_city[cities.south < y_hi], minlength=n)
+    cols, rows = np.maximum(i1 - i0, 0), np.maximum(j1 - j0, 0)
+    count = cols * rows
+    slot = np.arange(count.max())
+    valid = slot < count[:, None]
+    i, j = np.divmod(slot, np.maximum(rows, 1)[:, None])
+    i, j = i + i0[:, None], j + j0[:, None]
+    first_col = np.cumsum(cities.nx) - cities.nx
+    first_row = np.cumsum(cities.ny) - cities.ny
+    first_cell = np.cumsum(cities.nx * cities.ny) - cities.nx * cities.ny
+    col = np.where(valid, first_col[:, None] + i, 0)
+    row = np.where(valid, first_row[:, None] + j, 0)
+    cell = np.where(valid, first_cell[:, None] + i * cities.ny[:, None] + j, 0)
+    height = np.where(valid, cities.heights[cell], -np.inf)
+    return cities.west[col], cities.east[col], cities.south[row], cities.north[row], height
+
+
+def _run_chunks(params: GridParams, seed: int, trials: int, y_anchor: float,
+                contact_x: float | None, referee) -> TrialStats:
+    """Trial values of a runner, ``referee`` applied to each chunk of drawn cities."""
+    values, draws = [np.empty(0)], [np.empty(0, dtype=int)]
+    for first in range(0, trials, _CHUNK):
+        cities = _draw_cities(params, seed, range(first, min(first + _CHUNK, trials)),
+                              y_anchor, contact_x)
+        values.append(referee(cities))
+        draws.append(cities.draws)
+    return TrialStats(np.concatenate(values), np.concatenate(draws))
 
 
 def monte_carlo_expected_los(
@@ -269,15 +330,27 @@ def monte_carlo_expected_los(
     building face covers the link's street crossing at the walk start, since
     the closed form conditions on that first contact existing.  Trial i draws
     from seed sequences [seed, i, attempt] regardless of trials, so extending
-    a run keeps its prefix.
+    a run keeps its prefix.  Each trial's value is ``los_time`` on its city,
+    bit for bit, computed for a chunk of cities at once.
     """
-    w = params.mu_s
-    cx = _start_contact_x(motion.x0, motion.y0, u, w) if require_contact else None
-    vals = np.empty(trials)
-    for i in range(trials):
-        grid = _trial_grid(params, seed, i, motion.y0, cx)
-        vals[i] = los_time(grid, motion, u)
-    return TrialStats(vals)
+    g = (motion.x0, motion.y0)
+    cx = start_contact_x(params, g, u) if require_contact else None
+    T = motion.duration
+
+    def referee(cities: _Cities) -> np.ndarray:
+        if T <= 0.0:
+            return np.zeros(len(cities.draws))
+        if _in_bands(cities.south, cities.north, cities.ny, motion.y0).any():
+            raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
+        blocks = _box_blocks(cities, *_walk_box(motion, u))
+        if motion.speed == 0.0:
+            return np.where(_blocking(*blocks, *g, u).any(axis=1), 0.0, T)
+        start, end, hit = _blocked_spans(*blocks, motion, u)
+        lo, hi = _clear_pieces(np.where(hit, start, T), np.where(hit, end, T), T)
+        # left to right along each row, as ``los_time`` sums its intervals
+        return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
+
+    return _run_chunks(params, seed, trials, motion.y0, cx, referee)
 
 
 def monte_carlo_static_los(
@@ -292,12 +365,18 @@ def monte_carlo_static_los(
 
     Same ensemble as the epoch runner: street edge anchored at the ground
     point, width pinned to the mean street width, and draws conditioned on
-    the contact building existing unless ``require_contact`` is off.
+    the contact building existing unless ``require_contact`` is off.  Each
+    trial's value is ``is_los`` on its city.
     """
-    w = params.mu_s
-    cx = _start_contact_x(g[0], g[1], u, w) if require_contact else None
-    vals = np.empty(trials)
-    for i in range(trials):
-        grid = _trial_grid(params, seed, i, g[1], cx)
-        vals[i] = 1.0 if is_los(grid, g, u) else 0.0
-    return TrialStats(vals)
+    cx = start_contact_x(params, g, u) if require_contact else None
+    gx, gy = g
+
+    def referee(cities: _Cities) -> np.ndarray:
+        inside = (_in_bands(cities.west, cities.east, cities.nx, gx)
+                  & _in_bands(cities.south, cities.north, cities.ny, gy))
+        if inside.any():
+            raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
+        blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
+        return np.where(_blocking(*blocks, gx, gy, u).any(axis=1), 0.0, 1.0)
+
+    return _run_chunks(params, seed, trials, gy, cx, referee)

@@ -12,7 +12,7 @@ from uavlos.assoc import (
     realized_value,
 )
 from uavlos.env import Uav, UserMotion
-from uavlos.oracle import coverage_time, los_time
+from uavlos.oracle import coverage_time, is_los, los_time
 
 
 def test_assignment_rejects_shared_platform():
@@ -85,6 +85,17 @@ def test_nearest_policy_respects_range_and_capacity():
     assert a.pairs == [0, None]  # user 0 is considered first and takes it
     short = Uav(20.0, 40.0, 50.0, link_range=40.0)
     assert assign_nearest_los(users, [short], g).pairs == [None, None]
+
+
+def test_nearest_policy_distance_tie_takes_lower_id():
+    # x = -40 and x = 30 are both 35 m from the user at x = -5; the low block
+    # leaves both links clear, so only the tie rule decides, in either order
+    g = make_single_block_grid(18.0)
+    users = [UserMotion(-5.0, 0.0, 1.0, 10.0)]
+    west, east = Uav(-40.0, 40.0, 50.0), Uav(30.0, 40.0, 50.0)
+    assert is_los(g, (-5.0, 0.0), west) and is_los(g, (-5.0, 0.0), east)
+    assert assign_nearest_los(users, [west, east], g).pairs == [0]
+    assert assign_nearest_los(users, [east, west], g).pairs == [0]
 
 
 def test_realized_value_is_truncated_clear_time():

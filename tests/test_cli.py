@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from uavlos import checks
+from uavlos import checks, cli
 from uavlos.checks import Verdict
 from uavlos.cli import (
     DEFAULT_VALUES,
@@ -180,12 +180,36 @@ def test_run_config_errors_exit_two(tmp_path):
     assert main(["run", "--config", str(bogus)]) == 2
 
 
-def test_run_degenerate_geometry_exits_two(tmp_path, capsys):
-    # the start contact of this platform lies outside the region
-    rc, _ = _run(tmp_path, _cfg(values=[15.0], uav_dx=5000.0, uav_dy=14.0))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith("geometry error:") and err.count("\n") == 1
+def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
+    # the start contact lies outside the region: for this platform at every
+    # speed, and in the ratio sweep only at the second width (x = 300 * 25/30
+    # = 250, against 100 at w = 10); either way nothing is priced first
+    priced = []
+    monkeypatch.setattr(cli, "expected_los_total", lambda *a, **k: priced.append(a))
+    for cfg, x in ((_cfg(values=[15.0], uav_dx=5000.0, uav_dy=14.0), "4642.86"),
+                   ({"sweep": "building_ratio", "values": [1.0], "trials": 5,
+                     "street_widths": [10.0, 25.0], "uav_dx": 300.0, "uav_dy": 30.0}, "250")):
+        rc, _ = _run(tmp_path, cfg)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("geometry error: the start contact at x = " + x + " lies outside")
+        assert err.count("\n") == 1
+    assert priced == []
+
+
+def test_ratio_criteria_share_one_sweep(monkeypatch):
+    # c5b and c5b-width read the same building-ratio sweep, built once
+    built = []
+    rows = [{"variant": f"w={w}", "analytic_s": str(a)}
+            for w, curve in ((10, (7.0, 6.5, 6.0)), (20, (9.5, 9.0, 8.5))) for a in curve]
+    monkeypatch.setattr(checks, "_sweep_rows", lambda cfg: built.append(cfg) or rows)
+    checks._ratio_curves.cache_clear()
+    try:
+        assert checks.CRITERIA["c5b"]().measured == -0.5  # the largest step
+        assert checks.CRITERIA["c5b-width"]().measured == -2.5  # the smallest w=10 lead
+    finally:
+        checks._ratio_curves.cache_clear()
+    assert len(built) == 1
 
 
 def test_run_unwritable_output_exits_two(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uavlos import env
 from uavlos.env import (
     FACE,
     KINDS,
@@ -129,6 +130,32 @@ def test_grid_json_roundtrip(urban):
 def test_grid_json_rejects_unknown_format():
     with pytest.raises(ValueError):
         UrbanGrid.from_json('{"format": "something-else"}')
+
+
+def _set(k, value):
+    def corrupt(a):
+        a.flat[k] = value(a)
+        return a
+    return corrupt
+
+
+@pytest.mark.parametrize("field, corrupt, message", [
+    (0, _set(1, lambda a: a[0]), "axis points must be strictly increasing"),
+    (3, _set(0, lambda a: a[0] - 100.0), "band split outside its cell"),
+    (4, lambda h: h[:, :-1], "height matrix shape does not match cell counts"),
+    (4, _set(0, lambda h: -1.0), "negative building height"),
+], ids=["points", "split", "shape", "height"])
+def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrupt, message):
+    # the same four checks guard a city built by hand and each city of a chunk
+    good = env._draw_anchored(urban, np.random.default_rng(0), 0.0, 13.0)
+    bad = list(good)
+    bad[field] = corrupt(bad[field].copy())
+    with pytest.raises(ValueError, match=message):
+        UrbanGrid(urban, 0, *bad)
+    draws = iter([good, tuple(bad), good])
+    monkeypatch.setattr(env, "_draw_anchored", lambda *a: next(draws))
+    with pytest.raises(ValueError, match=message):
+        env._draw_cities(urban, 0, range(3), 0.0, None)
 
 
 def test_blocks_overlapping_brute_force(urban):

@@ -15,10 +15,10 @@ from uavlos.env import (
     UserMotion,
     sample_grid_anchored,
 )
+from uavlos.env import _draw_cities
 from uavlos.oracle import (
+    _CHUNK,
     TrialStats,
-    _start_contact_x,
-    _trial_grid,
     coverage_time,
     is_los,
     los_intervals,
@@ -26,6 +26,7 @@ from uavlos.oracle import (
     los_time_sampled,
     monte_carlo_expected_los,
     monte_carlo_static_los,
+    start_contact_x,
 )
 
 # Shared hand geometry: one block [8,12] x [16,24], platform at (20, 40, 50),
@@ -307,27 +308,38 @@ def test_mc_contact_conditioning_lowers_clear_probability(urban):
     assert set(cond.values) <= {0.0, 1.0}
 
 
+def _reference_cities(params, seed, trials, y0, contact):
+    """(city, draws) per trial by the reference rule: draw whole cities over
+    seeds [seed, trial, attempt] until a building band covers the contact."""
+    for trial in range(trials):
+        for attempt in range(1000):
+            grid = sample_grid_anchored(params, np.random.SeedSequence([seed, trial, attempt]),
+                                        y0, params.mu_s)
+            if contact is None or grid.band_at("x", contact)[0] == "building":
+                yield grid, attempt + 1
+                break
+
+
 def test_trial_grid_matches_full_draw_rejection(urban):
-    # reference rule: draw the whole city, then reject it unless a building
-    # band covers the contact point; accepted cities must match bit for bit
-    cx = _start_contact_x(0.0, 0.0, Uav(120.0, 90.0, 100.0), 13.0)
-    rejected = 0
+    # the chunk's flat arrays hold the reference cities bit for bit
+    cx = start_contact_x(urban, (0.0, 0.0), Uav(120.0, 90.0, 100.0))
     for seed in (0, 3):
-        for trial in range(40):
-            for attempt in range(1000):
-                ref = sample_grid_anchored(urban, np.random.SeedSequence([seed, trial, attempt]),
-                                           0.0, 13.0)
-                if ref.band_at("x", cx)[0] == "building":
-                    break
-                rejected += 1
-            for contact in (cx, None):
-                g = _trial_grid(urban, seed, trial, 0.0, contact)
-                if contact is None:
-                    ref = sample_grid_anchored(urban, np.random.SeedSequence([seed, trial, 0]),
-                                               0.0, 13.0)
-                for name in ("x_points", "y_points", "x_splits", "y_splits", "block_heights"):
-                    assert np.array_equal(getattr(g, name), getattr(ref, name))
-    assert rejected > 0
+        for contact in (cx, None):
+            grids, draws = zip(*_reference_cities(urban, seed, 40, 0.0, contact))
+            cities = _draw_cities(urban, seed, range(40), 0.0, contact)
+            assert cities.draws.tolist() == list(draws)
+            expect = {
+                "west": [g.x_splits for g in grids],
+                "east": [g.x_points[1:] for g in grids],
+                "south": [g.y_splits for g in grids],
+                "north": [g.y_points[1:] for g in grids],
+                "heights": [g.block_heights.ravel() for g in grids],
+            }
+            for name, parts in expect.items():
+                assert np.array_equal(getattr(cities, name), np.concatenate(parts)), name
+            assert cities.nx.tolist() == [len(g.x_splits) for g in grids]
+            assert cities.ny.tolist() == [len(g.y_splits) for g in grids]
+            assert (sum(draws) > 40) == (contact is not None)
 
 
 def test_mc_contact_outside_region_raises(urban, monkeypatch):
@@ -335,11 +347,83 @@ def test_mc_contact_outside_region_raises(urban, monkeypatch):
     # region's [-200, 200) in x, so none is made: at x = 5000 * 13/14, far
     # outside, and at x = 400 * 13/26 = 200, the open edge
     draws = []
-    monkeypatch.setattr(oracle, "_draw_columns", lambda *a: draws.append(a))
+    monkeypatch.setattr(oracle, "_draw_cities", lambda *a: draws.append(a))
     for u, x in ((Uav(5000.0, 14.0, 100.0), "4642.86"), (Uav(400.0, 26.0, 100.0), "200")):
         with pytest.raises(DegenerateGeometryError, match=f"x = {x} "):
             monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, 1, 0)
+        with pytest.raises(DegenerateGeometryError, match=f"x = {x} "):
+            monte_carlo_static_los(urban, (0.0, 0.0), u, 1, 0)
     assert draws == []
+
+
+# chunk sizes around the chunked runners' boundary, and small runs
+TRIAL_COUNTS = [1, 2, 9, _CHUNK - 1, _CHUNK + 1]
+GEOMETRY = dict(
+    preset=st.sampled_from(PRESET_WIDTHS),
+    seed=st.integers(0, 2**32 - 1),
+    y0=st.floats(-150.0, 150.0),
+    ux=st.floats(-150.0, 150.0),
+    dy=st.floats(5.0, 150.0),
+    north=st.booleans(),
+    h=st.floats(20.0, 160.0),
+    x0=st.floats(-150.0, 100.0),
+    require_contact=st.booleans(),
+    trials=st.sampled_from(TRIAL_COUNTS),
+)
+
+
+@settings(max_examples=40)
+@given(v=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+       T=st.one_of(st.just(0.0), st.floats(0.5, 20.0)), **GEOMETRY)
+def test_mc_trials_equal_los_time_on_reference_cities(
+    preset, seed, y0, ux, dy, north, h, x0, require_contact, trials, v, T
+):
+    params = GridParams(*preset, 8.0)
+    motion = UserMotion(x0, y0, v, T)
+    u = Uav(ux, y0 + dy if north else y0 - dy, h)
+    contact = start_contact_x(params, (x0, y0), u) if require_contact else None
+    run = monte_carlo_expected_los(params, motion, u, trials, seed, require_contact)
+    ref = list(_reference_cities(params, seed, trials, y0, contact))
+    assert run.values.tolist() == [los_time(g, motion, u) for g, _ in ref]
+    assert run.draws.tolist() == [d for _, d in ref]
+
+
+@settings(max_examples=30)
+@given(**GEOMETRY)
+def test_mc_static_trials_equal_is_los_on_reference_cities(
+    preset, seed, y0, ux, dy, north, h, x0, require_contact, trials
+):
+    params = GridParams(*preset, 8.0)
+    u = Uav(ux, y0 + dy if north else y0 - dy, h)
+    contact = start_contact_x(params, (x0, y0), u) if require_contact else None
+    run = monte_carlo_static_los(params, (x0, y0), u, trials, seed, require_contact)
+    ref = list(_reference_cities(params, seed, trials, y0, contact))
+    assert run.values.tolist() == [float(is_los(g, (x0, y0), u)) for g, _ in ref]
+    assert run.draws.tolist() == [d for _, d in ref]
+
+
+def test_mc_prefix_stable_across_chunk_boundary(urban):
+    m = UserMotion(0.0, 0.0, 15.0, 10.0)
+    u = Uav(70.0, 45.0, 100.0)
+    long = monte_carlo_expected_los(urban, m, u, 2 * _CHUNK + 3, 5)
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        short = monte_carlo_expected_los(urban, m, u, n, 5)
+        assert np.array_equal(short.values, long.values[:n])
+        assert np.array_equal(short.draws, long.draws[:n])
+    static = monte_carlo_static_los(urban, (0.0, 0.0), u, _CHUNK + 1, 5)
+    assert np.array_equal(static.values[:3], monte_carlo_static_los(urban, (0.0, 0.0), u, 3, 5).values)
+    assert monte_carlo_expected_los(urban, m, u, 0, 5).n == 0
+
+
+def test_mc_walk_line_in_building_band_raises():
+    # a street far narrower than the float spacing at y = 100 rounds away,
+    # so the anchored cities put the walk line in a building band
+    params = GridParams(45.0, 1e-20, 8.0)
+    with pytest.raises(UserInBuildingError, match="walk line y = 100.0 "):
+        monte_carlo_expected_los(params, UserMotion(0.0, 100.0, 15.0, 10.0),
+                                 Uav(70.0, 145.0, 100.0), 3, 0)
+    with pytest.raises(UserInBuildingError, match=r"ground point \(0.0, 100.0\)"):
+        monte_carlo_static_los(params, (0.0, 100.0), Uav(70.0, 145.0, 100.0), 3, 0)
 
 
 def test_mc_static_deterministic(urban):
