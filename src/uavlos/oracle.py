@@ -8,8 +8,10 @@ and its height fix the window of link fractions where the link could meet
 it, and the link point at any fixed fraction moves linearly in time, so the
 block blocks on exactly one interval, bounded by the instants the window's
 two ends cross the block's west and east edges.  All blocks are solved at
-once as arrays and the clear intervals are the complement of their union.
-None of it reuses the closed-form machinery, so it can referee it.
+once as arrays and the clear intervals are the complement of their union;
+the Monte Carlo runners apply the same algebra to the blocks of a whole
+chunk of sampled cities at once.  None of it reuses the closed-form
+machinery, so it can referee it.
 """
 
 from __future__ import annotations
@@ -108,20 +110,22 @@ def _blocked_spans(west, east, south, north, height, motion: UserMotion, u: Uav)
     return start, end, meet & (end > 0.0) & (start < T)
 
 
-def _clear_pieces(start: np.ndarray, end: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lo, hi) of the clear pieces of each row of blocked spans, in time order.
+def _merged_spans(start: np.ndarray, end: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Blocked spans along the last axis (one city, or one row per city)
+    sorted by start and clipped to [0, T], each end raised to the latest end
+    so far.
 
-    Piece k runs from the latest end of the spans before span k to its start,
-    the last piece on to T; a piece with hi <= lo is empty.  A span with
-    start = end = T adds only empty pieces.
+    The clear pieces are then, in time order, from 0 to the first start,
+    from each end to the next start, and from the last end to T; a piece
+    that does not run forward is empty, and a span with start = end = T adds
+    only empty pieces.
     """
-    # sort each row by start, as flat indices into the row-major arrays
-    order = np.argsort(start, axis=1) + (np.arange(len(start)) * start.shape[1])[:, None]
-    start = np.maximum(start.ravel()[order], 0.0)
-    end = np.maximum.accumulate(np.minimum(end.ravel()[order], T), axis=1)
-    lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
-    hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
-    return lo, hi
+    order = np.argsort(start, axis=-1)
+    if start.ndim == 2:  # flat indices into the row-major arrays
+        order += (np.arange(len(start)) * start.shape[1])[:, None]
+        start, end = start.ravel(), end.ravel()
+    return (np.maximum(start[order], 0.0),
+            np.maximum.accumulate(np.minimum(end[order], T), axis=-1))
 
 
 def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[float, float]]:
@@ -136,12 +140,11 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
     kind, _, _, _ = grid.band_at("y", motion.y0)
     if kind != "street":
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-    v = motion.speed
-    if v == 0.0:
+    if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
     start, end, hit = _blocked_spans(*grid.blocks_overlapping(*_walk_box(motion, u)), motion, u)
-    lo, hi = _clear_pieces(start[hit][None], end[hit][None], T)
-    return [(a, b) for a, b in zip(lo[0].tolist(), hi[0].tolist()) if b > a]
+    start, end = _merged_spans(start[hit], end[hit], T)
+    return [(a, b) for a, b in zip([0.0, *end.tolist()], [*start.tolist(), T]) if b > a]
 
 
 def los_time(grid: UrbanGrid, motion: UserMotion, u: Uav) -> float:
@@ -346,7 +349,9 @@ def monte_carlo_expected_los(
         if motion.speed == 0.0:
             return np.where(_blocking(*blocks, *g, u).any(axis=1), 0.0, T)
         start, end, hit = _blocked_spans(*blocks, motion, u)
-        lo, hi = _clear_pieces(np.where(hit, start, T), np.where(hit, end, T), T)
+        start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
+        lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
+        hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
         # left to right along each row, as ``los_time`` sums its intervals
         return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
 
