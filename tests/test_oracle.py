@@ -13,9 +13,9 @@ from uavlos.env import (
     Uav,
     UserInBuildingError,
     UserMotion,
+    _draw_cities,
     sample_grid_anchored,
 )
-from uavlos.env import _draw_cities
 from uavlos.oracle import (
     _CHUNK,
     TrialStats,
