@@ -17,9 +17,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import GridParams, Uav, UrbanGrid, UserMotion, sample_grid_anchored
+from .env import GridParams, Uav, UrbanGrid, UserMotion, _Cities, _draw_anchored, _join_cities
 from .mobility import expected_los_total
-from .oracle import TrialStats, coverage_time, is_los, los_time
+from .oracle import (
+    TrialStats,
+    _check_trials,
+    _chunks,
+    _point_clear,
+    _walk_clear,
+    coverage_time,
+    is_los,
+    los_time,
+)
 
 
 @dataclass
@@ -94,6 +103,41 @@ def assign_max_expected_los(
     return _greedy(_score_pairs(users, uavs, params, epsilon))
 
 
+def _candidates(users: list[UserMotion], uavs: list[Uav]) -> list[list[int]]:
+    """Per user, the platforms within range, nearest first by 3D distance;
+    distance ties take the lower platform id."""
+    out = []
+    for m in users:
+        d = [_dist3d(m, u) for u in uavs]
+        out.append(sorted((k for k, u in enumerate(uavs) if d[k] <= u.link_range),
+                          key=lambda k: (d[k], k)))
+    return out
+
+
+def _nearest(candidates: list[list[int]], clear: np.ndarray) -> np.ndarray:
+    """The nearest-in-sight platform of each (trial, user), -1 for none.
+
+    ``clear[t, j, k]`` says whether user j sees platform k at the start of
+    the walk in trial t; it is read only for the user's candidates.  Users
+    go in id order and each takes, per trial, its first candidate that is
+    clear and not yet taken in that trial.
+    """
+    trials, n_users, n_uavs = clear.shape
+    pairs = np.full((trials, n_users), -1)
+    taken = np.zeros((trials, n_uavs), dtype=bool)
+    rows = np.arange(trials)
+    for j, cand in enumerate(candidates):
+        if not cand:
+            continue
+        free = clear[:, j, cand] & ~taken[:, cand]
+        first = free.argmax(axis=1)
+        got = free[rows, first]
+        pick = np.asarray(cand)[first][got]
+        pairs[got, j] = pick
+        taken[rows[got], pick] = True
+    return pairs
+
+
 def assign_nearest_los(
     users: list[UserMotion], uavs: list[Uav], grid: UrbanGrid
 ) -> Assignment:
@@ -103,24 +147,12 @@ def assign_nearest_los(
     within range and clear on the realized city at the start of the walk;
     distance ties take the lower platform id.
     """
-    pairs: list[int | None] = [None] * len(users)
-    taken: set[int] = set()
+    candidates = _candidates(users, uavs)
+    clear = np.zeros((1, len(users), len(uavs)), dtype=bool)
     for j, m in enumerate(users):
-        best: tuple[float, int] | None = None
-        for k, u in enumerate(uavs):
-            if k in taken:
-                continue
-            d = _dist3d(m, u)
-            if d > u.link_range:
-                continue
-            if not is_los(grid, (m.x0, m.y0), u):
-                continue
-            if best is None or (d, k) < best:
-                best = (d, k)
-        if best is not None:
-            pairs[j] = best[1]
-            taken.add(best[1])
-    return Assignment(pairs)
+        for k in candidates[j]:
+            clear[0, j, k] = is_los(grid, (m.x0, m.y0), uavs[k])
+    return Assignment([None if k < 0 else int(k) for k in _nearest(candidates, clear)[0]])
 
 
 def realized_value(
@@ -145,6 +177,8 @@ def realized_value(
 
 
 def _shared_street(users: list[UserMotion]) -> float:
+    if not users:
+        raise ValueError("no users")
     ys = {m.y0 for m in users}
     if len(ys) != 1:
         raise ValueError(
@@ -176,7 +210,24 @@ class PolicyComparison:
     @property
     def difference(self) -> TrialStats:
         """Per-trial proposed minus benchmark; its CI is the paired interval."""
-        return TrialStats(self.proposed.values - self.benchmark.values)
+        return TrialStats(self.proposed.values - self.benchmark.values, self.proposed.draws)
+
+
+def _realized(cities: _Cities, users: list[UserMotion], uavs: list[Uav],
+              pairs: np.ndarray) -> np.ndarray:
+    """``realized_value`` of the assignments ``pairs[..., t, :]`` (platform per
+    user, -1 for none) on city t, bit for bit; each assigned pair's walk is
+    refereed once for the whole chunk."""
+    values = np.zeros(pairs.shape)
+    for j, m in enumerate(users):
+        for k in np.unique(pairs[..., j]).tolist():
+            horizon = coverage_time(m, uavs[k]) if k >= 0 else 0.0
+            if horizon <= 0.0:
+                continue
+            clear = _walk_clear(cities, replace(m, duration=horizon), uavs[k])
+            values[..., j] = np.where(pairs[..., j] == k, clear, values[..., j])
+    # left to right over the users, as ``realized_value`` adds its pairs
+    return np.cumsum(values, axis=-1)[..., -1]
 
 
 def compare_policies(
@@ -191,16 +242,31 @@ def compare_policies(
 
     The mobility-aware assignment is fixed up front (it uses no realized
     geometry); the benchmark re-assigns on every draw since it reads the
-    realized start-of-walk blockage.
+    realized start-of-walk blockage.  Trial i draws its city as
+    ``sample_grid_anchored(params, SeedSequence([seed, i]), y0, params.mu_s)``
+    does, and both values are ``realized_value`` of the two assignments on
+    that city, bit for bit, computed for a chunk of cities at once.
     """
+    _check_trials(trials)
     y0 = _shared_street(users)
     scores = _score_pairs(users, uavs, params, epsilon)
     fixed = _greedy(scores)
-    va = np.empty(trials)
-    vb = np.empty(trials)
-    for i in range(trials):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), y0, params.mu_s)
-        va[i] = realized_value(fixed, grid, users, uavs)
-        bench = assign_nearest_los(users, uavs, grid)
-        vb[i] = realized_value(bench, grid, users, uavs)
-    return PolicyComparison(TrialStats(va), TrialStats(vb), fixed, scores)
+    candidates = _candidates(users, uavs)
+    proposed = np.array([-1 if k is None else k for k in fixed.pairs])
+    values = [np.empty((2, 0))]
+    for chunk in _chunks(trials):
+        cities = _join_cities(
+            [_draw_anchored(params, np.random.default_rng(np.random.SeedSequence([seed, i])),
+                            y0, params.mu_s) for i in chunk],
+            [1] * len(chunk),
+        )
+        clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
+        for j, m in enumerate(users):
+            for k in candidates[j]:
+                clear[:, j, k] = _point_clear(cities, (m.x0, m.y0), uavs[k])
+        bench = _nearest(candidates, clear)
+        values.append(_realized(cities, users, uavs,
+                                np.stack([np.broadcast_to(proposed, bench.shape), bench])))
+    va, vb = np.concatenate(values, axis=1)
+    draws = np.ones(trials, dtype=int)  # association draws are never rejected
+    return PolicyComparison(TrialStats(va, draws), TrialStats(vb, draws), fixed, scores)

@@ -427,6 +427,13 @@ def _draw_cities(
             )
         cities.append(city)
         draws.append(attempt + 1)
+    return _join_cities(cities, draws)
+
+
+def _join_cities(cities: list[tuple[np.ndarray, ...]], draws: list[int]) -> _Cities:
+    """At least one city drawn by ``_draw_anchored`` joined into flat arrays,
+    with the invariants ``UrbanGrid`` checks checked on them; ``draws[i]``
+    counts the city draws behind city i."""
     xp, yp, xs, ys, hs = zip(*cities)
     for x, y, h in zip(xp, yp, hs):
         _check_shape(x, y, h)

@@ -210,9 +210,10 @@ def coverage_time(motion: UserMotion, u: Uav) -> float:
 class TrialStats:
     """Per-trial values of a Monte Carlo run with the usual summaries.
 
-    ``draws`` holds the city draws behind each trial when the runner rejects
-    draws (accepted draw included), so ``draws.mean() - 1`` is the number of
-    rejected draws per accepted trial; None for values from other sources.
+    ``draws`` holds the city draws behind each trial for values refereed on
+    drawn cities (accepted draw included), so ``draws.mean() - 1`` is the
+    number of rejected draws per accepted trial; None for values from other
+    sources.
     """
 
     values: np.ndarray
@@ -304,13 +305,53 @@ def _box_blocks(cities: _Cities, x_lo: float, x_hi: float, y_lo: float, y_hi: fl
     return cities.west[col], cities.east[col], cities.south[row], cities.north[row], height
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+
+
+def _chunks(trials: int) -> list[range]:
+    """The trial numbers of each array pass, in order."""
+    return [range(first, min(first + _CHUNK, trials)) for first in range(0, trials, _CHUNK)]
+
+
+def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav) -> np.ndarray:
+    """Per city, the clear seconds of the walk: ``los_time`` on that city,
+    bit for bit, for a chunk of cities at once."""
+    T = motion.duration
+    if T <= 0.0:
+        return np.zeros(len(cities.nx))
+    if _in_bands(cities.south, cities.north, cities.ny, motion.y0).any():
+        raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
+    blocks = _box_blocks(cities, *_walk_box(motion, u))
+    if motion.speed == 0.0:
+        return np.where(_blocking(*blocks, motion.x0, motion.y0, u).any(axis=1), 0.0, T)
+    start, end, hit = _blocked_spans(*blocks, motion, u)
+    start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
+    lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
+    hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
+    # left to right along each row, as ``los_time`` sums its intervals
+    return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
+
+
+def _point_clear(cities: _Cities, g: tuple[float, float], u: Uav) -> np.ndarray:
+    """Per city, whether the link from g is clear: ``is_los`` on that city,
+    for a chunk of cities at once."""
+    gx, gy = g
+    inside = (_in_bands(cities.west, cities.east, cities.nx, gx)
+              & _in_bands(cities.south, cities.north, cities.ny, gy))
+    if inside.any():
+        raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
+    blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
+    return ~_blocking(*blocks, gx, gy, u).any(axis=1)
+
+
 def _run_chunks(params: GridParams, seed: int, trials: int, y_anchor: float,
                 contact_x: float | None, referee) -> TrialStats:
     """Trial values of a runner, ``referee`` applied to each chunk of drawn cities."""
     values, draws = [np.empty(0)], [np.empty(0, dtype=int)]
-    for first in range(0, trials, _CHUNK):
-        cities = _draw_cities(params, seed, range(first, min(first + _CHUNK, trials)),
-                              y_anchor, contact_x)
+    for chunk in _chunks(trials):
+        cities = _draw_cities(params, seed, chunk, y_anchor, contact_x)
         values.append(referee(cities))
         draws.append(cities.draws)
     return TrialStats(np.concatenate(values), np.concatenate(draws))
@@ -336,26 +377,10 @@ def monte_carlo_expected_los(
     a run keeps its prefix.  Each trial's value is ``los_time`` on its city,
     bit for bit, computed for a chunk of cities at once.
     """
-    g = (motion.x0, motion.y0)
-    cx = start_contact_x(params, g, u) if require_contact else None
-    T = motion.duration
-
-    def referee(cities: _Cities) -> np.ndarray:
-        if T <= 0.0:
-            return np.zeros(len(cities.draws))
-        if _in_bands(cities.south, cities.north, cities.ny, motion.y0).any():
-            raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-        blocks = _box_blocks(cities, *_walk_box(motion, u))
-        if motion.speed == 0.0:
-            return np.where(_blocking(*blocks, *g, u).any(axis=1), 0.0, T)
-        start, end, hit = _blocked_spans(*blocks, motion, u)
-        start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
-        lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
-        hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
-        # left to right along each row, as ``los_time`` sums its intervals
-        return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
-
-    return _run_chunks(params, seed, trials, motion.y0, cx, referee)
+    _check_trials(trials)
+    cx = start_contact_x(params, (motion.x0, motion.y0), u) if require_contact else None
+    return _run_chunks(params, seed, trials, motion.y0, cx,
+                       lambda cities: _walk_clear(cities, motion, u))
 
 
 def monte_carlo_static_los(
@@ -373,15 +398,7 @@ def monte_carlo_static_los(
     the contact building existing unless ``require_contact`` is off.  Each
     trial's value is ``is_los`` on its city.
     """
+    _check_trials(trials)
     cx = start_contact_x(params, g, u) if require_contact else None
-    gx, gy = g
-
-    def referee(cities: _Cities) -> np.ndarray:
-        inside = (_in_bands(cities.west, cities.east, cities.nx, gx)
-                  & _in_bands(cities.south, cities.north, cities.ny, gy))
-        if inside.any():
-            raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
-        blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
-        return np.where(_blocking(*blocks, gx, gy, u).any(axis=1), 0.0, 1.0)
-
-    return _run_chunks(params, seed, trials, gy, cx, referee)
+    return _run_chunks(params, seed, trials, g[1], cx,
+                       lambda cities: np.where(_point_clear(cities, g, u), 1.0, 0.0))

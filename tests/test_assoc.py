@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
 from uavlos.assoc import (
@@ -11,8 +14,8 @@ from uavlos.assoc import (
     pair_score,
     realized_value,
 )
-from uavlos.env import Uav, UserMotion
-from uavlos.oracle import coverage_time, is_los, los_time
+from uavlos.env import GridParams, Uav, UserMotion, sample_grid_anchored
+from uavlos.oracle import _CHUNK, coverage_time, is_los, los_time
 
 
 def test_assignment_rejects_shared_platform():
@@ -159,3 +162,88 @@ def test_association_sweep_scores_each_pair_once_per_speed(monkeypatch):
     run_experiment(cfg, None, False)
     n_users, n_uavs = len(user_xs), 2 * len(user_xs)
     assert len(calls) == len(cfg.values) * n_users * n_uavs
+
+
+def _per_city_reference(params, users, uavs, trials, seed, fixed):
+    """(proposed, benchmark) per trial, one sampled city at a time."""
+    out = []
+    for i in range(trials):
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), users[0].y0,
+                                    params.mu_s)
+        bench = assign_nearest_los(users, uavs, grid)
+        out.append((realized_value(fixed, grid, users, uavs),
+                    realized_value(bench, grid, users, uavs)))
+    return out
+
+
+_PLATFORM = st.tuples(st.floats(-150.0, 150.0), st.floats(5.0, 150.0), st.booleans(),
+                      st.floats(20.0, 160.0), st.floats(30.0, 250.0))
+
+
+@settings(max_examples=25)
+@given(
+    preset=st.sampled_from([(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]),
+    seed=st.integers(0, 2**32 - 1),
+    y0=st.floats(-150.0, 150.0).filter(lambda y: y != 0.0),
+    xs=st.lists(st.floats(-150.0, 100.0), min_size=1, max_size=6),
+    platforms=st.lists(_PLATFORM, max_size=4),
+    own=st.tuples(st.floats(-150.0, 150.0), st.floats(0.0, 0.99), st.floats(20.0, 160.0),
+                  st.floats(30.0, 250.0)),
+    v=st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+    T=st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
+    trials=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+)
+def test_compare_policies_trials_equal_per_city_reference(
+    preset, seed, y0, xs, platforms, own, v, T, trials
+):
+    params = GridParams(*preset, 8.0)
+    users = [UserMotion(x, y0, v, T) for x in xs]
+    # platforms north and south of the street, with finite ranges, and one
+    # over the users' own street, whose start link no building can block
+    uavs = [Uav(x, y0 + dy if north else y0 - dy, h, r) for x, dy, north, h, r in platforms]
+    ox, frac, oh, orange = own
+    uavs.append(Uav(ox, y0 + frac * params.mu_s, oh, orange))
+    cmp = compare_policies(params, users, uavs, trials, seed)
+    ref = _per_city_reference(params, users, uavs, trials, seed, cmp.assignment)
+    assert cmp.proposed.values.tolist() == [a for a, _ in ref]
+    assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+
+
+def test_compare_policies_prefix_stable_across_chunk_boundary(urban):
+    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-170.0, -55.0)]
+    uavs = [Uav(x, 45.0, 100.0, link_range=130.0) for x in (-195.0, -110.0, -80.0, 5.0)]
+    long = compare_policies(urban, users, uavs, _CHUNK + 2, seed=4)
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        short = compare_policies(urban, users, uavs, n, seed=4)
+        assert np.array_equal(short.proposed.values, long.proposed.values[:n])
+        assert np.array_equal(short.benchmark.values, long.benchmark.values[:n])
+    # association draws are never rejected: one city per trial
+    for stats in (long.proposed, long.benchmark, long.difference):
+        assert stats.draws.tolist() == [1] * (_CHUNK + 2)
+
+
+def test_compare_policies_sums_each_trial_left_to_right(urban):
+    # a dozen served users per trial: a pairwise or blocked sum of their clear
+    # seconds rounds differently from the user-order sum of ``realized_value``
+    users = [UserMotion(-180.0 + 30.0 * i, 0.0, 7.0, 10.0) for i in range(12)]
+    uavs = [Uav(m.x0 + dx, 45.0, 60.0) for m in users for dx in (-20.0, 40.0)]
+    cmp = compare_policies(urban, users, uavs, 20, seed=2)
+    ref = _per_city_reference(urban, users, uavs, 20, 2, cmp.assignment)
+    assert cmp.proposed.values.tolist() == [a for a, _ in ref]
+    assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+
+
+def test_compare_policies_edge_cases(urban):
+    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-40.0, 10.0)]
+    uavs = [Uav(x, 45.0, 100.0) for x in (-20.0, 60.0)]
+    empty = compare_policies(urban, users, uavs, 0, seed=0)
+    assert empty.proposed.n == empty.benchmark.n == empty.difference.n == 0
+    assert empty.proposed.draws.tolist() == []
+    bare = compare_policies(urban, users, [], 3, seed=0)
+    assert bare.assignment.pairs == [None, None]
+    assert bare.proposed.values.tolist() == bare.benchmark.values.tolist() == [0.0] * 3
+    with pytest.raises(ValueError, match="^no users$"):
+        compare_policies(urban, [], uavs, 3, seed=0)
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -1$"):
+        compare_policies(urban, users, uavs, -1, seed=0)
+

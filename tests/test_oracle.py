@@ -415,6 +415,14 @@ def test_mc_prefix_stable_across_chunk_boundary(urban):
     assert monte_carlo_expected_los(urban, m, u, 0, 5).n == 0
 
 
+def test_mc_runners_reject_negative_trials(urban):
+    u = Uav(70.0, 45.0, 100.0)
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
+        monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, -2, 0)
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
+        monte_carlo_static_los(urban, (0.0, 0.0), u, -2, 0)
+
+
 def test_mc_walk_line_in_building_band_raises():
     # a street far narrower than the float spacing at y = 100 rounds away,
     # so the anchored cities put the walk line in a building band

@@ -41,6 +41,9 @@ def test_tracer_counts_one_call_of_each_workload_path():
         tracer.operation(lambda: uavlos.expected_los_total(params, motion, u))
         tracer.operation(lambda: uavlos.compare_policies(params, users, uavs, trials=3, seed=0))
         tracer.operation(lambda: uavlos.monte_carlo_expected_los(params, motion, u, 20, 0))
+        # the chunked referees call no single-city engine, so ask one directly
+        grid = uavlos.sample_grid_anchored(params, 0, 0.0, params.mu_s)
+        tracer.operation(lambda: uavlos.los_time(grid, motion, u))
     finally:
         tracer.uninstall()
     counts, pairs = dict(tracer.counts), len(tracer.pairs)
