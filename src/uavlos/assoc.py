@@ -252,7 +252,7 @@ def compare_policies(
     scores = _score_pairs(users, uavs, params, epsilon)
     fixed = _greedy(scores)
     candidates = _candidates(users, uavs)
-    proposed = np.array([-1 if k is None else k for k in fixed.pairs])
+    fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
     values = [np.empty((2, 0))]
     for chunk in _chunks(trials):
         cities = _join_cities(
@@ -266,7 +266,7 @@ def compare_policies(
                 clear[:, j, k] = _point_clear(cities, (m.x0, m.y0), uavs[k])
         bench = _nearest(candidates, clear)
         values.append(_realized(cities, users, uavs,
-                                np.stack([np.broadcast_to(proposed, bench.shape), bench])))
+                                np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))
     va, vb = np.concatenate(values, axis=1)
     draws = np.ones(trials, dtype=int)  # association draws are never rejected
     return PolicyComparison(TrialStats(va, draws), TrialStats(vb, draws), fixed, scores)
