@@ -22,8 +22,8 @@ price every contact of every segment in one call.  The error function is
 real line; the test suite pins it against high precision reference values.
 The difference of two nearly equal erf values is the one cancellation-prone
 spot, so ``erf_diff`` switches to a midpoint series there.  A ``CdfHeights``
-law has no array form: it is evaluated, and its void rate integrated, one
-element at a time.
+law has no array form: it is evaluated one element at a time, and its void
+rate integrated once per distinct (contact fraction, platform height) pair.
 """
 
 from __future__ import annotations
@@ -80,8 +80,10 @@ HeightModel = RayleighHeights | CdfHeights
 
 def _cdf(model: HeightModel, h):
     """Height CDF at a float or elementwise over an array."""
-    if isinstance(model, RayleighHeights) or np.ndim(h) == 0:
+    if isinstance(model, RayleighHeights):
         return model.cdf(h)
+    if np.ndim(h) == 0:
+        return model.cdf(float(h))
     return np.array([model.cdf(float(x)) for x in h])
 
 
@@ -95,13 +97,13 @@ def erf_diff(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     h = a - b
-    out = erf(a) - erf(b)
+    out = np.asarray(erf(a) - erf(b))
     near = np.abs(h) < 1e-5
-    if near.any():
+    if near.any():  # the series only where it is needed
+        a, b, h = np.broadcast_to(a, h.shape)[near], np.broadcast_to(b, h.shape)[near], h[near]
         m = 0.5 * (a + b)
         c2 = 2.0 * m * m - 1.0
-        series = _TWO_OVER_SQRT_PI * np.exp(-m * m) * h * (1.0 + c2 * h * h / 12.0)
-        out = np.where(near, series, out)
+        out[near] = _TWO_OVER_SQRT_PI * np.exp(-m * m) * h * (1.0 + c2 * h * h / 12.0)
     return out[()]
 
 
@@ -151,19 +153,23 @@ def _generic_rate(s: float, lam: float, model: HeightModel, height: float) -> fl
     return -lam * val
 
 
-def void_rate(s, lam: float, model: HeightModel, height: float):
+def void_rate(s, lam: float, model: HeightModel, height):
     """Nonpositive decay rate of the void probabilities past the contact at s.
 
-    ``s`` may be an array; the generic law then runs one quadrature per element.
+    ``s`` and ``height`` may be arrays; the generic law then runs one
+    quadrature per distinct (s, height) pair.
     """
     if isinstance(model, RayleighHeights):
         return _rayleigh_rate(s, lam, model.sigma, height)
-    if np.ndim(s) == 0:
-        return _generic_rate(float(s), lam, model, height)
-    return np.array([_generic_rate(float(q), lam, model, height) for q in s])
+    if np.ndim(s) == 0 and np.ndim(height) == 0:
+        return _generic_rate(float(s), lam, model, float(height))
+    s, height = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(height, dtype=float))
+    pairs, at = np.unique(np.stack([s.ravel(), height.ravel()]), axis=1, return_inverse=True)
+    rates = np.array([_generic_rate(q, lam, model, h) for q, h in pairs.T.tolist()])
+    return rates[at.ravel()].reshape(s.shape)
 
 
-def p_los_contact(s, span, lam: float, model: HeightModel, height: float):
+def p_los_contact(s, span, lam: float, model: HeightModel, height):
     """Clear probability for a contact at fraction s of a link with horizontal span.
 
     ``F(height * s) * exp(rate(s) * span)``, elementwise over arrays; span is

@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import GridParams, Uav, UrbanGrid, UserMotion, _Cities, _draw_anchored, _join_cities
-from .mobility import expected_los_total
+from .analytic import RayleighHeights
+from .mobility import EpochGeometry, _expected_los
 from .oracle import (
     TrialStats,
     _check_trials,
@@ -57,11 +58,7 @@ def pair_score(
     epsilon: float = 1e-3,
 ) -> float:
     """Expected clear seconds for one pair, over the in-range part of the walk."""
-    horizon = coverage_time(motion, u)
-    if horizon <= 0.0:
-        return 0.0
-    clipped = replace(motion, duration=horizon)
-    return expected_los_total(params, clipped, u, epsilon=epsilon).expected_time
+    return _score_pairs([motion], [u], params, epsilon)[0][0]
 
 
 def _score_pairs(
@@ -70,8 +67,21 @@ def _score_pairs(
     params: GridParams,
     epsilon: float,
 ) -> list[list[float]]:
-    """``pair_score`` of every user (row) with every platform (column)."""
-    return [[pair_score(params, m, u, epsilon) for u in uavs] for m in users]
+    """``pair_score`` of every user (row) with every platform (column).
+
+    Each walk is clipped to the time its platform stays in range (a pair
+    never in range gets an empty walk, so 0), and all pairs are priced in
+    one batched pass.
+    """
+    motions = [m for m in users for _ in uavs]
+    platforms = uavs * len(users)
+    geom = EpochGeometry.of(motions, platforms, params.mu_s, params.lam,
+                            RayleighHeights(params.sigma))
+    horizon = [coverage_time(m, u) for m, u in zip(motions, platforms)]
+    geom = replace(geom, duration=np.array(horizon, dtype=float))
+    scores = [r.expected_time for r in _expected_los(params, geom, epsilon)]
+    n = len(uavs)
+    return [scores[j * n:(j + 1) * n] for j in range(len(users))]
 
 
 def _greedy(scores: list[list[float]]) -> Assignment:
@@ -262,8 +272,9 @@ def compare_policies(
         )
         clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
         for j, m in enumerate(users):
-            for k in candidates[j]:
-                clear[:, j, k] = _point_clear(cities, (m.x0, m.y0), uavs[k])
+            if candidates[j]:
+                clear[:, j, candidates[j]] = _point_clear(cities, (m.x0, m.y0),
+                                                          [uavs[k] for k in candidates[j]])
         bench = _nearest(candidates, clear)
         values.append(_realized(cities, users, uavs,
                                 np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))

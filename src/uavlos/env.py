@@ -385,7 +385,9 @@ class _Cities:
     ``UrbanGrid.building_columns`` gives them), ``south`` and ``north`` its
     building rows, and ``heights`` its height matrix row-major.  ``nx`` and
     ``ny`` count the columns and rows of each city, and ``draws`` the city
-    draws it took.
+    draws it took.  ``col_city`` and ``row_city`` give the city of each
+    column and row, and ``first_col``, ``first_row`` and ``first_cell`` the
+    flat index of each city's first column, row and height.
     """
 
     west: np.ndarray
@@ -396,6 +398,11 @@ class _Cities:
     nx: np.ndarray
     ny: np.ndarray
     draws: np.ndarray
+    col_city: np.ndarray
+    row_city: np.ndarray
+    first_col: np.ndarray
+    first_row: np.ndarray
+    first_cell: np.ndarray
 
 
 def _draw_cities(
@@ -443,8 +450,11 @@ def _join_cities(cities: list[tuple[np.ndarray, ...]], draws: list[int]) -> _Cit
     _check_cells(np.concatenate([p[:-1] for p in yp]), north, south)
     heights = np.concatenate([h.ravel() for h in hs])
     _check_heights(heights)
-    return _Cities(west, east, south, north, heights, np.array([len(x) for x in xs]),
-                   np.array([len(y) for y in ys]), np.array(draws))
+    nx, ny = np.array([len(x) for x in xs]), np.array([len(y) for y in ys])
+    city = np.arange(len(nx))
+    return _Cities(west, east, south, north, heights, nx, ny, np.array(draws),
+                   np.repeat(city, nx), np.repeat(city, ny), np.cumsum(nx) - nx,
+                   np.cumsum(ny) - ny, np.cumsum(nx * ny) - nx * ny)
 
 
 # -- first contact geometry ---------------------------------------------------
@@ -469,16 +479,22 @@ def model_first_contact(
 
 
 def _slab_fracs(lo, hi, start, delta):
-    """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting)."""
+    """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting).
+
+    A run along the axis so small that a fraction overflows gives that
+    fraction as +-inf, its limit.
+    """
     if np.ndim(delta) == 0 and delta != 0.0:
-        a = (lo - start) / delta
-        b = (hi - start) / delta
+        with np.errstate(over="ignore"):
+            a = (lo - start) / delta
+            b = (hi - start) / delta
         return np.minimum(a, b), np.maximum(a, b)
     # a segment with delta 0 lies inside the slab at every fraction or at none
     inside = (lo <= start) & (start < hi)
     still = delta == 0.0
-    a = (lo - start) / np.where(still, 1.0, delta)
-    b = (hi - start) / np.where(still, 1.0, delta)
+    with np.errstate(over="ignore"):
+        a = (lo - start) / np.where(still, 1.0, delta)
+        b = (hi - start) / np.where(still, 1.0, delta)
     return (np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(a, b)),
             np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(a, b)))
 
@@ -527,18 +543,18 @@ def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBl
 # -- corner event sweep -------------------------------------------------------
 
 
-def corner_position(corner_x, u: Uav, y0: float, street_width: float):
+def corner_position(corner_x, ux, uy, y0, street_width: float):
     """User x at which the projected link sweeps onto a front-line corner.
 
     Similar triangles through the corner at (corner_x, y0 + street_width):
-    the ray from the platform through the corner meets the user's line y = y0
-    at the returned x.  The user reaches it before reaching corner_x itself.
-    Works elementwise on an array of corners.
+    the ray from the platform at (ux, uy) through the corner meets the user's
+    line y = y0 at the returned x.  The user reaches it before reaching
+    corner_x itself.  Works elementwise on arrays.
     """
-    dy = u.y - y0
-    if dy <= street_width:
+    dy = uy - y0
+    if _any(dy <= street_width):
         raise DegenerateGeometryError("platform not beyond the street's far line")
-    return u.x - (u.x - corner_x) * dy / (dy - street_width)
+    return ux - (ux - corner_x) * dy / (dy - street_width)
 
 
 def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentTable:
@@ -552,7 +568,8 @@ def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentTable:
     """
     w = grid.street_width_at_y(motion.y0)
     west, east = grid.building_columns()
-    return segment_table(west[None, :], east[None, :], motion, u, w)
+    return segment_table(west[None, :], east[None, :], motion.x0, motion.y0, motion.speed,
+                         motion.duration, u.x, u.y, w)
 
 
 KINDS = (FACE, WALL, OPEN)  # SegmentTable.kind indexes this tuple
@@ -590,59 +607,64 @@ class SegmentTable:
 
 
 def segment_table(
-    west: np.ndarray, east: np.ndarray, motion: UserMotion, u: Uav, street_width: float
+    west: np.ndarray, east: np.ndarray, x0, y0, speed, duration, ux, uy, street_width: float
 ) -> SegmentTable:
     """Segment plans of several far-side layouts at once, one per row.
 
     Row r of ``west`` and ``east`` holds the sorted west and east corners of
-    layout r.  Every corner passage inside the epoch is a boundary; each piece
-    between boundaries is classified by the front-line crossing at its
-    midpoint: on a building face, over a gap (wall segment, with the nearest
-    west wall ahead and east wall behind), or past every column (open).
-    Zero-length pieces are dropped and neighbours of the same kind merged;
-    two wall pieces merge only when they track the same walls.
+    layout r, seen by a user walking in +X from (x0[r], y0[r]) at speed[r]
+    for duration[r] seconds, linked to a platform at (ux[r], uy[r]), across a
+    street ``street_width`` wide; a scalar in place of any of these arrays
+    holds for every row.  Every corner passage inside the epoch is a
+    boundary; each piece between boundaries is classified by the front-line
+    crossing at its midpoint: on a building face, over a gap (wall segment,
+    with the nearest west wall ahead and east wall behind), or past every
+    column (open).  Zero-length pieces are dropped, except the one piece of
+    an epoch of length 0, and neighbours of the same kind merged; two wall
+    pieces merge only when they track the same walls.
     """
-    T = motion.duration
-    x0, y0, v = motion.x0, motion.y0, motion.speed
-    if u.y - y0 <= street_width:
-        raise DegenerateGeometryError("platform not beyond the street's far line")
     rows, cols = west.shape
+    v, T = speed, duration
     if cols == 0:
+        if _any(uy - y0 <= street_width):
+            raise DegenerateGeometryError("platform not beyond the street's far line")
         return SegmentTable.whole_epoch(rows, _OPEN, T)
-    if v == 0.0 or T == 0.0:
-        # one piece per layout, classified where the user stands
-        row, t0, t1 = np.arange(rows), np.zeros(rows), np.full(rows, T)
-        xc = np.full(rows, _front_cross(x0, y0, u, street_width))
-        k = np.count_nonzero(west <= xc[:, None], axis=1) - 1
-    else:
-        # corners interleave west, east, west, ... and their passages inherit
-        # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
-        # only zero-length pieces behind
-        corners = np.empty((rows, 2 * cols))
-        corners[:, 0::2] = west
-        corners[:, 1::2] = east
-        pos = corner_position(corners, u, y0, street_width)
-        with np.errstate(over="ignore"):  # a tiny v overflows only times that get pinned
-            times = np.where(pos <= x0, 0.0, np.where(pos >= x0 + v * T, T, (pos - x0) / v))
-        if (times[:, 1:] < times[:, :-1]).any():
-            times.sort(axis=1)
-        bounds = np.concatenate([np.zeros((rows, 1)), times, np.full((rows, 1), T)], axis=1)
-        keep = bounds[:, 1:] > bounds[:, :-1]
-        row, j = np.nonzero(keep)
-        t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
-        xc = _front_cross(x0 + v * 0.5 * (t0 + t1), y0, u, street_width)
-        # piece j runs between passages j - 1 and j, so its crossing lies
-        # in column (j - 1) // 2 up to rounding
-        k = (j - 1) // 2
+    # corners interleave west, east, west, ... and their passages inherit
+    # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
+    # only zero-length pieces behind, so a user standing still keeps one piece
+    corners = np.empty((rows, 2 * cols))
+    corners[:, 0::2] = west
+    corners[:, 1::2] = east
+    col = (slice(None), None)
+    pos = corner_position(corners, _at(ux, col), _at(uy, col), _at(y0, col), street_width)
+    start, end = _at(x0, col), _at(T, col)
+    # a tiny or zero speed overflows or divides only times that get pinned
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        times = np.where(pos <= start, 0.0, np.where(pos >= _at(x0 + v * T, col), end,
+                                                     (pos - start) / _at(v, col)))
+    if (times[:, 1:] < times[:, :-1]).any():
+        times.sort(axis=1)
+    bounds = np.empty((rows, 2 * cols + 2))
+    bounds[:, 0] = 0.0
+    bounds[:, 1:-1] = times
+    bounds[:, -1] = T
+    keep = bounds[:, 1:] > bounds[:, :-1]
+    if _any(T == 0.0):
+        keep[:, -1] |= T == 0.0
+    row, j = np.nonzero(keep)
+    t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
+    xc = _front_cross(_at(x0, row) + _at(v, row) * 0.5 * (t0 + t1), _at(y0, row), _at(ux, row),
+                      _at(uy, row), street_width)
+    # piece j runs between passages j - 1 and j, so its crossing lies in
+    # column (j - 1) // 2 up to rounding
+    k = (j - 1) // 2
 
     # columns padded with -inf and +inf: column k of a row sits at k + 1
-    wp = np.full((rows, cols + 2), math.inf)
-    wp[:, 0] = -math.inf
-    wp[:, 1:-1] = west
-    ep = np.full((rows, cols + 2), math.inf)
-    ep[:, 0] = -math.inf
-    ep[:, 1:-1] = east
-    wp, ep = wp.ravel(), ep.ravel()
+    padded = np.full((2, rows, cols + 2), math.inf)
+    padded[:, :, 0] = -math.inf
+    padded[0, :, 1:-1] = west
+    padded[1, :, 1:-1] = east
+    wp, ep = padded.reshape(2, -1)
     at = row * (cols + 2) + 1
     while True:  # step to the last west corner at or below the crossing
         up = wp[at + k + 1] <= xc
@@ -671,6 +693,23 @@ def segment_table(
     return SegmentTable(row[first], kind[first], t0[first], t1[last], ahead[first], back[first])
 
 
-def _front_cross(x_user, y0: float, u: Uav, street_width: float):
-    """X where the projected link crosses the building front line y = y0 + w (elementwise)."""
-    return x_user + (u.x - x_user) * street_width / (u.y - y0)
+def _at(a, index):
+    """a[index] for an array with one entry per row, a itself for a scalar
+    that holds for every row."""
+    return a[index] if isinstance(a, np.ndarray) else a
+
+
+def _any(mask) -> bool:
+    """Whether a per-row mask, or one truth value for every row, holds anywhere."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all(mask) -> bool:
+    """Whether a per-row mask, or one truth value for every row, holds everywhere."""
+    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _front_cross(x_user, y0, ux, uy, street_width: float):
+    """X where the link to a platform at (ux, uy) crosses the building front
+    line y = y0 + w (elementwise)."""
+    return x_user + (ux - x_user) * street_width / (uy - y0)

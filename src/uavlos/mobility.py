@@ -1,4 +1,4 @@
-"""Expected line-of-sight time of a moving user over one epoch.
+"""Expected line-of-sight time of moving users over one epoch.
 
 The epoch [0, T] splits into segments on which the first-contact side of the
 projected link does not change.  While the contact slides along a building
@@ -10,11 +10,16 @@ scalar ``WallSweep`` is kept alongside as the error reference).
 
 The epoch expectation weights per-crossing-count plans by a truncated
 Poisson law over the number of streets the user passes.  Evaluation is
-batched: the representative layouts of a block of crossing counts (a fixed
-COUNT_BLOCK of them, which bounds the memory of long epochs) are built
-together as one padded (count x corner) array (``env.segment_table``), every
-segment of every count lands in one flat ``SegmentTable``, face and wall
-segments are integrated as arrays, and ``np.bincount`` sums them per count.
+batched over (user-platform pair x crossing count) rows: ``EpochGeometry``
+holds the walk and platform of each row as arrays, the representative
+layouts of a block of rows (at most ROW_BLOCK of them, and fewer for long
+walks, so that a block holds about CELL_BLOCK padded corners, which bounds
+the memory of long epochs) are built together as one padded (row x corner)
+array (``env.segment_table``), every segment of every row lands in one flat
+``SegmentTable``, face and wall segments are integrated as arrays that read
+their row's parameters through ``SegmentTable.row``, and ``np.bincount``
+sums them per row.  One pair (``expected_los_total``) is a pass over its own
+rows; ``assoc`` prices a whole user x platform matrix in one pass.
 ``SegmentTable`` is the only plan type: a single plan, canonical
 (``canonical_plan``) or realized (``env.corner_events``), is a table of one
 row and goes through the same evaluator.  The Poisson weights start from
@@ -31,6 +36,7 @@ import numpy as np
 from .analytic import (
     HeightModel,
     RayleighHeights,
+    _cdf,
     p_los_contact,
     p_los_static,
     void_rate,
@@ -40,6 +46,8 @@ from .env import (
     _FACE,
     _WALL,
     KINDS,
+    _all,
+    _any,
     DegenerateGeometryError,
     SegmentTable,
     Uav,
@@ -50,7 +58,11 @@ from .env import (
 
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
 NUDGE = 1e-9  # relative node shift off a removable singular instant
-COUNT_BLOCK = 32  # crossing counts whose layouts are built and priced together
+# (pair x crossing count) rows whose layouts are built and priced together:
+# at most ROW_BLOCK, and fewer for long walks, whose layouts have many columns,
+# so that a block's padded layout holds about CELL_BLOCK corners at most
+ROW_BLOCK = 256
+CELL_BLOCK = 2**15
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 
 
@@ -80,17 +92,54 @@ def expected_los_x_segment(base, rate, v, t_len):
 
 @dataclass
 class EpochGeometry:
-    """Everything the segment evaluators need about one user-platform pair."""
+    """Everything the segment evaluators need about user-platform pairs, one row each.
 
-    motion: UserMotion
-    u: Uav
+    Row r is a user walking in +X from (x0[r], y0[r]) at speed[r] for
+    duration[r] seconds and a platform at (ux[r], uy[r]) at height[r].  When
+    the fields are scalars instead of arrays, one pair holds for every row.
+    Every user's street is ``street_width`` wide, and the city has axis
+    density ``lam`` and building heights drawn from ``model``.
+    """
+
+    x0: np.ndarray | float
+    y0: np.ndarray | float
+    speed: np.ndarray | float
+    duration: np.ndarray | float
+    ux: np.ndarray | float
+    uy: np.ndarray | float
+    height: np.ndarray | float
     street_width: float
     lam: float
     model: HeightModel
 
+    @classmethod
+    def pair(cls, motion: UserMotion, u: Uav, street_width: float, lam: float,
+             model: HeightModel) -> "EpochGeometry":
+        """One pair, holding for every row."""
+        return cls(motion.x0, motion.y0, motion.speed, motion.duration, u.x, u.y, u.height,
+                   street_width, lam, model)
+
+    @classmethod
+    def of(cls, motions: list[UserMotion], uavs: list[Uav], street_width: float, lam: float,
+           model: HeightModel) -> "EpochGeometry":
+        """Row r pairs motions[r] with uavs[r]."""
+        walks = np.array([(m.x0, m.y0, m.speed, m.duration) for m in motions], dtype=float)
+        platforms = np.array([(u.x, u.y, u.height) for u in uavs], dtype=float)
+        return cls(*walks.reshape(-1, 4).T.copy(), *platforms.reshape(-1, 3).T.copy(),
+                   street_width, lam, model)
+
+    def take(self, rows) -> "EpochGeometry":
+        """The geometry of the given rows (an index, index array, mask or slice);
+        a geometry that holds for every row is its own."""
+        if not isinstance(self.x0, np.ndarray):
+            return self
+        return EpochGeometry(self.x0[rows], self.y0[rows], self.speed[rows], self.duration[rows],
+                             self.ux[rows], self.uy[rows], self.height[rows], self.street_width,
+                             self.lam, self.model)
+
     @property
-    def dy(self) -> float:
-        return self.u.y - self.motion.y0
+    def dy(self) -> np.ndarray:
+        return self.uy - self.y0
 
 
 @dataclass
@@ -131,97 +180,111 @@ class WallSweep:
 
 
 def _nudged(node, t_len, t_sing):
-    """Shift quadrature nodes off the removable singular instant (nan: none)."""
+    """Shift quadrature nodes off the removable singular instant (nan or inf: none)."""
     eps = NUDGE * t_len
     shifted = np.where(node + eps <= t_len, node + eps, node - eps)
     return np.where(np.abs(node - t_sing) < eps, shifted, node)[()]
 
 
-def _wall_clear(u: Uav, y0: float, lam: float, model: HeightModel, x, ahead, back):
-    """Clear probability of a wall-pinned link with the user at x, elementwise.
+def _wall_clear(g: EpochGeometry, x, ahead, back):
+    """Clear probability of a wall-pinned link with the user at x, elementwise
+    along the last axis of x, whose entries belong to the rows of g.
 
     Array form of ``WallSweep.p``: the wall ahead while the user is west of
     the platform, the wall behind once past it; the contact fraction is
     taken along the better conditioned axis, as ``contact_ratio`` does.
+    The caller ignores division warnings: a user under the platform or a
+    link along the street divides by zero.
     """
-    dx = u.x - x
-    span_y = u.y - y0
+    dx = g.ux - x
+    span_y = g.uy - g.y0
     wall = np.where(dx > 0, ahead, np.where(dx < 0, back, math.nan))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_wall = (wall - x) / dx  # where the link meets the wall
-        s = s_wall
-        if span_y != 0.0:
-            s = np.where(np.abs(dx) < abs(span_y), ((y0 + span_y * s_wall) - y0) / span_y, s_wall)
+    s_wall = (wall - x) / dx  # where the link meets the wall
+    s = np.where(np.abs(dx) < abs(span_y), ((g.y0 + span_y * s_wall) - g.y0) / span_y, s_wall)
     hit = (s_wall > 0.0) & (s_wall <= 1.0) & (s > 0.0) & (s <= 1.0)
     p = np.ones(x.shape)
-    p[hit] = p_los_contact(s[hit], np.abs(dx[hit]) + abs(span_y), lam, model, u.height)
+    span = (np.abs(dx) + abs(span_y))[hit]
+    height = g.height
+    if isinstance(height, np.ndarray):
+        height = np.broadcast_to(height, x.shape)[hit]
+    p[hit] = p_los_contact(s[hit], span, g.lam, g.model, height)
     return p
 
 
-def _wall_integrals(u: Uav, y0: float, v: float, lam: float, model: HeightModel,
-                    x_start, t_len, ahead, back):
-    """Three point Simpson estimate of each wall segment's clear time."""
-    t_sing = (u.x - x_start) / v if v != 0.0 else math.nan
-    nodes = _nudged(_SIMPSON_NODES * t_len, t_len, t_sing)
-    p0, p1, p2 = _wall_clear(u, y0, lam, model, x_start + v * nodes, ahead, back)
+def _wall_integrals(geom: EpochGeometry, row, t_start, t_len, ahead, back):
+    """Three point Simpson estimate of each wall segment's clear time; segment
+    i belongs to row ``row[i]`` of geom."""
+    g = geom.take(row)
+    x_start = g.x0 + g.speed * t_start
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_sing = (g.ux - x_start) / g.speed  # +-inf or nan standing still: no such instant
+        nodes = _nudged(_SIMPSON_NODES * t_len, t_len, t_sing)
+        p0, p1, p2 = _wall_clear(g, x_start + g.speed * nodes, ahead, back)
     return np.where(t_len > 0.0, (t_len / 6.0) * (p0 + 4.0 * p1 + p2), 0.0)
 
 
-def _face_integrals(geom: EpochGeometry, t_start, t_len):
-    """Exact clear-time integral of each front-line sliding segment.
+def _face_integrals(geom: EpochGeometry, row, t_start, t_len):
+    """Exact clear-time integral of each front-line sliding segment; segment i
+    belongs to row ``row[i]`` of geom.
 
-    The contact fraction is the constant w/dy, so the first-building term and
-    the void rate are computed once; each segment starts from its own static
-    probability, which then decays while the user recedes from the platform
-    in x and grows while approaching, with an exact split at the instant the
-    user passes underneath.
+    The contact fraction of a pair is the constant w/dy, so one pair's
+    first-building term and void rate are computed once (and the generic
+    height law integrates once per distinct fraction and height); each
+    segment starts from its own static probability, which then decays while
+    the user recedes from the platform in x and grows while approaching,
+    with an exact split at the instant the user passes underneath.  A
+    platform over the user's own street (dy <= w) leaves no contact: always
+    clear.
     """
-    m, u = geom.motion, geom.u
-    if geom.dy <= geom.street_width:
-        return t_len.copy()  # no contact: always clear
-    s = geom.street_width / geom.dy
-    rate = void_rate(s, geom.lam, geom.model, u.height)
-    x_start = m.x0 + m.speed * t_start
-    base = geom.model.cdf(u.height * s) * np.exp(rate * (np.abs(u.x - x_start) + abs(geom.dy)))
-    if m.speed == 0.0:
-        return base * t_len
-    with np.errstate(over="ignore", invalid="ignore"):
-        t_star = (u.x - x_start) / m.speed
+    g = geom.take(row)
+    contact = g.dy > g.street_width
+    if not _all(contact):
+        out = t_len.copy()
+        if _any(contact):
+            out[contact] = _face_integrals(geom, row[contact], t_start[contact], t_len[contact])
+        return out
+    s = g.street_width / g.dy
+    rate = void_rate(s, g.lam, g.model, g.height)
+    v = g.speed
+    x_start = g.x0 + v * t_start
+    base = _cdf(g.model, g.height * s) * np.exp(rate * (np.abs(g.ux - x_start) + abs(g.dy)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t_star = (g.ux - x_start) / v
         approach = np.minimum(np.maximum(t_star, 0.0), t_len)  # up to the pass-under instant
         recede = t_len - approach
-        e1 = expected_los_x_segment(base, -rate, m.speed, approach)
-        base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, -rate, m.speed)
-        e2 = expected_los_x_segment(base_mid, rate, m.speed, recede)
-    return np.where(base > 0.0, e1 + e2, 0.0)
+        e1 = expected_los_x_segment(base, -rate, v, approach)
+        base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, -rate, v)
+        e2 = expected_los_x_segment(base_mid, rate, v, recede)
+    out = np.where(base > 0.0, e1 + e2, 0.0)
+    still = v == 0.0
+    return np.where(still, base * t_len, out) if _any(still) else out
 
 
 def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
-    """Expected clear seconds of every segment in the table.
+    """Expected clear seconds of every segment in the table, row r of the
+    table priced on row r of geom.
 
     Faces integrate in closed form, walls by the three point Simpson rule,
     open segments contribute their full length.
     """
-    m = geom.motion
     out = table.t_end - table.t_start
     face = table.kind == _FACE
     if face.any():
-        out[face] = _face_integrals(geom, table.t_start[face], out[face])
+        out[face] = _face_integrals(geom, table.row[face], table.t_start[face], out[face])
     wall = table.kind == _WALL
     if wall.any():
-        out[wall] = _wall_integrals(
-            geom.u, m.y0, m.speed, geom.lam, geom.model,
-            m.x0 + m.speed * table.t_start[wall], out[wall],
-            table.wall_x[wall], table.back_wall_x[wall],
-        )
+        out[wall] = _wall_integrals(geom, table.row[wall], table.t_start[wall], out[wall],
+                                    table.wall_x[wall], table.back_wall_x[wall])
     return out
 
 
 def expected_los_y_segment(sweep: WallSweep, t_len: float) -> float:
     """Three point Simpson estimate of the wall-segment clear time."""
-    return float(_wall_integrals(
-        sweep.u, sweep.y0, sweep.v, sweep.lam, sweep.model, np.array([sweep.x_start]),
-        np.array([t_len]), np.array([sweep.wall_ahead]), np.array([sweep.wall_back]),
-    )[0])
+    u = sweep.u
+    geom = EpochGeometry(sweep.x_start, sweep.y0, sweep.v, t_len, u.x, u.y, u.height, math.nan,
+                         sweep.lam, sweep.model)
+    return float(_wall_integrals(geom, np.zeros(1, dtype=int), np.zeros(1), np.array([t_len]),
+                                 np.array([sweep.wall_ahead]), np.array([sweep.wall_back]))[0])
 
 
 def expected_los_y_segment_reference(
@@ -247,7 +310,8 @@ def simpson_residual(sweep: WallSweep, t_len: float) -> float:
 
 
 def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: bool = False):
-    """Expected clear seconds over the whole epoch of a one-row segment table.
+    """Expected clear seconds over the whole epoch of a one-row segment table,
+    priced on the one pair of geom.
 
     Front-line segments integrate in closed form from a freshly evaluated
     start probability; wall segments take the 3 point Simpson rule; open
@@ -260,7 +324,7 @@ def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: boo
     total = float(np.bincount(table.row, weights=contrib, minlength=1)[0])
     if not detail:
         return total
-    m = geom.motion
+    g = geom.take(0)
     rows = []
     for k, t0, t1, ahead, back, c in zip(
         table.kind.tolist(), table.t_start.tolist(), table.t_end.tolist(),
@@ -268,8 +332,8 @@ def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: boo
     ):
         resid = 0.0
         if k == _WALL:
-            sweep = WallSweep(m.x0 + m.speed * t0, m.y0, m.speed, geom.u, geom.lam,
-                              geom.model, ahead, back)
+            sweep = WallSweep(g.x0 + g.speed * t0, g.y0, g.speed, Uav(g.ux, g.uy, g.height),
+                              g.lam, g.model, ahead, back)
             resid = simpson_residual(sweep, t1 - t0)
         rows.append((KINDS[k], t0, t1, c, resid))
     return total, rows
@@ -323,42 +387,42 @@ def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> 
     return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
 
 
-def _canonical_table(
-    mu_b: float,
-    mu_s: float,
-    motion: UserMotion,
-    u: Uav,
-    street_width: float,
-    counts: np.ndarray,
-) -> SegmentTable:
-    """Representative segment plans of several crossing counts, row i for counts[i].
+def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
+                     counts: np.ndarray) -> SegmentTable:
+    """Representative segment plans, row r for counts[r] crossings on row r of geom.
 
-    The columns of every layout are an arithmetic progression with the mean
-    period, so one common column range, wide enough for each count, serves
-    them all; surplus columns fall outside the epoch and change nothing.
+    The columns of a layout are an arithmetic progression with the mean
+    period.  Each row takes the column range its own walk needs, and rows
+    are padded to the widest by continuing their progressions: surplus
+    columns fall outside the epoch and change nothing.
     """
-    T = motion.duration
-    rows = len(counts)
-    if motion.speed == 0.0 or T == 0.0 or not counts.any():
-        return SegmentTable.whole_epoch(rows, _FACE, T)  # the contact never leaves its face
-    dy = u.y - motion.y0
-    if dy <= street_width:
-        raise DegenerateGeometryError("platform not beyond the street's far line")
+    T = geom.duration
     moving = counts > 0
-    t_first = T / (counts[moving] + 1.0)
-    enter_x = motion.x0 + motion.speed * t_first
-    first_west = u.x - (u.x - enter_x) * (dy - street_width) / dy
+    still = (geom.speed == 0.0) | (T == 0.0)
+    if _any(still):
+        moving &= np.logical_not(still)
+    if not moving.any():
+        return SegmentTable.whole_epoch(len(counts), _FACE, T)  # the contact never leaves its face
+    g, w = geom.take(moving), geom.street_width
+    dy = g.dy
+    if _any(dy <= w):
+        raise DegenerateGeometryError("platform not beyond the street's far line")
+    t_first = g.duration / (counts[moving] + 1.0)
+    enter_x = g.x0 + g.speed * t_first
+    first_west = g.ux - (g.ux - enter_x) * (dy - w) / dy
     period = mu_b + mu_s
 
-    xc0 = _front_cross(motion.x0, motion.y0, u, street_width)
-    xc1 = _front_cross(motion.x0 + motion.speed * T, motion.y0, u, street_width)
-    k_min = np.floor((min(xc0, xc1) - first_west) / period).min() - 1
-    k_max = np.ceil((max(xc0, xc1) - first_west) / period).max() + 1
-    west = np.full((rows, int(k_max - k_min) + 1), math.inf)
-    west[moving] = first_west[:, None] + period * np.arange(k_min, k_max + 1, dtype=float)
+    # the front-line crossing moves east with the user, from xc0 to xc1 up
+    # to rounding, which the margin of one column on either side absorbs
+    xc0 = _front_cross(g.x0, g.y0, g.ux, g.uy, w)
+    xc1 = _front_cross(g.x0 + g.speed * g.duration, g.y0, g.ux, g.uy, w)
+    k_min = np.floor((xc0 - first_west) / period) - 1
+    k_max = np.ceil((xc1 - first_west) / period) + 1
+    west = np.full((len(counts), int((k_max - k_min).max()) + 1), math.inf)
+    west[moving] = first_west[:, None] + period * (k_min[:, None] + np.arange(west.shape[1]))
     east = west + mu_b
-    west[~moving, 0] = -math.inf  # zero crossings: one face along the whole line
-    return segment_table(west, east, motion, u, street_width)
+    west[~moving, 0] = -math.inf  # no crossings: one face along the whole line
+    return segment_table(west, east, geom.x0, geom.y0, geom.speed, T, geom.ux, geom.uy, w)
 
 
 def canonical_plan(
@@ -380,7 +444,8 @@ def canonical_plan(
     """
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
-    return _canonical_table(mu_b, mu_s, motion, u, street_width, np.array([crossings]))
+    geom = EpochGeometry.pair(motion, u, street_width, math.nan, None)  # a layout reads no heights
+    return _canonical_table(mu_b, mu_s, geom, np.array([crossings]))
 
 
 @dataclass
@@ -400,6 +465,57 @@ class ExpectedLosResult:
     dropped_mass: float = 0.0
 
 
+def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedLosResult]:
+    """``expected_los_total`` of every pair of geom, whose streets are as wide
+    as the mean street width.
+
+    An empty epoch or a platform over the user's own street is settled
+    directly.  The other pairs expand into one row per crossing count, and
+    the rows are priced a block at a time on their canonical layouts.  The
+    Poisson weights are computed once per distinct lam v T, and each pair's
+    weighted sum is taken in count order.
+    """
+    T, dy, mu = (a.tolist() if isinstance(a, np.ndarray) else [a]
+                 for a in (geom.duration, geom.dy, geom.lam * geom.speed * geom.duration))
+    out: list[ExpectedLosResult | None] = [None] * len(T)
+    pmfs, live, sizes = {}, [], []
+    for p, (t, d, m) in enumerate(zip(T, dy, mu)):
+        if t == 0.0:
+            out[p] = ExpectedLosResult(0.0, 0, [], [], epsilon)
+        elif d <= geom.street_width:
+            # platform over the user's own street: the projection never leaves it
+            out[p] = ExpectedLosResult(t, 0, [t], [1.0], epsilon)
+        else:
+            if m not in pmfs:
+                pmfs[m] = _truncated_pmf(m, epsilon)
+            live.append(p)
+            sizes.append(len(pmfs[m][0]))
+    total = sum(sizes)
+    if len(live) == 1:  # one pair's geometry holds for all of its rows
+        rows, counts = geom.take(live[0]), np.arange(total)
+    else:
+        rows = geom.take(np.repeat(np.array(live, dtype=int), sizes))
+        counts = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # a layout spans about lam v T mean periods of its walk, plus margins
+    columns = max((mu[p] for p in live), default=0.0) + 4.0
+    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // columns)))
+    per_row = np.empty(total)
+    for lo in range(0, total, step):
+        block = slice(lo, lo + step)
+        g, c = rows.take(block), counts[block]
+        table = _canonical_table(params.mu_b, params.mu_s, g, c)
+        per_row[block] = np.bincount(table.row, weights=_segment_integrals(table, g),
+                                     minlength=len(c))
+    per_row, lo = per_row.tolist(), 0
+    for p, n in zip(live, sizes):
+        weights, dropped = pmfs[mu[p]]
+        per_count = per_row[lo:lo + n]
+        lo += n
+        expected = sum(wt * e for wt, e in zip(weights, per_count)) / sum(weights)
+        out[p] = ExpectedLosResult(expected, n - 1, per_count, list(weights), epsilon, dropped)
+    return out
+
+
 def expected_los_total(
     params,
     motion: UserMotion,
@@ -411,31 +527,9 @@ def expected_los_total(
 
     ``params`` supplies mu_b, mu_s, sigma and the derived axis density; the
     user's street is as wide as the mean street width.  Each count is
-    priced on its canonical representative layout, COUNT_BLOCK counts at a
-    time.
+    priced on its canonical representative layout; this is the one-pair
+    case of the batched pass that ``assoc`` runs over a whole score matrix.
     """
-    w = params.mu_s
     m = RayleighHeights(params.sigma) if model is None else model
-    lam = params.lam
-    T = motion.duration
-    geom = EpochGeometry(motion, u, w, lam, m)
-
-    if T == 0.0:
-        return ExpectedLosResult(0.0, 0, [], [], epsilon)
-    if u.y - motion.y0 <= w:
-        # platform over the user's own street: the projection never leaves it
-        return ExpectedLosResult(T, 0, [T], [1.0], epsilon)
-
-    weights, dropped = _truncated_pmf(lam * motion.speed * T, epsilon)
-    n_max = len(weights) - 1
-    per_count = np.empty(n_max + 1)
-    for first in range(0, n_max + 1, COUNT_BLOCK):
-        counts = np.arange(first, min(first + COUNT_BLOCK, n_max + 1))
-        table = _canonical_table(params.mu_b, params.mu_s, motion, u, w, counts)
-        per_count[counts] = np.bincount(
-            table.row, weights=_segment_integrals(table, geom), minlength=len(counts)
-        )
-    per_count = per_count.tolist()
-    wsum = sum(weights)
-    expected = sum(wt * e for wt, e in zip(weights, per_count)) / wsum
-    return ExpectedLosResult(expected, n_max, per_count, weights, epsilon, dropped)
+    return _expected_los(params, EpochGeometry.pair(motion, u, params.mu_s, params.lam, m),
+                         epsilon)[0]

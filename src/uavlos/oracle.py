@@ -252,7 +252,7 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
     gx, gy = g
     if u.y - gy <= params.mu_s:
         return None
-    cx = _front_cross(gx, gy, u, params.mu_s)
+    cx = _front_cross(gx, gy, u.x, u.y, params.mu_s)
     x_lo, x_hi, _, _ = params.box
     if not x_lo <= cx < x_hi:
         raise DegenerateGeometryError(
@@ -267,10 +267,10 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
 _CHUNK = 256
 
 
-def _in_bands(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray, c: float) -> np.ndarray:
-    """Per city, whether one of its building bands [lo, hi) on an axis holds c."""
-    city = np.repeat(np.arange(len(counts)), counts)
-    return np.bincount(city[(lo <= c) & (c < hi)], minlength=len(counts)) > 0
+def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float) -> np.ndarray:
+    """Per city, whether one of its building bands [lo, hi) on an axis holds c;
+    ``city`` gives the city of each band, and there are n cities."""
+    return np.bincount(city[(lo <= c) & (c < hi)], minlength=n) > 0
 
 
 def _box_blocks(cities: _Cities, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
@@ -281,26 +281,21 @@ def _box_blocks(cities: _Cities, x_lo: float, x_hi: float, y_lo: float, y_hi: fl
     nothing.
     """
     n = len(cities.nx)
-    col_city = np.repeat(np.arange(n), cities.nx)
-    row_city = np.repeat(np.arange(n), cities.ny)
     # edges ascend within a city, so the bands meeting an open interval form
     # one run, from the first band past the low end to the last below the high
-    i0 = np.bincount(col_city[cities.east <= x_lo], minlength=n)
-    i1 = np.bincount(col_city[cities.west < x_hi], minlength=n)
-    j0 = np.bincount(row_city[cities.north <= y_lo], minlength=n)
-    j1 = np.bincount(row_city[cities.south < y_hi], minlength=n)
+    i0 = np.bincount(cities.col_city[cities.east <= x_lo], minlength=n)
+    i1 = np.bincount(cities.col_city[cities.west < x_hi], minlength=n)
+    j0 = np.bincount(cities.row_city[cities.north <= y_lo], minlength=n)
+    j1 = np.bincount(cities.row_city[cities.south < y_hi], minlength=n)
     cols, rows = np.maximum(i1 - i0, 0), np.maximum(j1 - j0, 0)
     count = cols * rows
     slot = np.arange(count.max())
     valid = slot < count[:, None]
     i, j = np.divmod(slot, np.maximum(rows, 1)[:, None])
     i, j = i + i0[:, None], j + j0[:, None]
-    first_col = np.cumsum(cities.nx) - cities.nx
-    first_row = np.cumsum(cities.ny) - cities.ny
-    first_cell = np.cumsum(cities.nx * cities.ny) - cities.nx * cities.ny
-    col = np.where(valid, first_col[:, None] + i, 0)
-    row = np.where(valid, first_row[:, None] + j, 0)
-    cell = np.where(valid, first_cell[:, None] + i * cities.ny[:, None] + j, 0)
+    col = np.where(valid, cities.first_col[:, None] + i, 0)
+    row = np.where(valid, cities.first_row[:, None] + j, 0)
+    cell = np.where(valid, cities.first_cell[:, None] + i * cities.ny[:, None] + j, 0)
     height = np.where(valid, cities.heights[cell], -np.inf)
     return cities.west[col], cities.east[col], cities.south[row], cities.north[row], height
 
@@ -321,7 +316,7 @@ def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav) -> np.ndarray:
     T = motion.duration
     if T <= 0.0:
         return np.zeros(len(cities.nx))
-    if _in_bands(cities.south, cities.north, cities.ny, motion.y0).any():
+    if _in_bands(cities.south, cities.north, cities.row_city, len(cities.ny), motion.y0).any():
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
     blocks = _box_blocks(cities, *_walk_box(motion, u))
     if motion.speed == 0.0:
@@ -334,16 +329,21 @@ def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav) -> np.ndarray:
     return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
 
 
-def _point_clear(cities: _Cities, g: tuple[float, float], u: Uav) -> np.ndarray:
-    """Per city, whether the link from g is clear: ``is_los`` on that city,
-    for a chunk of cities at once."""
+def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np.ndarray:
+    """Per city (row) and platform (column), whether the link from g is clear:
+    ``is_los`` on that city, for a chunk of cities and several platforms at
+    once."""
     gx, gy = g
-    inside = (_in_bands(cities.west, cities.east, cities.nx, gx)
-              & _in_bands(cities.south, cities.north, cities.ny, gy))
+    n = len(cities.nx)
+    inside = (_in_bands(cities.west, cities.east, cities.col_city, n, gx)
+              & _in_bands(cities.south, cities.north, cities.row_city, n, gy))
     if inside.any():
         raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
-    blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
-    return ~_blocking(*blocks, gx, gy, u).any(axis=1)
+    clear = np.empty((n, len(uavs)), dtype=bool)
+    for k, u in enumerate(uavs):
+        blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
+        clear[:, k] = ~_blocking(*blocks, gx, gy, u).any(axis=1)
+    return clear
 
 
 def _run_chunks(params: GridParams, seed: int, trials: int, y_anchor: float,
@@ -401,4 +401,4 @@ def monte_carlo_static_los(
     _check_trials(trials)
     cx = start_contact_x(params, g, u) if require_contact else None
     return _run_chunks(params, seed, trials, g[1], cx,
-                       lambda cities: np.where(_point_clear(cities, g, u), 1.0, 0.0))
+                       lambda cities: np.where(_point_clear(cities, g, [u])[:, 0], 1.0, 0.0))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
+from uavlos.analytic import CdfHeights, RayleighHeights
 from uavlos.assoc import (
     Assignment,
+    _score_pairs,
     assign_max_expected_los,
     assign_nearest_los,
     compare_policies,
@@ -15,6 +18,13 @@ from uavlos.assoc import (
     realized_value,
 )
 from uavlos.env import GridParams, Uav, UserMotion, sample_grid_anchored
+from uavlos.mobility import (
+    ROW_BLOCK,
+    EpochGeometry,
+    _expected_los,
+    expected_los_total,
+    poisson_truncation_count,
+)
 from uavlos.oracle import _CHUNK, coverage_time, is_los, los_time
 
 
@@ -147,21 +157,88 @@ def test_association_sweep_scores_each_pair_once_per_speed(monkeypatch):
     import uavlos.assoc as assoc
     from uavlos.cli import ExperimentConfig, run_experiment
 
-    calls = []
-    real = assoc.pair_score
+    calls = []  # pairs handed to each batched pricing pass
+    real = assoc._expected_los
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(params, geom, epsilon):
+        calls.append(len(geom.x0))
+        return real(params, geom, epsilon)
 
-    monkeypatch.setattr(assoc, "pair_score", counted)
+    monkeypatch.setattr(assoc, "_expected_los", counted)
     user_xs = [-120.0, -40.0, 40.0]
     cfg = ExperimentConfig.from_dict(
         {"sweep": "association", "values": [2.0, 10.0], "trials": 2, "user_xs": user_xs}
     )
     run_experiment(cfg, None, False)
     n_users, n_uavs = len(user_xs), 2 * len(user_xs)
-    assert len(calls) == len(cfg.values) * n_users * n_uavs
+    assert sum(calls) == len(cfg.values) * n_users * n_uavs
+    assert len(calls) == len(cfg.values)
+
+
+_PRESETS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
+# walks on two streets, standing still or not, empty epochs or not
+_WALK = st.tuples(st.floats(-150.0, 150.0), st.sampled_from([0.0, 30.0]),
+                  st.one_of(st.just(0.0), st.floats(0.5, 30.0)),
+                  st.one_of(st.just(0.0), st.floats(0.5, 20.0)))
+# platforms north or south of the first street, in unlimited or finite range
+_SITE = st.tuples(st.floats(-150.0, 150.0), st.floats(5.0, 150.0), st.booleans(),
+                  st.floats(20.0, 160.0), st.one_of(st.just(math.inf), st.floats(30.0, 250.0)))
+# over the first street: the link never leaves it
+_OWN = st.tuples(st.floats(-150.0, 150.0), st.floats(0.0, 0.99), st.floats(20.0, 160.0),
+                 st.floats(30.0, 250.0))
+
+
+def _walks_and_platforms(params, walks, sites, own):
+    users = [UserMotion(*w) for w in walks]
+    uavs = [Uav(x, dy if north else -dy, h, r) for x, dy, north, h, r in sites]
+    ox, frac, oh, orange = own
+    return users, uavs + [Uav(ox, frac * params.mu_s, oh, orange)]
+
+
+@settings(max_examples=60)
+@given(preset=st.sampled_from(_PRESETS), walks=st.lists(_WALK, min_size=1, max_size=4),
+       sites=st.lists(_SITE, max_size=4), own=_OWN, eps=st.sampled_from([1e-3, 1e-6]))
+def test_score_matrix_equals_pair_scores(preset, walks, sites, own, eps):
+    params = GridParams(*preset, 8.0)
+    users, uavs = _walks_and_platforms(params, walks, sites, own)
+    scores = _score_pairs(users, uavs, params, eps)
+    assert scores == [[pair_score(params, m, u, eps) for u in uavs] for m in users]
+    for m, row in zip(users, scores):
+        for u, score in zip(uavs, row):
+            clipped = replace(m, duration=coverage_time(m, u))
+            assert score == expected_los_total(params, clipped, u, eps).expected_time
+
+
+_CDF = CdfHeights(lambda h: -math.expm1(-(h * h) / 128.0) if h > 0.0 else 0.0)
+
+
+@settings(max_examples=30)
+@given(preset=st.sampled_from(_PRESETS), walks=st.lists(_WALK, min_size=1, max_size=3),
+       sites=st.lists(_SITE, max_size=2), own=_OWN, cdf=st.booleans())
+def test_batched_pass_equals_single_pairs(preset, walks, sites, own, cdf):
+    # the batched pass over (pair x crossing count) rows against one call per
+    # pair, on either height law: every result field, bit for bit
+    params = GridParams(*preset, 8.0)
+    users, uavs = _walks_and_platforms(params, walks, sites, own)
+    model = _CDF if cdf else RayleighHeights(params.sigma)
+    motions = [m for m in users for _ in uavs]
+    platforms = uavs * len(users)
+    batched = _expected_los(params, EpochGeometry.of(motions, platforms, params.mu_s,
+                                                     params.lam, model), 1e-3)
+    assert batched == [expected_los_total(params, m, u, 1e-3, model)
+                       for m, u in zip(motions, platforms)]
+
+
+def test_score_matrix_with_a_long_epoch_across_blocks(urban):
+    # 7.5 min at 30 m/s: one pair alone has more crossing counts than a block
+    # holds, and its rows start at a block offset inside the matrix
+    users = [UserMotion(-100.0, 0.0, 5.0, 10.0), UserMotion(0.0, 0.0, 30.0, 450.0)]
+    uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0, link_range=2e4)]
+    assert poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1 > ROW_BLOCK
+    scores = _score_pairs(users, uavs, urban, 1e-3)
+    assert scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
+    clipped = replace(users[1], duration=coverage_time(users[1], uavs[1]))
+    assert scores[1][1] == expected_los_total(urban, clipped, uavs[1]).expected_time
 
 
 def _per_city_reference(params, users, uavs, trials, seed, fixed):

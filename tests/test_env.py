@@ -29,7 +29,8 @@ from uavlos.env import (
     _WALL,
     _front_cross,
 )
-from uavlos.mobility import _canonical_table
+from uavlos.analytic import RayleighHeights
+from uavlos.mobility import EpochGeometry, _canonical_table
 from uavlos.oracle import is_los
 
 
@@ -264,13 +265,13 @@ def test_first_block_side_hand_cases():
 )
 def test_corner_position_inverts_front_cross(corner, ux, uy, w):
     u = Uav(ux, uy, 100.0)
-    pos = corner_position(corner, u, 0.0, w)
-    assert math.isclose(_front_cross(pos, 0.0, u, w), corner, abs_tol=1e-6)
+    pos = corner_position(corner, u.x, u.y, 0.0, w)
+    assert math.isclose(_front_cross(pos, 0.0, u.x, u.y, w), corner, abs_tol=1e-6)
 
 
 def test_corner_position_needs_far_platform():
     with pytest.raises(DegenerateGeometryError):
-        corner_position(0.0, Uav(10.0, 5.0, 50.0), 0.0, 13.0)
+        corner_position(0.0, 10.0, 5.0, 0.0, 13.0)
 
 
 # -- segment plans -------------------------------------------------------------
@@ -317,7 +318,9 @@ _STREETS = st.sampled_from([10.0, 13.0, 20.0, 1e-300])
 )
 def test_canonical_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_b, mu_s, counts):
     m = UserMotion(x0, 0.0, speed, duration)
-    t = _canonical_table(mu_b, mu_s, m, Uav(ux, uy, 100.0), mu_s, np.array(counts))
+    geom = EpochGeometry.of([m] * len(counts), [Uav(ux, uy, 100.0)] * len(counts), mu_s,
+                            1.0 / (mu_b + mu_s), RayleighHeights(8.0))
+    t = _canonical_table(mu_b, mu_s, geom, np.array(counts))
     _assert_valid_plans(t, len(counts), duration)
 
 

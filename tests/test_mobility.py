@@ -195,7 +195,7 @@ def test_face_expectation_matches_dense_integral():
     u = Uav(50.0, 90.0, 100.0)
     m = UserMotion(-30.0, 0.0, 15.0, 10.0)
     w, lam = 13.0, 1.0 / 58.0
-    geom = EpochGeometry(m, u, w, lam, RAY)
+    geom = EpochGeometry.pair(m, u, w, lam, RAY)
     got = expected_los_piecewise(SegmentTable.whole_epoch(1, _FACE, m.duration), geom)
     ts = np.linspace(0.0, m.duration, 20001)
     ps = [p_los_static(m.position(float(t)), u, w, lam, RAY) for t in ts]
@@ -206,14 +206,14 @@ def test_face_expectation_matches_dense_integral():
 def test_open_segment_counts_full_length():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    geom = EpochGeometry(m, u, 13.0, 1.0 / 58.0, RAY)
+    geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
     assert expected_los_piecewise(SegmentTable.whole_epoch(1, _OPEN, 10.0), geom) == 10.0
 
 
 def test_piecewise_detail_rows_sum_to_total():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    geom = EpochGeometry(m, u, 13.0, 1.0 / 58.0, RAY)
+    geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
     plan = canonical_plan(45.0, 13.0, m, u, 13.0, 3)
     total, rows = expected_los_piecewise(plan, geom, detail=True)
     assert math.isclose(total, sum(contrib for *_, contrib, _ in rows), rel_tol=1e-12)
@@ -286,7 +286,7 @@ def test_batched_counts_match_single_plans(speed, duration, ux, uy, height, eps)
     m = UserMotion(-20.0, 0.0, speed, duration)
     u = Uav(ux, uy, height)
     r = expected_los_total(params, m, u, epsilon=eps)
-    geom = EpochGeometry(m, u, params.mu_s, params.lam, RAY)
+    geom = EpochGeometry.pair(m, u, params.mu_s, params.lam, RAY)
     for n, e in enumerate(r.per_count):
         plan = canonical_plan(params.mu_b, params.mu_s, m, u, params.mu_s, n)
         assert e == expected_los_piecewise(plan, geom)

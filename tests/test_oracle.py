@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from uavlos.env import (
     GridParams,
     Uav,
     UserInBuildingError,
+    UrbanGrid,
     UserMotion,
     _draw_cities,
+    _join_cities,
     sample_grid_anchored,
 )
 from uavlos.oracle import (
     _CHUNK,
+    _point_clear,
     TrialStats,
     coverage_time,
     is_los,
@@ -48,6 +52,23 @@ def test_is_los_hand_cases():
     assert is_los(make_single_block_grid(18.0), (0.0, 0.0), UAV)
     with pytest.raises(UserInBuildingError):
         is_los(tall, (10.0, 20.0), UAV)
+
+
+def test_subnormal_run_along_x_is_judged_without_warnings():
+    # one block [-2, 2] x [16, 24] of height 1000: the link to a platform at
+    # x = 5e-324 runs a subnormal distance along x, so its x-slab fractions
+    # overflow to -inf and +inf, their limits, and the block blocks it
+    grid = UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, np.array([-2.0, 2.0]),
+                     np.array([16.0, 24.0]), np.array([-2.0]), np.array([16.0]),
+                     np.array([[1000.0]]))
+    u = Uav(5e-324, 40.0, 50.0)
+    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
+                            grid.block_heights)], [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_los(grid, (0.0, 0.0), u) is False
+        assert _point_clear(cities, (0.0, 0.0), [u, UAV]).tolist() == [
+            [False, is_los(grid, (0.0, 0.0), UAV)]]
 
 
 def test_intervals_tall_block():

@@ -44,6 +44,11 @@ def test_tracer_counts_one_call_of_each_workload_path():
         # the chunked referees call no single-city engine, so ask one directly
         grid = uavlos.sample_grid_anchored(params, 0, 0.0, params.mu_s)
         tracer.operation(lambda: uavlos.los_time(grid, motion, u))
+        # compare_policies prices its score matrix in one batched pass, so
+        # score each pair once directly
+        for m in users:
+            for k in uavs:
+                tracer.operation(lambda: uavlos.assoc.pair_score(params, m, k))
     finally:
         tracer.uninstall()
     counts, pairs = dict(tracer.counts), len(tracer.pairs)
