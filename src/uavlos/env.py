@@ -655,30 +655,28 @@ def segment_table(
     t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
     xc = _front_cross(_at(x0, row) + _at(v, row) * 0.5 * (t0 + t1), _at(y0, row), _at(ux, row),
                       _at(uy, row), street_width)
-    # piece j runs between passages j - 1 and j, so its crossing lies in
-    # column (j - 1) // 2 up to rounding
-    k = (j - 1) // 2
-
     # columns padded with -inf and +inf: column k of a row sits at k + 1
     padded = np.full((2, rows, cols + 2), math.inf)
     padded[:, :, 0] = -math.inf
     padded[0, :, 1:-1] = west
     padded[1, :, 1:-1] = east
     wp, ep = padded.reshape(2, -1)
-    at = row * (cols + 2) + 1
+    # piece j runs between passages j - 1 and j, so its crossing lies in
+    # column (j - 1) // 2 up to rounding; k is that column's flat index
+    k = row * (cols + 2) + 1 + (j - 1) // 2
     while True:  # step to the last west corner at or below the crossing
-        up = wp[at + k + 1] <= xc
+        up = wp[k + 1] <= xc
         if not up.any():
             break
         k += up
     while True:
-        down = wp[at + k] > xc
+        down = wp[k] > xc
         if not down.any():
             break
         k -= down
-    west_k, east_k = wp[at + k], ep[at + k]
+    west_k, east_k = wp[k], ep[k]
     face = xc < east_k
-    ahead = np.where(face, math.inf, wp[at + k + 1 - (west_k == xc)])  # first west not below
+    ahead = np.where(face, math.inf, wp[k + 1 - (west_k == xc)])  # first west not below
     back = np.where(face, -math.inf, east_k)
     kind = np.where(face, _FACE, np.where(np.isinf(ahead) & np.isinf(back), _OPEN, _WALL))
 

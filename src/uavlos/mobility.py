@@ -62,7 +62,7 @@ NUDGE = 1e-9  # relative node shift off a removable singular instant
 # at most ROW_BLOCK, and fewer for long walks, whose layouts have many columns,
 # so that a block's padded layout holds about CELL_BLOCK corners at most
 ROW_BLOCK = 256
-CELL_BLOCK = 2**15
+CELL_BLOCK = 2**11
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 
 
@@ -416,10 +416,11 @@ def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
     # to rounding, which the margin of one column on either side absorbs
     xc0 = _front_cross(g.x0, g.y0, g.ux, g.uy, w)
     xc1 = _front_cross(g.x0 + g.speed * g.duration, g.y0, g.ux, g.uy, w)
-    k_min = np.floor((xc0 - first_west) / period) - 1
-    k_max = np.ceil((xc1 - first_west) / period) + 1
-    west = np.full((len(counts), int((k_max - k_min).max()) + 1), math.inf)
-    west[moving] = first_west[:, None] + period * (k_min[:, None] + np.arange(west.shape[1]))
+    k_lo = np.floor((xc0 - first_west) / period)
+    k_hi = np.ceil((xc1 - first_west) / period)
+    cols = int((k_hi - k_lo).max()) + 3
+    west = np.full((len(counts), cols), math.inf)
+    west[moving] = first_west[:, None] + period * (k_lo[:, None] + np.arange(-1, cols - 1))
     east = west + mu_b
     west[~moving, 0] = -math.inf  # no crossings: one face along the whole line
     return segment_table(west, east, geom.x0, geom.y0, geom.speed, T, geom.ux, geom.uy, w)
@@ -499,14 +500,13 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedL
     # a layout spans about lam v T mean periods of its walk, plus margins
     columns = max((mu[p] for p in live), default=0.0) + 4.0
     step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // columns)))
-    per_row = np.empty(total)
+    per_row = []
     for lo in range(0, total, step):
-        block = slice(lo, lo + step)
-        g, c = rows.take(block), counts[block]
+        g, c = rows.take(slice(lo, lo + step)), counts[lo:lo + step]
         table = _canonical_table(params.mu_b, params.mu_s, g, c)
-        per_row[block] = np.bincount(table.row, weights=_segment_integrals(table, g),
-                                     minlength=len(c))
-    per_row, lo = per_row.tolist(), 0
+        per_row += np.bincount(table.row, weights=_segment_integrals(table, g),
+                               minlength=len(c)).tolist()
+    lo = 0
     for p, n in zip(live, sizes):
         weights, dropped = pmfs[mu[p]]
         per_count = per_row[lo:lo + n]
