@@ -48,6 +48,7 @@ from .env import (
     KINDS,
     _all,
     _any,
+    _at,
     DegenerateGeometryError,
     SegmentTable,
     Uav,
@@ -493,16 +494,16 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedL
             sizes.append(len(pmfs[m][0]))
     total = sum(sizes)
     if len(live) == 1:  # one pair's geometry holds for all of its rows
-        rows, counts = geom.take(live[0]), np.arange(total)
+        pair, counts = live[0], np.arange(total)
     else:
-        rows = geom.take(np.repeat(np.array(live, dtype=int), sizes))
+        pair = np.repeat(np.array(live, dtype=int), sizes)
         counts = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # a layout spans about lam v T mean periods of its walk, plus margins
     columns = max((mu[p] for p in live), default=0.0) + 4.0
     step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // columns)))
     per_row = []
     for lo in range(0, total, step):
-        g, c = rows.take(slice(lo, lo + step)), counts[lo:lo + step]
+        g, c = geom.take(_at(pair, slice(lo, lo + step))), counts[lo:lo + step]
         table = _canonical_table(params.mu_b, params.mu_s, g, c)
         per_row += np.bincount(table.row, weights=_segment_integrals(table, g),
                                minlength=len(c)).tolist()
