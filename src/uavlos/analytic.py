@@ -97,14 +97,15 @@ def erf_diff(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     h = a - b
-    out = np.asarray(erf(a) - erf(b))
+    out = erf(a) - erf(b)
     near = np.abs(h) < 1e-5
     if near.any():  # the series only where it is needed
+        out = np.asarray(out)
         a, b, h = np.broadcast_to(a, h.shape)[near], np.broadcast_to(b, h.shape)[near], h[near]
         m = 0.5 * (a + b)
         c2 = 2.0 * m * m - 1.0
         out[near] = _TWO_OVER_SQRT_PI * np.exp(-m * m) * h * (1.0 + c2 * h * h / 12.0)
-    return out[()]
+    return out[()] if isinstance(out, np.ndarray) else out
 
 
 def _axis_ratio(c: float, p0: float, p1: float) -> float | None:

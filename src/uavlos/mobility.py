@@ -183,8 +183,11 @@ class WallSweep:
 def _nudged(node, t_len, t_sing):
     """Shift quadrature nodes off the removable singular instant (nan or inf: none)."""
     eps = NUDGE * t_len
+    close = np.abs(node - t_sing) < eps
+    if not close.any():
+        return node
     shifted = np.where(node + eps <= t_len, node + eps, node - eps)
-    return np.where(np.abs(node - t_sing) < eps, shifted, node)[()]
+    return np.where(close, shifted, node)[()]
 
 
 def _wall_clear(g: EpochGeometry, x, ahead, back):
@@ -480,7 +483,7 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedL
     T, dy, mu = (a.tolist() if isinstance(a, np.ndarray) else [a]
                  for a in (geom.duration, geom.dy, geom.lam * geom.speed * geom.duration))
     out: list[ExpectedLosResult | None] = [None] * len(T)
-    pmfs, live, sizes = {}, [], []
+    pmfs, live, sizes, top = {}, [], [], 0.0
     for p, (t, d, m) in enumerate(zip(T, dy, mu)):
         if t == 0.0:
             out[p] = ExpectedLosResult(0.0, 0, [], [], epsilon)
@@ -492,6 +495,7 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedL
                 pmfs[m] = _truncated_pmf(m, epsilon)
             live.append(p)
             sizes.append(len(pmfs[m][0]))
+            top = max(top, m)
     total = sum(sizes)
     if len(live) == 1:  # one pair's geometry holds for all of its rows
         pair, counts = live[0], np.arange(total)
@@ -499,8 +503,7 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedL
         pair = np.repeat(np.array(live, dtype=int), sizes)
         counts = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     # a layout spans about lam v T mean periods of its walk, plus margins
-    columns = max((mu[p] for p in live), default=0.0) + 4.0
-    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // columns)))
+    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // (top + 4.0))))
     per_row = []
     for lo in range(0, total, step):
         g, c = geom.take(_at(pair, slice(lo, lo + step))), counts[lo:lo + step]
