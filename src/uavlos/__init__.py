@@ -6,15 +6,12 @@ expectations, a ground-truth interval simulator, and association policies.
 from .env import (
     DegenerateGeometryError,
     DegenerateGridError,
-    FirstBlockSide,
     GridParams,
     Uav,
     UrbanGrid,
     UserInBuildingError,
     UserMotion,
     corner_events,
-    first_block_side,
-    model_first_contact,
     sample_grid,
     sample_grid_anchored,
 )

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .env import PARALLEL_Y, FirstBlockSide, Uav, model_first_contact
+from .env import Uav
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -108,34 +108,6 @@ def erf_diff(a, b):
     return out[()] if isinstance(out, np.ndarray) else out
 
 
-def _axis_ratio(c: float, p0: float, p1: float) -> float | None:
-    """Fractional position of c between p0 and p1, None when the span is 0."""
-    span = p1 - p0
-    if span == 0.0:
-        return None
-    return (c - p0) / span
-
-
-def contact_ratio(contact: FirstBlockSide, g: tuple[float, float], u: Uav) -> float | None:
-    """Fraction of the projected link at which the contact point sits.
-
-    Uses whichever axis has horizontal extent.  Returns None when the user
-    stands right under the platform (no 2D extent, nothing can intervene),
-    or when the contact does not fall strictly inside the link (behind the
-    user or past the platform), which also means no relevant contact.
-    """
-    sx = _axis_ratio(contact.x, g[0], u.x)
-    sy = _axis_ratio(contact.y, g[1], u.y)
-    s = sx if sx is not None else sy
-    if s is None:
-        return None
-    if abs(u.x - g[0]) < abs(u.y - g[1]) and sy is not None:
-        s = sy  # better conditioned axis
-    if not (0.0 < s <= 1.0):
-        return None
-    return s
-
-
 def _rayleigh_rate(s, lam: float, sigma: float, height: float):
     """Closed-form void rate: -lam * sqrt(pi/2) * (sigma/h) * [erf(c) - erf(c*s)]."""
     c = height / (_SQRT2 * sigma)
@@ -179,41 +151,20 @@ def p_los_contact(s, span, lam: float, model: HeightModel, height):
     return _cdf(model, height * s) * np.exp(void_rate(s, lam, model, height) * span)
 
 
-def wall_contact(g: tuple[float, float], u: Uav, wall_x: float) -> FirstBlockSide | None:
-    """Contact of the projected link with the vertical wall at x = wall_x.
-
-    The crossing is recomputed exactly on the segment, so its X and Y
-    fractional positions coincide.  None when the link never reaches the
-    wall (wall behind the user or past the platform).
-    """
-    s = _axis_ratio(wall_x, g[0], u.x)
-    if s is None or not (0.0 < s <= 1.0):
-        return None
-    return FirstBlockSide(wall_x, g[1] + (u.y - g[1]) * s, PARALLEL_Y)
-
-
 def p_los_static(
-    g: tuple[float, float],
-    u: Uav,
-    street_width: float | None,
-    lam: float,
-    model: HeightModel,
-    contact: FirstBlockSide | None = None,
+    g: tuple[float, float], u: Uav, street_width: float, lam: float, model: HeightModel
 ) -> float:
     """Probability that the link from g to u is unobstructed, right now.
 
-    The contact defaults to the crossing of the building front line across
-    the user's street (street_width may be None only when a contact is passed
-    explicitly, as a caller tracking a west wall during a street-gap sweep
-    does).  No contact at all means nothing can obstruct: probability 1.
+    The user stands on the low edge of a street of the given width, so the
+    link meets the building front line across the street at fraction
+    ``street_width / dy``.  A platform over the user's own street
+    (dy <= street_width) leaves no contact at all: probability 1.
+    Raises ValueError unless street_width > 0.
     """
-    if contact is None:
-        if street_width is None:
-            raise ValueError("need a street width or an explicit contact")
-        contact = model_first_contact(g, u, street_width)
-        if contact is None:
-            return 1.0
-    s = contact_ratio(contact, g, u)
-    if s is None:
+    if not street_width > 0:
+        raise ValueError("street width must be positive")
+    dy = u.y - g[1]
+    if dy <= street_width:
         return 1.0
-    return p_los_contact(s, abs(u.x - g[0]) + abs(u.y - g[1]), lam, model, u.height)
+    return p_los_contact(street_width / dy, abs(u.x - g[0]) + abs(dy), lam, model, u.height)

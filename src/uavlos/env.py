@@ -19,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PARALLEL_X = "parallel_x"  # crossed side runs along the X axis (a front face)
-PARALLEL_Y = "parallel_y"  # crossed side runs along the Y axis (a west/east wall)
-
 GRID_FORMAT = "uavlos-grid-v1"
 
 
@@ -107,15 +104,6 @@ class UserMotion:
 
     def position(self, t: float) -> tuple[float, float]:
         return (self.x0 + self.speed * t, self.y0)
-
-
-@dataclass
-class FirstBlockSide:
-    """First building edge crossed by the projected ground-to-air link."""
-
-    x: float
-    y: float
-    orientation: str  # PARALLEL_X or PARALLEL_Y
 
 
 FACE = "face"  # first contact slides along a building front line (parallel X)
@@ -457,25 +445,7 @@ def _join_cities(cities: list[tuple[np.ndarray, ...]], draws: list[int]) -> _Cit
                    np.cumsum(ny) - ny, np.cumsum(nx * ny) - nx * ny)
 
 
-# -- first contact geometry ---------------------------------------------------
-
-
-def model_first_contact(
-    g: tuple[float, float], u: Uav, street_width: float
-) -> FirstBlockSide | None:
-    """First contact implied by the street geometry alone.
-
-    The user stands on the low edge of a street of the given width and the
-    building line across the street is at y = y0 + width.  Returns the
-    crossing of that line (a side parallel to the X axis), or None when the
-    link projection never leaves the street band, which means no contact.
-    """
-    x0, y0 = g
-    dy = u.y - y0
-    if dy <= street_width:
-        return None
-    s = street_width / dy
-    return FirstBlockSide(x0 + (u.x - x0) * s, y0 + street_width, PARALLEL_X)
+# -- slab intersection --------------------------------------------------------
 
 
 def _slab_fracs(lo, hi, start, delta):
@@ -497,47 +467,6 @@ def _slab_fracs(lo, hi, start, delta):
         b = (hi - start) / np.where(still, 1.0, delta)
     return (np.where(still, np.where(inside, -np.inf, np.inf), np.minimum(a, b)),
             np.where(still, np.where(inside, np.inf, -np.inf), np.maximum(a, b)))
-
-
-def first_block_side(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> FirstBlockSide | None:
-    """First building-footprint edge crossed by the projected link, if any.
-
-    Pure 2D sweep over the realized grid, heights play no role here.  A block
-    is entered at the later of its two slab entries t, when 0 < t <= 1 and t
-    is strictly below both slab exits, so footprints are half-open as in
-    ``oracle.is_los`` and a link that only grazes a corner enters nothing.
-    The earliest entry wins, the first block on a tie, and an x/y entry tie
-    (a corner the link passes through) counts as the wall.  Raises
-    UserInBuildingError when g is inside a footprint, DegenerateGeometryError
-    when the projection leaves the region before meeting any building edge.
-    """
-    x0, y0 = g
-    if grid.is_inside_building(x0, y0):
-        raise UserInBuildingError(f"ground position {g} is inside a building")
-    x1, y1 = u.x, u.y
-    w, e, s, n, _ = grid.blocks_overlapping(
-        min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)
-    )
-    dx, dy = x1 - x0, y1 - y0
-    sx_lo, sx_hi = _slab_fracs(w, e, x0, dx)
-    sy_lo, sy_hi = _slab_fracs(s, n, y0, dy)
-    t = np.maximum(sx_lo, sy_lo)
-    entered = (t > 0.0) & (t < np.minimum(sx_hi, sy_hi)) & (t <= 1.0)
-    if entered.any():
-        i = int(np.argmin(np.where(entered, t, np.inf)))
-        ti = float(t[i])
-        orient = PARALLEL_X if sy_lo[i] > sx_lo[i] else PARALLEL_Y
-        return FirstBlockSide(x0 + ti * dx, y0 + ti * dy, orient)
-    x_lo, x_hi, y_lo, y_hi = grid.params.box
-    inside = (
-        x_lo <= min(x0, x1) and max(x0, x1) <= x_hi
-        and y_lo <= min(y0, y1) and max(y0, y1) <= y_hi
-    )
-    if not inside:
-        raise DegenerateGeometryError(
-            "projection leaves the modeled region before any building edge"
-        )
-    return None
 
 
 # -- corner event sweep -------------------------------------------------------

@@ -38,9 +38,7 @@ from .analytic import (
     RayleighHeights,
     _cdf,
     p_los_contact,
-    p_los_static,
     void_rate,
-    wall_contact,
 )
 from .env import (
     _FACE,
@@ -151,8 +149,8 @@ class WallSweep:
     x: ahead of it the west corner ``wall_ahead``, behind it the east corner
     ``wall_back``.  A missing wall is +inf ahead and -inf behind, as in
     ``SegmentTable``; a missing or unreachable wall means no contact, so the
-    clear probability there is 1.  ``p`` is the scalar reference form, built
-    on ``p_los_static``.
+    clear probability there is 1, as it is with the user under the platform.
+    ``p`` is the scalar reference form of ``_wall_clear``.
     """
 
     x_start: float
@@ -166,12 +164,15 @@ class WallSweep:
 
     def p(self, tau: float) -> float:
         x_t = self.x_start + self.v * tau
-        wall = self.wall_ahead if self.u.x > x_t else self.wall_back
-        # no contact when the wall is out of reach or the user is under the platform
-        c = wall_contact((x_t, self.y0), self.u, wall)
-        if c is None:
+        dx, dy = self.u.x - x_t, self.u.y - self.y0
+        if dx == 0.0:
             return 1.0
-        return p_los_static((x_t, self.y0), self.u, None, self.lam, self.model, contact=c)
+        s_wall = ((self.wall_ahead if dx > 0.0 else self.wall_back) - x_t) / dx
+        # the better conditioned axis, through the contact's y as ``_wall_clear`` rounds it
+        s =((self.y0 + dy * s_wall) - self.y0) / dy if abs(dx) < abs(dy) else s_wall
+        if not (0.0 < s_wall <= 1.0 and 0.0 < s <= 1.0):
+            return 1.0
+        return p_los_contact(s, abs(dx) + abs(dy), self.lam, self.model, self.u.height)
 
     def singular_time(self) -> float:
         """Instant the user passes under the platform's x; nan when standing still."""
@@ -196,7 +197,8 @@ def _wall_clear(g: EpochGeometry, x, ahead, back):
 
     Array form of ``WallSweep.p``: the wall ahead while the user is west of
     the platform, the wall behind once past it; the contact fraction is
-    taken along the better conditioned axis, as ``contact_ratio`` does.
+    taken along the better conditioned axis (y when the link runs more
+    across the street than along it).
     The caller ignores division warnings: a user under the platform or a
     link along the street divides by zero.
     """
@@ -310,7 +312,8 @@ def expected_los_y_segment_reference(
 
 def simpson_residual(sweep: WallSweep, t_len: float) -> float:
     """Absolute gap between the 3 point rule and the dense reference."""
-    return abs(expected_los_y_segment(sweep, t_len) - expected_los_y_segment_reference(sweep, t_len))
+    dense = expected_los_y_segment_reference(sweep, t_len)
+    return abs(expected_los_y_segment(sweep, t_len) - dense)
 
 
 def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: bool = False):

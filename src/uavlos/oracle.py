@@ -10,8 +10,8 @@ block blocks on exactly one interval, bounded by the instants the window's
 two ends cross the block's west and east edges.  All blocks are solved at
 once as arrays and the clear intervals are the complement of their union;
 the Monte Carlo runners and the policy comparison in ``assoc`` apply the
-same algebra to the blocks of a whole chunk of sampled cities at once.  None of it reuses the closed-form
-machinery, so it can referee it.
+same algebra to the blocks of a whole chunk of sampled cities at once.
+None of it reuses the closed-form machinery, so it can referee it.
 """
 
 from __future__ import annotations

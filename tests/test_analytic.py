@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from uavlos.analytic import (
     CdfHeights,
     RayleighHeights,
-    contact_ratio,
     erf_diff,
     p_los_static,
     void_rate,
-    wall_contact,
 )
-from uavlos.env import PARALLEL_Y, FirstBlockSide, Uav
+from uavlos.env import Uav
 
 RAY = RayleighHeights(8.0)
 URBAN_LAM = 1.0 / 58.0
@@ -117,26 +115,6 @@ def test_void_rate_generic_path_matches_closed_form(s, height):
     assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-16)
 
 
-def test_contact_ratio_cases():
-    u = Uav(100.0, 50.0, 80.0)
-    c = FirstBlockSide(25.0, 12.5, "parallel_x")  # on the segment, quarter way
-    assert math.isclose(contact_ratio(c, (0.0, 0.0), u), 0.25)
-    # directly under the platform: no horizontal extent at all
-    assert contact_ratio(c, (100.0, 50.0), Uav(100.0, 50.0, 80.0)) is None
-    # contact behind the user
-    behind = FirstBlockSide(-10.0, -5.0, "parallel_x")
-    assert contact_ratio(behind, (0.0, 0.0), u) is None
-
-
-def test_wall_contact_geometry():
-    u = Uav(100.0, 50.0, 80.0)
-    c = wall_contact((0.0, 0.0), u, 40.0)
-    assert c.orientation == PARALLEL_Y
-    assert c.x == 40.0 and math.isclose(c.y, 20.0)
-    assert wall_contact((0.0, 0.0), u, -5.0) is None
-    assert wall_contact((0.0, 0.0), u, 150.0) is None
-
-
 def test_p_static_frozen_values():
     p = p_los_static((0.0, 0.0), Uav(120.0, 90.0, 100.0), 13.0, URBAN_LAM, RAY)
     assert math.isclose(p, 0.7836167010195041, rel_tol=1e-13)
@@ -169,16 +147,12 @@ def test_p_static_no_contact_is_certain():
     assert p_los_static((0.0, 0.0), Uav(30.0, 8.0, 60.0), 13.0, URBAN_LAM, RAY) == 1.0
 
 
-def test_p_static_explicit_contact_overrides_street():
-    u = Uav(100.0, 50.0, 80.0)
-    c = wall_contact((0.0, 0.0), u, 40.0)
-    p = p_los_static((0.0, 0.0), u, None, URBAN_LAM, RAY, contact=c)
-    s = 0.4
-    p0 = RAY.cdf(u.height * s)
-    rate = void_rate(s, URBAN_LAM, RAY, u.height)
-    assert math.isclose(p, p0 * math.exp(rate * 150.0), rel_tol=1e-12)
+@pytest.mark.parametrize("w", [0.0, -13.0, math.nan])
+def test_p_static_rejects_a_street_width_that_is_not_positive(w):
+    # a zero width would put the contact at the user's feet (probability 0)
+    # and a NaN one would return NaN; both are refused at the boundary
     with pytest.raises(ValueError):
-        p_los_static((0.0, 0.0), u, None, URBAN_LAM, RAY)
+        p_los_static((0.0, 0.0), Uav(120.0, 90.0, 100.0), w, URBAN_LAM, RAY)
 
 
 @given(

@@ -10,8 +10,6 @@ from uavlos.env import (
     FACE,
     KINDS,
     OPEN,
-    PARALLEL_X,
-    PARALLEL_Y,
     WALL,
     DegenerateGeometryError,
     GridParams,
@@ -22,8 +20,6 @@ from uavlos.env import (
     UserMotion,
     corner_events,
     corner_position,
-    first_block_side,
-    model_first_contact,
     sample_grid,
     sample_grid_anchored,
     _WALL,
@@ -31,7 +27,6 @@ from uavlos.env import (
 )
 from uavlos.analytic import RayleighHeights
 from uavlos.mobility import EpochGeometry, _canonical_table
-from uavlos.oracle import is_los
 
 
 def test_params_derived_quantities(urban):
@@ -199,62 +194,6 @@ def test_is_inside_building(urban):
     assert g.is_inside_building(bx, by)
     sx = 0.5 * (g.x_points[0] + g.x_splits[0])
     assert not g.is_inside_building(sx, by)
-
-
-# -- first contact geometry ----------------------------------------------------
-
-
-def test_model_first_contact():
-    u = Uav(120.0, 90.0, 100.0)
-    c = model_first_contact((0.0, 0.0), u, 13.0)
-    # crossing of y = 13 on the segment to (120, 90): x = 120 * 13/90
-    assert c.orientation == PARALLEL_X
-    assert c.y == 13.0
-    assert math.isclose(c.x, 120.0 * 13.0 / 90.0)
-    assert model_first_contact((0.0, 0.0), Uav(120.0, 10.0, 100.0), 13.0) is None
-
-
-def test_first_block_side_hand_cases():
-    from conftest import make_single_block_grid
-
-    g = make_single_block_grid(30.0)
-    u = Uav(20.0, 40.0, 50.0)
-    # from (2, 0): bottom-face entry at parameter 0.4, x = 2 + 18*0.4 = 9.2
-    c = first_block_side(g, (2.0, 0.0), u)
-    assert c.orientation == PARALLEL_X
-    assert math.isclose(c.x, 9.2) and c.y == 16.0
-    # from (-5, 0): west-wall entry at parameter 13/25, y = 40 * 13/25 = 20.8
-    c = first_block_side(g, (-5.0, 0.0), u)
-    assert c.orientation == PARALLEL_Y
-    assert c.x == 8.0 and math.isclose(c.y, 20.8)
-    # from (-12, 0) the projection passes north-west of the block entirely
-    assert first_block_side(g, (-12.0, 0.0), u) is None
-    with pytest.raises(UserInBuildingError):
-        first_block_side(g, (10.0, 20.0), u)
-    # x and y entries tie at the south-west corner: the wall wins
-    c = first_block_side(g, (0.0, 0.0), Uav(16.0, 32.0, 50.0))
-    assert (c.x, c.y, c.orientation) == (8.0, 16.0, PARALLEL_Y)
-    # a link that only grazes the south-east corner (12, 16) enters nothing,
-    # as is_los sees it even over the tallest block
-    tall = make_single_block_grid(1000.0)
-    assert first_block_side(tall, (0.0, 0.0), Uav(24.0, 32.0, 50.0)) is None
-    assert is_los(tall, (0.0, 0.0), Uav(24.0, 32.0, 50.0))
-    # a link with dx = 0 inside the x slab enters through the front face
-    c = first_block_side(g, (10.0, 0.0), Uav(10.0, 40.0, 50.0))
-    assert (c.x, c.y, c.orientation) == (10.0, 16.0, PARALLEL_X)
-    # a link with dy = 0 inside the y slab enters through the west wall
-    c = first_block_side(g, (0.0, 20.0), Uav(40.0, 20.0, 50.0))
-    assert (c.x, c.y, c.orientation) == (8.0, 20.0, PARALLEL_Y)
-    # a link starting on the north edge crosses no entry edge
-    assert first_block_side(g, (10.0, 24.0), Uav(10.0, -40.0, 50.0)) is None
-    # a link that leaves the region without meeting a block
-    with pytest.raises(DegenerateGeometryError):
-        first_block_side(g, (0.0, 0.0), Uav(0.0, 300.0, 50.0))
-    # of two blocks on the link, the nearer one is met first
-    two = UrbanGrid(g.params, 0, np.array([8.0, 12.0, 20.0]), np.array([16.0, 24.0]),
-                    np.array([8.0, 16.0]), np.array([16.0]), np.array([[30.0], [30.0]]))
-    c = first_block_side(two, (0.0, 20.0), Uav(40.0, 20.0, 50.0))
-    assert (c.x, c.y, c.orientation) == (8.0, 20.0, PARALLEL_Y)
 
 
 @given(

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static
+from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static, void_rate
+from uavlos.cli import PRESETS
 from uavlos.env import _FACE, _OPEN, KINDS, GridParams, SegmentTable, Uav, UserMotion
 from uavlos.mobility import (
     EpochGeometry,
@@ -79,15 +80,35 @@ def _gap_sweep() -> tuple[WallSweep, float]:
 
 
 def test_wall_sweep_matches_static_probability():
-    from uavlos.analytic import wall_contact
-
+    # the link from (x, 0) to (120, 90) meets the wall x = 40 at fraction
+    # s = (40 - x)/(120 - x) of a horizontal span (120 - x) + 90; the last
+    # instant puts the user at x = 34, where the link runs more along y
     sweep, _ = _gap_sweep()
-    u = Uav(120.0, 90.0, 100.0)
-    for tau in (0.0, 0.7, 1.9):
-        g = (-20.0 + 15.0 * tau, 0.0)
-        c = wall_contact(g, u, 40.0)
-        expect = p_los_static(g, u, None, 1.0 / 58.0, RAY, contact=c)
+    h, lam = 100.0, 1.0 / 58.0
+    for tau in (0.0, 0.7, 1.9, 3.6):
+        x = -20.0 + 15.0 * tau
+        s = (40.0 - x) / (120.0 - x)
+        expect = RAY.cdf(h * s) * math.exp(void_rate(s, lam, RAY, h) * ((120.0 - x) + 90.0))
         assert math.isclose(sweep.p(tau), expect, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("u", [Uav(120.0, 90.0, 100.0), Uav(30.0, 90.0, 100.0)])
+@pytest.mark.parametrize(
+    "at, ahead, back",  # the user's and the walls' x, relative to the platform's x
+    [
+        (0.0, 5.0, -10.0),  # the user right under the platform
+        (-120.0, -125.0, -math.inf),  # the wall ahead is behind the user
+        (-120.0, 30.0, -math.inf),  # the wall ahead is past the platform
+        (-120.0, math.inf, -math.inf),  # no wall ahead
+        (60.0, math.inf, -math.inf),  # past the platform, no wall behind
+        (60.0, math.inf, 80.0),  # the wall behind is behind the user
+        (60.0, math.inf, -80.0),  # the wall behind is past the platform
+    ],
+)
+def test_wall_sweep_without_contact_is_certain(u, at, ahead, back):
+    sweep = WallSweep(u.x + at, 0.0, 15.0, u, 1.0 / 58.0, RAY, wall_ahead=u.x + ahead,
+                      wall_back=u.x + back)
+    assert sweep.p(0.0) == 1.0
 
 
 def test_y_segment_simpson_uses_the_reference_probability():
@@ -311,6 +332,28 @@ def test_expected_total_static_user_reduces_to_point_probability(urban):
     p = p_los_static((0.0, 0.0), u, 13.0, urban.lam, RAY)
     assert math.isclose(r.expected_time, p * 10.0, rel_tol=1e-12)
     assert r.truncation_count == 0
+
+
+@settings(max_examples=200)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    sigma=st.floats(2.0, 20.0),
+    ux=st.floats(-300.0, 300.0),
+    beyond=st.floats(0.01, 300.0),
+    h=st.floats(1.0, 300.0),
+    x0=st.floats(-300.0, 300.0),
+    T=st.floats(0.01, 20.0),
+)
+def test_standing_still_equals_duration_times_point_probability(preset, sigma, ux, beyond, h,
+                                                                x0, T):
+    # both sides price the same contact fraction w/dy over the same span,
+    # so the reduction holds to the last bit
+    _, mu_b, mu_s = PRESETS[preset]
+    params = GridParams(mu_b, mu_s, sigma)
+    u = Uav(ux, mu_s + beyond, h)
+    r = expected_los_total(params, UserMotion(x0, 0.0, 0.0, T), u)
+    p = p_los_static((x0, 0.0), u, params.mu_s, params.lam, RayleighHeights(params.sigma))
+    assert r.expected_time == T * p
 
 
 @given(speed=st.floats(0.0, 40.0), duration=st.floats(0.0, 12.0))

@@ -50,6 +50,9 @@ def test_is_los_hand_cases():
     # entry by the bottom face is at link fraction 16/40 = 0.4, so the link
     # clears any block below 50 * 0.4 = 20 everywhere in the shadow
     assert is_los(make_single_block_grid(18.0), (0.0, 0.0), UAV)
+    # footprints are half-open: a link that only grazes the south-east
+    # corner (12, 16) enters nothing, even over the tallest block
+    assert is_los(tall, (0.0, 0.0), Uav(24.0, 32.0, 50.0))
     with pytest.raises(UserInBuildingError):
         is_los(tall, (10.0, 20.0), UAV)
 
@@ -193,6 +196,18 @@ def test_intervals_graze_at_link_height_blocks():
     g = make_single_block_grid(20.0)
     assert _close(_exact(g, WALK, UAV), [(0.0, 15.0), (15.0 + 20.0 / 3.0, 25.0)])
     assert _exact(make_single_block_grid(20.0 - 1e-9), WALK, UAV) == [(0.0, 25.0)]
+
+
+def test_intervals_graze_at_a_corner_is_clear():
+    # to the platform at (24, 32) the link from x = 0 only grazes the
+    # south-east corner (12, 16) and the link from x = -40 only the
+    # north-west corner (8, 24); the tall block shadows exactly x in (-40, 0)
+    tall = make_single_block_grid(1000.0)
+    u = Uav(24.0, 32.0, 50.0)
+    assert _exact(tall, UserMotion(0.0, 0.0, 0.0, 9.0), u) == [(0.0, 9.0)]
+    assert _exact(tall, UserMotion(-40.0, 0.0, 0.0, 9.0), u) == [(0.0, 9.0)]
+    walk = UserMotion(-50.0, 0.0, 1.0, 60.0)
+    assert _close(_exact(tall, walk, u), [(0.0, 10.0), (50.0, 60.0)])
 
 
 PRESET_WIDTHS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
