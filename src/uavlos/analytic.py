@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erf
 
 from .env import Uav
@@ -120,6 +119,7 @@ def _generic_rate(s: float, lam: float, model: HeightModel, height: float) -> fl
     Integrates 1 - F(height * q) for q in [s, 1]; tolerance comfortably under
     the documented 1e-10 absolute.
     """
+    from scipy.integrate import quad  # imported here: it is most of ``import uavlos``
     val, _ = quad(
         lambda q: 1.0 - model.cdf(height * q), s, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200
     )

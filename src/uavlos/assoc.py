@@ -24,7 +24,9 @@ from .oracle import (
     TrialStats,
     _check_trials,
     _chunks,
+    _gathers,
     _point_clear,
+    _walk_box,
     _walk_clear,
     coverage_time,
     is_los,
@@ -227,15 +229,16 @@ def _realized(cities: _Cities, users: list[UserMotion], uavs: list[Uav],
               pairs: np.ndarray) -> np.ndarray:
     """``realized_value`` of the assignments ``pairs[..., t, :]`` (platform per
     user, -1 for none) on city t, bit for bit; each assigned pair's walk is
-    refereed once for the whole chunk."""
+    refereed once for the whole chunk, a user's walks sharing block gathers."""
     values = np.zeros(pairs.shape)
     for j, m in enumerate(users):
-        for k in np.unique(pairs[..., j]).tolist():
-            horizon = coverage_time(m, uavs[k]) if k >= 0 else 0.0
-            if horizon <= 0.0:
-                continue
-            clear = _walk_clear(cities, replace(m, duration=horizon), uavs[k])
-            values[..., j] = np.where(pairs[..., j] == k, clear, values[..., j])
+        walks = [(k, replace(m, duration=coverage_time(m, uavs[k])))
+                 for k in np.unique(pairs[..., j]).tolist() if k >= 0]
+        boxes = np.array([_walk_box(w, uavs[k]) for k, w in walks]).T
+        for part, _, blocks in _gathers(cities, boxes) if walks else []:
+            for k, w in walks[part]:
+                clear = _walk_clear(cities, w, uavs[k], blocks)
+                values[..., j] = np.where(pairs[..., j] == k, clear, values[..., j])
     # left to right over the users, as ``realized_value`` adds its pairs
     return np.cumsum(values, axis=-1)[..., -1]
 

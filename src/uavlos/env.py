@@ -454,7 +454,7 @@ def _slab_fracs(lo, hi, start, delta):
     A run along the axis so small that a fraction overflows gives that
     fraction as +-inf, its limit.
     """
-    if np.ndim(delta) == 0 and delta != 0.0:
+    if np.all(delta != 0.0):
         with np.errstate(over="ignore"):
             a = (lo - start) / delta
             b = (hi - start) / delta

@@ -4,14 +4,15 @@ Everything here works from the sampled city itself: a link is clear when no
 building on the ground-projected segment reaches the link's height where the
 segment enters its footprint.  For a walk the blocked instants of each block
 come in closed form: the walker moves along its street, so a block's y-slab
-and its height fix the window of link fractions where the link could meet
-it, and the link point at any fixed fraction moves linearly in time, so the
-block blocks on exactly one interval, bounded by the instants the window's
-two ends cross the block's west and east edges.  All blocks are solved at
-once as arrays and the clear intervals are the complement of their union;
-the Monte Carlo runners and the policy comparison in ``assoc`` apply the
-same algebra to the blocks of a whole chunk of sampled cities at once.
-None of it reuses the closed-form machinery, so it can referee it.
+and its height fix the window of link fractions where the link could meet it,
+and the link point at any fixed fraction moves linearly in time, so the block
+blocks on exactly one interval, bounded by the instants the window's two ends
+cross the block's west and east edges.  All blocks are solved at once as arrays
+and the clear intervals are the complement of their union; the Monte Carlo
+runners and the policy comparison in ``assoc`` apply the same algebra to the
+blocks of a whole chunk of sampled cities at once, links sharing each block
+gather (``_gathers``) masked to their own boxes.  None of it reuses the
+closed-form machinery, so it can referee it.
 """
 
 from __future__ import annotations
@@ -35,14 +36,21 @@ from .env import (
 )
 
 
-def _blocking(west, east, south, north, height, gx, gy, u: Uav) -> np.ndarray:
+def _blocking(west, east, south, north, height, gx, gy, ux, uy, uh) -> np.ndarray:
     """The static blockage test of ``is_los`` per block, elementwise over broadcast shapes."""
-    sx_lo, sx_hi = _slab_fracs(west, east, gx, u.x - gx)
-    sy_lo, sy_hi = _slab_fracs(south, north, gy, u.y - gy)
+    sx_lo, sx_hi = _slab_fracs(west, east, gx, ux - gx)
+    sy_lo, sy_hi = _slab_fracs(south, north, gy, uy - gy)
     s_in = np.maximum(sx_lo, sy_lo)
     s_out = np.minimum(sx_hi, sy_hi)
     crossed = (s_in < s_out) & (s_out > 0.0) & (s_in < 1.0)
-    return crossed & (height >= u.height * np.clip(s_in, 0.0, 1.0))
+    return crossed & (height >= uh * np.clip(s_in, 0.0, 1.0))
+
+
+def _within(blocks, x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
+    """The blocks, each one the box misses lowered to height -inf (blocks nothing)."""
+    west, east, south, north, height = blocks
+    near = (east > x_lo) & (west < x_hi) & (north > y_lo) & (south < y_hi)
+    return west, east, south, north, np.where(near, height, -np.inf)
 
 
 def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
@@ -60,7 +68,7 @@ def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     )
     if len(west) == 0:
         return True
-    return not bool(_blocking(west, east, south, north, height, gx, gy, u).any())
+    return not bool(_blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height).any())
 
 
 def _edge_times(edge: np.ndarray, s: np.ndarray, motion: UserMotion, u: Uav) -> np.ndarray:
@@ -176,7 +184,7 @@ def los_time_sampled(
     )
     gx = gx[:, None]
     near = (east > np.minimum(gx, u.x)) & (west < np.maximum(gx, u.x))
-    blocked = near & _blocking(west, east, south, north, height, gx, gy, u)
+    blocked = near & _blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height)
     hits = samples - int(np.count_nonzero(blocked.any(axis=1)))
     return T * hits / samples
 
@@ -266,6 +274,8 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
 # one stays cheap
 _CHUNK = 256
 
+_BROADCAST = 2**14  # most (city x link x block) elements that links judge on one gather
+
 
 def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float) -> np.ndarray:
     """Per city, whether one of its building bands [lo, hi) on an axis holds c;
@@ -273,31 +283,50 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float
     return np.bincount(city[(lo <= c) & (c < hi)], minlength=n) > 0
 
 
-def _box_blocks(cities: _Cities, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-    """(west, east, south, north, height) of the blocks of each city meeting
-    the box, as ``UrbanGrid.blocks_overlapping`` finds them, one row per city.
+def _box_runs(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
+    """Per city, the first column meeting the box and how many do, then the
+    same for rows; bounds given as arrays stand for the box holding them all."""
+    n = len(cities.nx)
+    # edges ascend within a city, so the bands meeting an open interval form
+    # one run, from the first band past the low end to the last below the high
+    i0 = np.bincount(cities.col_city[cities.east <= np.min(x_lo)], minlength=n)
+    i1 = np.bincount(cities.col_city[cities.west < np.max(x_hi)], minlength=n)
+    j0 = np.bincount(cities.row_city[cities.north <= np.min(y_lo)], minlength=n)
+    j1 = np.bincount(cities.row_city[cities.south < np.max(y_hi)], minlength=n)
+    return i0, np.maximum(i1 - i0, 0), j0, np.maximum(j1 - j0, 0)
+
+
+def _box_blocks(cities: _Cities, i0, cols, j0, rows):
+    """(west, east, south, north, height) of the blocks in the runs of
+    ``_box_runs``, as ``UrbanGrid.blocks_overlapping`` finds them, one row per city.
 
     Rows are padded to the longest with blocks of height -inf, which block
     nothing.
     """
-    n = len(cities.nx)
-    # edges ascend within a city, so the bands meeting an open interval form
-    # one run, from the first band past the low end to the last below the high
-    i0 = np.bincount(cities.col_city[cities.east <= x_lo], minlength=n)
-    i1 = np.bincount(cities.col_city[cities.west < x_hi], minlength=n)
-    j0 = np.bincount(cities.row_city[cities.north <= y_lo], minlength=n)
-    j1 = np.bincount(cities.row_city[cities.south < y_hi], minlength=n)
-    cols, rows = np.maximum(i1 - i0, 0), np.maximum(j1 - j0, 0)
     count = cols * rows
     slot = np.arange(count.max())
     valid = slot < count[:, None]
     i, j = np.divmod(slot, np.maximum(rows, 1)[:, None])
-    i, j = i + i0[:, None], j + j0[:, None]
-    col = np.where(valid, cities.first_col[:, None] + i, 0)
-    row = np.where(valid, cities.first_row[:, None] + j, 0)
-    cell = np.where(valid, cities.first_cell[:, None] + i * cities.ny[:, None] + j, 0)
+    col = np.where(valid, (cities.first_col + i0)[:, None] + i, 0)
+    row = np.where(valid, (cities.first_row + j0)[:, None] + j, 0)
+    first = cities.first_cell + i0 * cities.ny + j0
+    cell = np.where(valid, first[:, None] + i * cities.ny[:, None] + j, 0)
     height = np.where(valid, cities.heights[cell], -np.inf)
     return cities.west[col], cities.east[col], cities.south[row], cities.north[row], height
+
+
+def _gathers(cities: _Cities, boxes):
+    """(part, bounds, blocks) per consecutive group of the boxes (arrays of
+    bounds), with one ``_box_blocks`` gather for the box holding the group's.
+    A group has as many boxes as keep (city x box x block) within
+    ``_BROADCAST`` elements at the width of the gather for all the boxes, so
+    boxes spread wide each get their own gather."""
+    runs, n = _box_runs(cities, *boxes), len(boxes[0])
+    step = max(1, _BROADCAST // max(len(cities.nx) * (runs[1] * runs[3]).max(), 1))
+    for k in range(0, n, step):
+        part = [b[k:k + step] for b in boxes]
+        yield slice(k, k + step), part, _box_blocks(
+            cities, *(runs if step >= n else _box_runs(cities, *part)))
 
 
 def _check_trials(trials: int) -> None:
@@ -310,17 +339,20 @@ def _chunks(trials: int) -> list[range]:
     return [range(first, min(first + _CHUNK, trials)) for first in range(0, trials, _CHUNK)]
 
 
-def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav) -> np.ndarray:
+def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav, blocks=None) -> np.ndarray:
     """Per city, the clear seconds of the walk: ``los_time`` on that city,
-    bit for bit, for a chunk of cities at once."""
+    bit for bit, for a chunk of cities at once; ``blocks``, if given, is a
+    gather that holds the walk's box, masked here to that box."""
     T = motion.duration
     if T <= 0.0:
         return np.zeros(len(cities.nx))
     if _in_bands(cities.south, cities.north, cities.row_city, len(cities.ny), motion.y0).any():
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-    blocks = _box_blocks(cities, *_walk_box(motion, u))
+    box = _walk_box(motion, u)
+    blocks = _within(blocks, *box) if blocks else _box_blocks(cities, *_box_runs(cities, *box))
     if motion.speed == 0.0:
-        return np.where(_blocking(*blocks, motion.x0, motion.y0, u).any(axis=1), 0.0, T)
+        blocked = _blocking(*blocks, motion.x0, motion.y0, u.x, u.y, u.height).any(axis=1)
+        return np.where(blocked, 0.0, T)
     start, end, hit = _blocked_spans(*blocks, motion, u)
     start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
     lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
@@ -332,17 +364,20 @@ def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav) -> np.ndarray:
 def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np.ndarray:
     """Per city (row) and platform (column), whether the link from g is clear:
     ``is_los`` on that city, for a chunk of cities and several platforms at
-    once."""
+    once, from one gather per group of platforms (``_gathers``), masked per link."""
     gx, gy = g
     n = len(cities.nx)
     inside = (_in_bands(cities.west, cities.east, cities.col_city, n, gx)
               & _in_bands(cities.south, cities.north, cities.row_city, n, gy))
     if inside.any():
         raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
+    ux, uy, uh = np.array([(u.x, u.y, u.height) for u in uavs]).T[:, :, None]
+    boxes = np.minimum(gx, ux), np.maximum(gx, ux), np.minimum(gy, uy), np.maximum(gy, uy)
     clear = np.empty((n, len(uavs)), dtype=bool)
-    for k, u in enumerate(uavs):
-        blocks = _box_blocks(cities, min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y))
-        clear[:, k] = ~_blocking(*blocks, gx, gy, u).any(axis=1)
+    for part, box, blocks in _gathers(cities, boxes):
+        blocks = [b[:, None, :] for b in blocks]
+        own = _within(blocks, *box) if len(box[0]) > 1 else blocks
+        clear[:, part] = ~_blocking(*own, gx, gy, ux[part], uy[part], uh[part]).any(axis=2)
     return clear
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +181,14 @@ def test_p_static_decays_with_span(dist):
         for x in (dist[0], dist[0] * 2.0)
     ]
     assert ps[1] <= ps[0]
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is most of the package's import time and only the
+    # quadrature path of ``void_rate`` needs it, so it loads on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, uavlos; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
 from uavlos.analytic import CdfHeights, RayleighHeights
+from uavlos import oracle
 from uavlos.assoc import (
     Assignment,
+    _realized,
     _score_pairs,
     assign_max_expected_los,
     assign_nearest_los,
@@ -17,7 +19,15 @@ from uavlos.assoc import (
     pair_score,
     realized_value,
 )
-from uavlos.env import GridParams, Uav, UserMotion, sample_grid_anchored
+from uavlos.env import (
+    GridParams,
+    Uav,
+    UrbanGrid,
+    UserMotion,
+    _draw_anchored,
+    _join_cities,
+    sample_grid_anchored,
+)
 from uavlos.mobility import (
     ROW_BLOCK,
     EpochGeometry,
@@ -25,7 +35,7 @@ from uavlos.mobility import (
     expected_los_total,
     poisson_truncation_count,
 )
-from uavlos.oracle import _CHUNK, coverage_time, is_los, los_time
+from uavlos.oracle import _CHUNK, _point_clear, coverage_time, is_los, los_time
 
 
 def test_assignment_rejects_shared_platform():
@@ -284,6 +294,57 @@ def test_compare_policies_trials_equal_per_city_reference(
     ref = _per_city_reference(params, users, uavs, trials, seed, cmp.assignment)
     assert cmp.proposed.values.tolist() == [a for a, _ in ref]
     assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+
+
+def test_one_platform_per_group_equals_per_city_reference(urban, monkeypatch):
+    # an element budget of 1 puts every platform in a group of its own
+    monkeypatch.setattr(oracle, "_BROADCAST", 1)
+    users = [UserMotion(x, 0.0, 12.0, 10.0) for x in (-120.0, -20.0)]
+    uavs = [Uav(-150.0, 45.0, 60.0), Uav(-60.0, -40.0, 90.0, 140.0), Uav(10.0, 80.0, 40.0),
+            Uav(90.0, 30.0, 120.0)]
+    trials = _CHUNK + 1
+    seeds = [np.random.SeedSequence([3, i]) for i in range(trials)]
+    cities = _join_cities([_draw_anchored(urban, np.random.default_rng(q), 0.0, urban.mu_s)
+                           for q in seeds], [1] * trials)
+    grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
+    for m in users:
+        g = (m.x0, m.y0)
+        assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]
+                                                         for grid in grids]
+    cmp = compare_policies(urban, users, uavs, trials, 3)
+    ref = _per_city_reference(urban, users, uavs, trials, 3, cmp.assignment)
+    assert cmp.proposed.values.tolist() == [a for a, _ in ref]
+    assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+
+
+@pytest.mark.parametrize("budget", [oracle._BROADCAST, 1])
+@pytest.mark.parametrize("speed", [0.0, 2.9])
+def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
+    # the walk from x = -7.3 at 2.9 m/s for 7.7 s ends at x_end, and its
+    # platform ``above`` hovers over x_end; a tall block's west face lies on
+    # the line x = x_end, just outside the box of every link to ``above``,
+    # but inside the gather shared with ``east``.  Unmasked, the slab test
+    # would see the link at x_end run along that face (at speed 2.9 the last
+    # instant rounds to 8.9e-16 s before the end of the walk).  With a budget
+    # of 1 each link gathers only its own box
+    monkeypatch.setattr(oracle, "_BROADCAST", budget)
+    walk = UserMotion(-7.3, 0.0, 2.9, 7.7)
+    x_end = walk.x0 + walk.speed * walk.duration
+    walk = replace(walk, x0=x_end, speed=0.0) if speed == 0.0 else walk
+    grid = UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, np.array([x_end, x_end + 10.0]),
+                     np.array([16.0, 24.0]), np.array([x_end]), np.array([16.0]),
+                     np.array([[1000.0]]))
+    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
+                            grid.block_heights)], [1])
+    above, east = Uav(x_end, 30.0, 50.0), Uav(x_end + 30.0, 30.0, 50.0)
+    g = (x_end, 0.0)
+    assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
+    assert _point_clear(cities, g, [above, east]).tolist() == [
+        [True, is_los(grid, g, east)]]
+    # the user walks to ``above`` in the first row and to ``east`` in the second
+    pairs = np.array([[[0]], [[1]]])
+    assert _realized(cities, [walk], [above, east], pairs).tolist() == [
+        [walk.duration], [los_time(grid, walk, east)]]
 
 
 def test_compare_policies_prefix_stable_across_chunk_boundary(urban):
