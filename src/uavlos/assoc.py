@@ -235,7 +235,7 @@ def _realized(cities: _Cities, users: list[UserMotion], uavs: list[Uav],
         walks = [(k, replace(m, duration=coverage_time(m, uavs[k])))
                  for k in np.unique(pairs[..., j]).tolist() if k >= 0]
         boxes = np.array([_walk_box(w, uavs[k]) for k, w in walks]).T
-        for part, _, blocks in _gathers(cities, boxes) if walks else []:
+        for part, blocks in _gathers(cities, boxes) if walks else []:
             for k, w in walks[part]:
                 clear = _walk_clear(cities, w, uavs[k], blocks)
                 values[..., j] = np.where(pairs[..., j] == k, clear, values[..., j])

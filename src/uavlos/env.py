@@ -111,15 +111,10 @@ WALL = "wall"  # first contact pinned on a west wall (parallel Y)
 OPEN = "open"  # no contact at all, the link sees no building edge
 
 
-def _band_arrays(points: np.ndarray, splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Building band [lo, hi) per cell; empty arrays when fewer than 2 points."""
-    if len(points) < 2:
-        return np.empty(0), np.empty(0)
-    return splits, points[1:]
-
-
 def _check_cells(lo: np.ndarray, hi: np.ndarray, splits: np.ndarray) -> None:
     """Axis invariants of ``UrbanGrid`` on cells [lo, hi) and their band splits."""
+    if len(splits) != len(lo):
+        raise ValueError(f"{len(splits)} band splits for {len(lo)} cells")
     if (hi - lo <= 0.0).any():
         raise ValueError("axis points must be strictly increasing")
     if (splits < lo).any() or (splits > hi).any():
@@ -166,8 +161,7 @@ class UrbanGrid:
 
     def __post_init__(self) -> None:
         for pts, spl in ((self.x_points, self.x_splits), (self.y_points, self.y_splits)):
-            if len(pts) >= 2:
-                _check_cells(pts[:-1], pts[1:], spl)
+            _check_cells(pts[:-1], pts[1:], spl)
         _check_shape(self.x_points, self.y_points, self.block_heights)
         _check_heights(self.block_heights)
 
@@ -198,17 +192,19 @@ class UrbanGrid:
 
     def building_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """(west edges, east edges) of the vertical building bands."""
-        return _band_arrays(self.x_points, self.x_splits)
+        return self.x_splits, self.x_points[1:]
 
     def building_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        return _band_arrays(self.y_points, self.y_splits)
+        return self.y_splits, self.y_points[1:]
 
     def blocks_overlapping(
         self, x_lo: float, x_hi: float, y_lo: float, y_hi: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Blocks whose footprints intersect the axis-aligned box.
+        """Blocks whose footprints share more than an edge with the axis-aligned box.
 
         Returns (west, east, south, north, height) arrays, one entry per block.
+        A prefilter only: a block left out at most touches the box, and the
+        slab test finds that a touch blocks no link in the box.
         """
         cw, ce = self.building_columns()
         rs, rn = self.building_rows()
@@ -451,8 +447,9 @@ def _join_cities(cities: list[tuple[np.ndarray, ...]], draws: list[int]) -> _Cit
 def _slab_fracs(lo, hi, start, delta):
     """Per-axis entry/exit fractions of segments through [lo, hi) slabs (broadcasting).
 
-    A run along the axis so small that a fraction overflows gives that
-    fraction as +-inf, its limit.
+    A segment with no run along the axis is inside a slab only strictly
+    between its faces: lying along a face is clear, as grazing a corner is.
+    A run so small that a fraction overflows gives it as +-inf, its limit.
     """
     if np.all(delta != 0.0):
         with np.errstate(over="ignore"):
@@ -460,7 +457,7 @@ def _slab_fracs(lo, hi, start, delta):
             b = (hi - start) / delta
         return np.minimum(a, b), np.maximum(a, b)
     # a segment with delta 0 lies inside the slab at every fraction or at none
-    inside = (lo <= start) & (start < hi)
+    inside = (lo < start) & (start < hi)
     still = delta == 0.0
     with np.errstate(over="ignore"):
         a = (lo - start) / np.where(still, 1.0, delta)

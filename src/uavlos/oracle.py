@@ -11,8 +11,10 @@ cross the block's west and east edges.  All blocks are solved at once as arrays
 and the clear intervals are the complement of their union; the Monte Carlo
 runners and the policy comparison in ``assoc`` apply the same algebra to the
 blocks of a whole chunk of sampled cities at once, links sharing each block
-gather (``_gathers``) masked to their own boxes.  None of it reuses the
-closed-form machinery, so it can referee it.
+gather (``_gathers``).  Touching a footprint's face or corner does not block,
+while reaching exactly the link height does, so box queries and gathers are
+prefilters only: every verdict is the same on any superset of a link's blocks.
+None of it reuses the closed-form machinery, so it can referee it.
 """
 
 from __future__ import annotations
@@ -46,19 +48,14 @@ def _blocking(west, east, south, north, height, gx, gy, ux, uy, uh) -> np.ndarra
     return crossed & (height >= uh * np.clip(s_in, 0.0, 1.0))
 
 
-def _within(blocks, x_lo, x_hi, y_lo, y_hi) -> tuple[np.ndarray, ...]:
-    """The blocks, each one the box misses lowered to height -inf (blocks nothing)."""
-    west, east, south, north, height = blocks
-    near = (east > x_lo) & (west < x_hi) & (north > y_lo) & (south < y_hi)
-    return west, east, south, north, np.where(near, height, -np.inf)
-
-
 def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     """True when the straight link from ground point g to the platform is clear.
 
     A building blocks the link when the ground-projected segment crosses its
     footprint and the building height reaches the link height at the entry
-    point; a graze at exactly the link height counts as blocked.
+    point; a graze at exactly the link height counts as blocked, while a
+    segment touching only a face or a corner of the footprint does not.  The
+    box query only narrows the blocks tested; it changes no verdict.
     """
     gx, gy = g
     if grid.is_inside_building(gx, gy):
@@ -103,15 +100,18 @@ def _blocked_spans(west, east, south, north, height, motion: UserMotion, u: Uav)
     a graze at exactly the link height counts.  The link point at a fixed
     fraction s < 1 moves east with the walker, so the block blocks from the
     first instant either end of the window reaches its west edge until the
-    last instant either end leaves its east edge.
+    last instant either end leaves its east edge.  A block outside the walk's
+    box could meet it only at t = 0 or T, up to rounding, so it never hits.
     """
     T = motion.duration
+    x_lo, x_hi, _, _ = _walk_box(motion, u)
     sy_lo, sy_hi = _slab_fracs(south, north, motion.y0, u.y - motion.y0)
     s_a = np.maximum(sy_lo, 0.0)
     s_b = np.minimum(np.minimum(sy_hi, 1.0), height / u.height)
     # the window must be nonempty and the footprint crossed on a stretch of
     # positive length strictly between the walker and the platform
-    meet = (s_a <= s_b) & (s_a < 1.0) & (sy_hi > 0.0) & (sy_lo < sy_hi) & (west < east)
+    meet = ((s_a <= s_b) & (s_a < 1.0) & (sy_hi > 0.0) & (sy_lo < sy_hi)
+            & (west < x_hi) & (east > x_lo) & (west < east))
     t = _edge_times(np.array([west, west, east, east]), np.array([s_a, s_b, s_a, s_b]), motion, u)
     start = np.minimum(t[0], t[1])
     end = np.maximum(t[2], t[3])
@@ -165,9 +165,9 @@ def los_time_sampled(
 ) -> float:
     """Midpoint-sampled clear seconds; slow cross-check for the interval engine.
 
-    Each sample is judged exactly as ``is_los`` judges it: every block the
-    walk's box query returns is kept for the samples whose own box it
-    overlaps, so all samples are tested in one (sample x block) array.
+    Each sample is judged exactly as ``is_los`` judges it, all samples
+    against every block the walk's box query returns in one (sample x block)
+    array; a block outside a sample's own box does not block it.
     """
     T = motion.duration
     if T <= 0.0:
@@ -182,9 +182,7 @@ def los_time_sampled(
     west, east, south, north, height = grid.blocks_overlapping(
         min(gx[0], u.x), max(gx[-1], u.x), min(gy, u.y), max(gy, u.y)
     )
-    gx = gx[:, None]
-    near = (east > np.minimum(gx, u.x)) & (west < np.maximum(gx, u.x))
-    blocked = near & _blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height)
+    blocked = _blocking(west, east, south, north, height, gx[:, None], gy, u.x, u.y, u.height)
     hits = samples - int(np.count_nonzero(blocked.any(axis=1)))
     return T * hits / samples
 
@@ -284,8 +282,9 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float
 
 
 def _box_runs(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
-    """Per city, the first column meeting the box and how many do, then the
-    same for rows; bounds given as arrays stand for the box holding them all."""
+    """Per city, the first column meeting the box's inside and how many do,
+    then the same for rows, a prefilter as ``UrbanGrid.blocks_overlapping``
+    is; bounds given as arrays stand for the box holding them all."""
     n = len(cities.nx)
     # edges ascend within a city, so the bands meeting an open interval form
     # one run, from the first band past the low end to the last below the high
@@ -316,17 +315,16 @@ def _box_blocks(cities: _Cities, i0, cols, j0, rows):
 
 
 def _gathers(cities: _Cities, boxes):
-    """(part, bounds, blocks) per consecutive group of the boxes (arrays of
-    bounds), with one ``_box_blocks`` gather for the box holding the group's.
-    A group has as many boxes as keep (city x box x block) within
-    ``_BROADCAST`` elements at the width of the gather for all the boxes, so
-    boxes spread wide each get their own gather."""
+    """(part, blocks) per consecutive group of the boxes (arrays of bounds):
+    one ``_box_blocks`` gather for the box holding the group's, a prefilter
+    every link of the group is judged on unmasked.  A group has as many boxes
+    as keep (city x box x block) within ``_BROADCAST`` elements at the width
+    of the gather for all the boxes, so wide-spread boxes gather alone."""
     runs, n = _box_runs(cities, *boxes), len(boxes[0])
     step = max(1, _BROADCAST // max(len(cities.nx) * (runs[1] * runs[3]).max(), 1))
     for k in range(0, n, step):
-        part = [b[k:k + step] for b in boxes]
-        yield slice(k, k + step), part, _box_blocks(
-            cities, *(runs if step >= n else _box_runs(cities, *part)))
+        yield slice(k, k + step), _box_blocks(
+            cities, *(runs if step >= n else _box_runs(cities, *(b[k:k + step] for b in boxes))))
 
 
 def _check_trials(trials: int) -> None:
@@ -342,14 +340,14 @@ def _chunks(trials: int) -> list[range]:
 def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav, blocks=None) -> np.ndarray:
     """Per city, the clear seconds of the walk: ``los_time`` on that city,
     bit for bit, for a chunk of cities at once; ``blocks``, if given, is a
-    gather that holds the walk's box, masked here to that box."""
+    gather holding at least the blocks of the walk's box, judged as it stands."""
     T = motion.duration
     if T <= 0.0:
         return np.zeros(len(cities.nx))
     if _in_bands(cities.south, cities.north, cities.row_city, len(cities.ny), motion.y0).any():
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-    box = _walk_box(motion, u)
-    blocks = _within(blocks, *box) if blocks else _box_blocks(cities, *_box_runs(cities, *box))
+    if blocks is None:
+        blocks = _box_blocks(cities, *_box_runs(cities, *_walk_box(motion, u)))
     if motion.speed == 0.0:
         blocked = _blocking(*blocks, motion.x0, motion.y0, u.x, u.y, u.height).any(axis=1)
         return np.where(blocked, 0.0, T)
@@ -364,7 +362,7 @@ def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav, blocks=None) -> np.
 def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np.ndarray:
     """Per city (row) and platform (column), whether the link from g is clear:
     ``is_los`` on that city, for a chunk of cities and several platforms at
-    once, from one gather per group of platforms (``_gathers``), masked per link."""
+    once, from one gather per group of platforms (``_gathers``)."""
     gx, gy = g
     n = len(cities.nx)
     inside = (_in_bands(cities.west, cities.east, cities.col_city, n, gx)
@@ -374,10 +372,9 @@ def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np
     ux, uy, uh = np.array([(u.x, u.y, u.height) for u in uavs]).T[:, :, None]
     boxes = np.minimum(gx, ux), np.maximum(gx, ux), np.minimum(gy, uy), np.maximum(gy, uy)
     clear = np.empty((n, len(uavs)), dtype=bool)
-    for part, box, blocks in _gathers(cities, boxes):
+    for part, blocks in _gathers(cities, boxes):
         blocks = [b[:, None, :] for b in blocks]
-        own = _within(blocks, *box) if len(box[0]) > 1 else blocks
-        clear[:, part] = ~_blocking(*own, gx, gy, ux[part], uy[part], uh[part]).any(axis=2)
+        clear[:, part] = ~_blocking(*blocks, gx, gy, ux[part], uy[part], uh[part]).any(axis=2)
     return clear
 
 

@@ -323,10 +323,11 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     # the walk from x = -7.3 at 2.9 m/s for 7.7 s ends at x_end, and its
     # platform ``above`` hovers over x_end; a tall block's west face lies on
     # the line x = x_end, just outside the box of every link to ``above``,
-    # but inside the gather shared with ``east``.  Unmasked, the slab test
-    # would see the link at x_end run along that face (at speed 2.9 the last
-    # instant rounds to 8.9e-16 s before the end of the walk).  With a budget
-    # of 1 each link gathers only its own box
+    # but inside the gather shared with ``east``.  The gather is a prefilter
+    # only and applies no mask: the link at x_end runs along that face, which
+    # does not block, and the walk's spans leave out the block its box misses
+    # (at speed 2.9 the last instant would round to 8.9e-16 s before the end
+    # of the walk).  With a budget of 1 each link gathers only its own box
     monkeypatch.setattr(oracle, "_BROADCAST", budget)
     walk = UserMotion(-7.3, 0.0, 2.9, 7.7)
     x_end = walk.x0 + walk.speed * walk.duration

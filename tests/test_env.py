@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -128,6 +129,18 @@ def test_grid_json_rejects_unknown_format():
         UrbanGrid.from_json('{"format": "something-else"}')
 
 
+def test_grid_json_rejects_splits_not_matching_cells():
+    # two x cells but one split: the building band of the second cell,
+    # [10, 20), would be lost from every query
+    g = UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, np.array([0.0, 10.0, 20.0]),
+                  np.array([16.0, 24.0]), np.array([5.0, 15.0]), np.array([20.0]),
+                  np.array([[30.0], [40.0]]))
+    payload = json.loads(g.to_json())
+    payload["x_splits"] = [10.0]
+    with pytest.raises(ValueError, match="1 band splits for 2 cells"):
+        UrbanGrid.from_json(json.dumps(payload))
+
+
 def _set(k, value):
     def corrupt(a):
         a.flat[k] = value(a)
@@ -138,11 +151,12 @@ def _set(k, value):
 @pytest.mark.parametrize("field, corrupt, message", [
     (0, _set(1, lambda a: a[0]), "axis points must be strictly increasing"),
     (3, _set(0, lambda a: a[0] - 100.0), "band split outside its cell"),
+    (2, lambda a: a[:-1], "band splits for"),
     (4, lambda h: h[:, :-1], "height matrix shape does not match cell counts"),
     (4, _set(0, lambda h: -1.0), "negative building height"),
-], ids=["points", "split", "shape", "height"])
+], ids=["points", "split", "split-count", "shape", "height"])
 def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrupt, message):
-    # the same four checks guard a city built by hand and each city of a chunk
+    # the same five checks guard a city built by hand and each city of a chunk
     good = env._draw_anchored(urban, np.random.default_rng(0), 0.0, 13.0)
     bad = list(good)
     bad[field] = corrupt(bad[field].copy())

@@ -21,7 +21,11 @@ from uavlos.env import (
 )
 from uavlos.oracle import (
     _CHUNK,
+    _blocking,
+    _box_blocks,
+    _box_runs,
     _point_clear,
+    _walk_clear,
     TrialStats,
     coverage_time,
     is_los,
@@ -210,6 +214,74 @@ def test_intervals_graze_at_a_corner_is_clear():
     assert _close(_exact(tall, walk, u), [(0.0, 10.0), (50.0, 60.0)])
 
 
+@pytest.mark.parametrize("g, u", [
+    ((8.0, 0.0), Uav(8.0, 40.0, 50.0)),  # along the west face
+    ((12.0, 0.0), Uav(12.0, 40.0, 50.0)),  # along the east face
+    ((0.0, 16.0), Uav(20.0, 16.0, 50.0)),  # along the south face
+    ((0.0, 24.0), Uav(20.0, 24.0, 50.0)),  # along the north face
+    ((10.0, 0.0), Uav(10.0, 40.0, 50.0)),  # through the block
+], ids=["west", "east", "south", "north", "through"])
+def test_link_along_a_face_is_clear_on_every_block(g, u):
+    # the verdict must not hang on which blocks the box query returns: the
+    # slab test over all blocks of the city agrees with ``is_los``
+    tall = make_single_block_grid(1000.0)
+    every = tall.blocks_overlapping(-math.inf, math.inf, -math.inf, math.inf)
+    assert len(every[0]) == 1
+    clear = not _blocking(*every, *g, u.x, u.y, u.height).any()
+    assert clear == is_los(tall, g, u) == (g[0] != 10.0)
+
+
+@st.composite
+def _edge_cities(draw):
+    """A small hand-built city with integer edges, a ground point on a street
+    band, platforms over block edges, and a speed and duration per platform."""
+    axes = []
+    for _ in range(2):
+        points = sorted(draw(st.lists(st.integers(-20, 20), min_size=2, max_size=4,
+                                      unique=True)))
+        splits = [draw(st.integers(lo, hi)) for lo, hi in zip(points, points[1:])]
+        axes.append((np.array(points, dtype=float), np.array(splits, dtype=float)))
+    (xp, xs), (yp, ys) = axes
+    heights = np.array(draw(st.lists(st.sampled_from([0.0, 10.0, 20.0, 25.0, 1000.0]),
+                                     min_size=(len(xp) - 1) * (len(yp) - 1),
+                                     max_size=(len(xp) - 1) * (len(yp) - 1))))
+    grid = UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, xp, yp, xs, ys,
+                     heights.reshape(len(xp) - 1, len(yp) - 1))
+    x_edges = sorted({*xp.tolist(), *xs.tolist()})
+    y_edges = sorted({*yp.tolist(), *ys.tolist()})
+    streets = [y for y in [yp[0] - 5.0, *y_edges] if grid.band_at("y", y)[0] == "street"]
+    g = (draw(st.sampled_from(x_edges)), draw(st.sampled_from(streets)))
+    uavs = draw(st.lists(st.builds(Uav, st.sampled_from(x_edges + [g[0]]),
+                                   st.sampled_from(y_edges + [g[1], g[1] + 30.0]),
+                                   st.sampled_from([20.0, 50.0])), min_size=1, max_size=3))
+    walks = draw(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 2.5, 2.9]),
+                                    st.sampled_from([2.0, 4.0, 7.7]), st.booleans()),
+                          min_size=len(uavs), max_size=len(uavs)))
+    return grid, g, uavs, walks
+
+
+@settings(max_examples=200)
+@given(_edge_cities())
+def test_verdicts_do_not_depend_on_the_prefilter(case):
+    # every referee judges a link on all blocks of the city exactly as on the
+    # blocks its box query returns, for links on block edges and walks that
+    # start or end under their platform
+    grid, g, uavs, walks = case
+    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
+                            grid.block_heights)], [1])
+    runs = _box_runs(cities, -np.inf, np.inf, -np.inf, np.inf)
+    every = _box_blocks(cities, *runs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_box_runs", lambda cities, *box: runs)
+        assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]]
+    for u, (v, T, ends) in zip(uavs, walks):
+        m = UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
+        assert _walk_clear(cities, m, u, every).tolist() == [los_time(grid, m, u)]
+        ts = (np.arange(64) + 0.5) * (T / 64)
+        blocked = _blocking(*every, (m.x0 + v * ts)[:, None], m.y0, u.x, u.y, u.height).any(axis=1)
+        assert los_time_sampled(grid, m, u, samples=64) == T * (64 - blocked.sum()) / 64
+
+
 PRESET_WIDTHS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
 
 
@@ -243,8 +315,9 @@ def test_los_time_sampled_equals_static_loop():
         ts = (np.arange(512) + 0.5) * (m.duration / 512)
         hits = sum(is_los(g, m.position(float(t)), u) for t in ts)
         assert los_time_sampled(g, m, u, samples=512) == m.duration * hits / 512
-    # one sample stands exactly at u.x = 8, the block's west edge: its own box
-    # query leaves the block out, so it is clear, though the walk's box holds it
+    # one sample stands exactly at u.x = 8, the block's west edge: its link
+    # runs along the west face, which does not block, though the walk's box
+    # holds the block
     g = make_single_block_grid(1000.0)
     walk, u = UserMotion(-0.5, 0.0, 1.0, 16.0), Uav(8.0, 20.0, 30.0)
     ts = (np.arange(16) + 0.5) * (walk.duration / 16)
