@@ -81,9 +81,8 @@ def _score_pairs(
                             RayleighHeights(params.sigma))
     horizon = [coverage_time(m, u) for m, u in zip(motions, platforms)]
     geom = replace(geom, duration=np.array(horizon, dtype=float))
-    scores = [r.expected_time for r in _expected_los(params, geom, epsilon)]
-    n = len(uavs)
-    return [scores[j * n:(j + 1) * n] for j in range(len(users))]
+    expected, _, _ = _expected_los(params, geom, epsilon)
+    return expected.reshape(len(users), len(uavs)).tolist()
 
 
 def _greedy(scores: list[list[float]]) -> Assignment:

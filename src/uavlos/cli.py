@@ -327,12 +327,22 @@ def run_validate(name: str) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _finite(parse):
+    """A JSON number parser that refuses what no float holds (NaN, Infinity, 1e400)."""
+    def checked(text: str):
+        if not math.isfinite(float(text)):
+            raise ConfigError(f"config holds {text}; every number must be finite")
+        return parse(text)
+    return checked
+
+
 def _load_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig:
     if path is None:
         raise ConfigError("run needs --config <path>")
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:

@@ -34,6 +34,11 @@ class UserInBuildingError(ValueError):
     """Raised when a ground position sits inside a building footprint."""
 
 
+def _check_finite(*values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("every field must be a finite number")
+
+
 @dataclass
 class GridParams:
     """City statistics: mean building width, mean street width, height scale.
@@ -48,6 +53,7 @@ class GridParams:
     region: tuple[float, float] = (400.0, 400.0)
 
     def __post_init__(self) -> None:
+        _check_finite(self.mu_b, self.mu_s, self.sigma, *self.region)
         if self.mu_b <= 0 or self.mu_s <= 0:
             raise ValueError("mean widths must be positive")
         if self.sigma <= 0:
@@ -81,9 +87,10 @@ class Uav:
     link_range: float = math.inf
 
     def __post_init__(self) -> None:
+        _check_finite(self.x, self.y, self.height)
         if self.height <= 0:
             raise ValueError("height must be positive")
-        if self.link_range <= 0:
+        if not self.link_range > 0:  # +inf is unlimited range; nan fails here
             raise ValueError("link range must be positive")
 
 
@@ -97,6 +104,7 @@ class UserMotion:
     duration: float
 
     def __post_init__(self) -> None:
+        _check_finite(self.x0, self.y0, self.speed, self.duration)
         if self.speed < 0:
             raise ValueError("speed must be nonnegative")
         if self.duration < 0:

@@ -18,8 +18,11 @@ the memory of long epochs) are built together as one padded (row x corner)
 array (``env.segment_table``), every segment of every row lands in one flat
 ``SegmentTable``, face and wall segments are integrated as arrays that read
 their row's parameters through ``SegmentTable.row``, and ``np.bincount``
-sums them per row.  One pair (``expected_los_total``) is a pass over its own
-rows; ``assoc`` prices a whole user x platform matrix in one pass.
+sums them per row.  The pass returns arrays (expected times, per-count
+values, Poisson laws); a pair settled without pricing (an empty epoch, or a
+platform over the user's own street) is one count of weight 1.  One pair
+(``expected_los_total``, the only builder of ``ExpectedLosResult``) is a
+pass over its own rows; ``assoc`` prices a whole score matrix in one pass.
 ``SegmentTable`` is the only plan type: a single plan, canonical
 (``canonical_plan``) or realized (``env.corner_events``), is a table of one
 row and goes through the same evaluator.  The Poisson weights start from
@@ -28,6 +31,7 @@ the mode, so no factor of exp(-lam v T) can underflow.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +50,6 @@ from .env import (
     KINDS,
     _all,
     _any,
-    _at,
     DegenerateGeometryError,
     SegmentTable,
     Uav,
@@ -63,6 +66,7 @@ NUDGE = 1e-9  # relative node shift off a removable singular instant
 ROW_BLOCK = 256
 CELL_BLOCK = 2**11
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
+_SETTLED = ([1.0], 0.0)  # the law of a pair settled directly: one count, nothing dropped
 
 
 def p_los_x_segment(t, base, rate, v):
@@ -460,6 +464,8 @@ def canonical_plan(
 class ExpectedLosResult:
     """Crossing-count marginalized expectation and its ingredients.
 
+    One ``per_count`` value and weight per crossing count; a pair settled
+    without pricing is one count of weight 1, worth its whole epoch.
     ``dropped_mass`` is the Poisson mass past the truncation count, which is
     1 - sum(weights) in exact arithmetic; it is summed over the tail itself.
     ``expected_time`` renormalizes the kept weights.
@@ -473,54 +479,39 @@ class ExpectedLosResult:
     dropped_mass: float = 0.0
 
 
-def _expected_los(params, geom: EpochGeometry, epsilon: float) -> list[ExpectedLosResult]:
-    """``expected_los_total`` of every pair of geom, whose streets are as wide
-    as the mean street width.
+def _expected_los(params, geom: EpochGeometry, epsilon: float) -> tuple:
+    """The expected time of every pair of geom (streets as wide as the mean),
+    the per-count values of all pairs as one flat array, pair after pair, and
+    each pair's truncated Poisson law (weights, dropped mass).
 
     An empty epoch or a platform over the user's own street is settled
-    directly.  The other pairs expand into one row per crossing count, and
-    the rows are priced a block at a time on their canonical layouts.  The
-    Poisson weights are computed once per distinct lam v T, and each pair's
-    weighted sum is taken in count order.
+    directly: one count of weight 1, worth its whole epoch.  The other pairs
+    expand into one row per crossing count, priced a block at a time on
+    their canonical layouts; the weights are computed once per distinct lam v T.
     """
-    T, dy, mu = (a.tolist() if isinstance(a, np.ndarray) else [a]
-                 for a in (geom.duration, geom.dy, geom.lam * geom.speed * geom.duration))
-    out: list[ExpectedLosResult | None] = [None] * len(T)
-    pmfs, live, sizes, top = {}, [], [], 0.0
-    for p, (t, d, m) in enumerate(zip(T, dy, mu)):
-        if t == 0.0:
-            out[p] = ExpectedLosResult(0.0, 0, [], [], epsilon)
-        elif d <= geom.street_width:
-            # platform over the user's own street: the projection never leaves it
-            out[p] = ExpectedLosResult(t, 0, [t], [1.0], epsilon)
-        else:
-            if m not in pmfs:
-                pmfs[m] = _truncated_pmf(m, epsilon)
-            live.append(p)
-            sizes.append(len(pmfs[m][0]))
-            top = max(top, m)
-    total = sum(sizes)
-    if len(live) == 1:  # one pair's geometry holds for all of its rows
-        pair, counts = live[0], np.arange(total)
-    else:
-        pair = np.repeat(np.array(live, dtype=int), sizes)
-        counts = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # a layout spans about lam v T mean periods of its walk, plus margins
-    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // (top + 4.0))))
-    per_row = []
-    for lo in range(0, total, step):
-        g, c = geom.take(_at(pair, slice(lo, lo + step))), counts[lo:lo + step]
+    T = np.asarray(geom.duration, dtype=float).reshape(-1)
+    mu = geom.lam * geom.speed * T
+    settled = (T == 0.0) | (geom.dy <= geom.street_width)
+    pmfs = {m: _truncated_pmf(m, epsilon) for m in set(mu[~settled].tolist())}
+    laws = [_SETTLED if s else pmfs[m] for m, s in zip(mu.tolist(), settled.tolist())]
+    sizes = np.array([len(w) for w, _ in laws], dtype=int)
+    starts = sizes.cumsum() - sizes
+    pair = np.arange(len(T)).repeat(sizes)
+    per_count = T[pair]  # a settled pair's one count: its whole epoch
+    live = (~settled)[pair].nonzero()[0]
+    # a layout spans about lam v T (the keys of pmfs) mean periods of its walk, plus margins
+    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // (max(pmfs, default=0.0) + 4.0))))
+    for lo in range(0, len(live), step):
+        rows = live[lo:lo + step]
+        g, c = geom.take(pair[rows]), rows - starts[pair[rows]]
         table = _canonical_table(params.mu_b, params.mu_s, g, c)
-        per_row += np.bincount(table.row, weights=_segment_integrals(table, g),
-                               minlength=len(c)).tolist()
-    lo = 0
-    for p, n in zip(live, sizes):
-        weights, dropped = pmfs[mu[p]]
-        per_count = per_row[lo:lo + n]
-        lo += n
-        expected = sum(wt * e for wt, e in zip(weights, per_count)) / sum(weights)
-        out[p] = ExpectedLosResult(expected, n - 1, per_count, list(weights), epsilon, dropped)
-    return out
+        per_count[rows] = np.bincount(table.row, weights=_segment_integrals(table, g),
+                                      minlength=len(c))
+    weights = np.fromiter(itertools.chain.from_iterable(w for w, _ in laws), float, len(pair))
+    # bincount adds each pair's terms in count order, from 0, as ``sum`` does
+    expected = (np.bincount(pair, weights=weights * per_count, minlength=len(T))
+                / np.bincount(pair, weights=weights, minlength=len(T)))
+    return expected, per_count, laws
 
 
 def expected_los_total(
@@ -538,5 +529,7 @@ def expected_los_total(
     case of the batched pass that ``assoc`` runs over a whole score matrix.
     """
     m = RayleighHeights(params.sigma) if model is None else model
-    return _expected_los(params, EpochGeometry.pair(motion, u, params.mu_s, params.lam, m),
-                         epsilon)[0]
+    geom = EpochGeometry.pair(motion, u, params.mu_s, params.lam, m)
+    expected, per_count, ((weights, dropped),) = _expected_los(params, geom, epsilon)
+    return ExpectedLosResult(expected.item(), len(weights) - 1, per_count.tolist(),
+                             list(weights), epsilon, dropped)

@@ -233,10 +233,22 @@ def test_batched_pass_equals_single_pairs(preset, walks, sites, own, cdf):
     model = _CDF if cdf else RayleighHeights(params.sigma)
     motions = [m for m in users for _ in uavs]
     platforms = uavs * len(users)
-    batched = _expected_los(params, EpochGeometry.of(motions, platforms, params.mu_s,
-                                                     params.lam, model), 1e-3)
-    assert batched == [expected_los_total(params, m, u, 1e-3, model)
-                       for m, u in zip(motions, platforms)]
+    expected, per_count, laws = _expected_los(params, EpochGeometry.of(
+        motions, platforms, params.mu_s, params.lam, model), 1e-3)
+    assert len(expected) == len(laws) == len(motions)
+    lo = 0  # each pair's counts follow the previous pair's in the flat array
+    for p, (m, u) in enumerate(zip(motions, platforms)):
+        r = expected_los_total(params, m, u, 1e-3, model)
+        weights, dropped = laws[p]
+        n = len(weights)
+        assert expected[p] == r.expected_time
+        # weighted in count order, as Python's ``sum`` adds
+        assert expected[p] == sum(w * e for w, e in zip(weights, r.per_count)) / sum(weights)
+        assert per_count[lo:lo + n].tolist() == r.per_count
+        assert list(weights) == r.weights
+        assert dropped == r.dropped_mass
+        lo += n
+    assert lo == len(per_count)
 
 
 def test_score_matrix_with_a_long_epoch_across_blocks(urban):
@@ -248,7 +260,10 @@ def test_score_matrix_with_a_long_epoch_across_blocks(urban):
     scores = _score_pairs(users, uavs, urban, 1e-3)
     assert scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
     clipped = replace(users[1], duration=coverage_time(users[1], uavs[1]))
-    assert scores[1][1] == expected_los_total(urban, clipped, uavs[1]).expected_time
+    r = expected_los_total(urban, clipped, uavs[1])
+    assert scores[1][1] == r.expected_time
+    # hundreds of counts, weighted in count order as Python's ``sum`` adds
+    assert r.expected_time == sum(w * e for w, e in zip(r.weights, r.per_count)) / sum(r.weights)
 
 
 def _per_city_reference(params, users, uavs, trials, seed, fixed):

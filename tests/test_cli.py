@@ -178,6 +178,9 @@ def test_run_config_errors_exit_two(tmp_path):
     bogus = tmp_path / "bogus.json"
     bogus.write_text(json.dumps({"sweep": "nope"}))
     assert main(["run", "--config", str(bogus)]) == 2
+    for constant in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
+        bogus.write_text(f'{{"sweep": "velocity", "duration": {constant}, "values": [5.0]}}')
+        assert main(["run", "--config", str(bogus)]) == 2
 
 
 def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):

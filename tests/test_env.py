@@ -56,6 +56,32 @@ def test_uav_and_motion_validation():
     assert m.position(3.0) == (11.0, 1.0)
 
 
+_BUILDERS = {
+    "grid-mu_b": lambda v: GridParams(v, 13.0, 8.0),
+    "grid-mu_s": lambda v: GridParams(45.0, v, 8.0),
+    "grid-sigma": lambda v: GridParams(45.0, 13.0, v),
+    "grid-region": lambda v: GridParams(45.0, 13.0, 8.0, (400.0, v)),
+    "uav-x": lambda v: Uav(v, 90.0, 100.0),
+    "uav-y": lambda v: Uav(120.0, v, 100.0),
+    "uav-height": lambda v: Uav(120.0, 90.0, v),
+    "uav-link_range": lambda v: Uav(120.0, 90.0, 100.0, v),
+    "motion-x0": lambda v: UserMotion(v, 0.0, 15.0, 10.0),
+    "motion-y0": lambda v: UserMotion(0.0, v, 15.0, 10.0),
+    "motion-speed": lambda v: UserMotion(0.0, 0.0, v, 10.0),
+    "motion-duration": lambda v: UserMotion(0.0, 0.0, 15.0, v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(_BUILDERS))
+def test_non_finite_fields_are_rejected(field, value):
+    if (field, value) == ("uav-link_range", math.inf):
+        assert _BUILDERS[field](value).link_range == math.inf  # unlimited range
+        return
+    with pytest.raises(ValueError):
+        _BUILDERS[field](value)
+
+
 def test_sampling_deterministic(urban):
     a = sample_grid(urban, 42)
     b = sample_grid(urban, 42)

@@ -316,14 +316,34 @@ def test_batched_counts_match_single_plans(speed, duration, ux, uy, height, eps)
     assert 0.0 <= r.dropped_mass <= eps
 
 
+def _assert_result_shape(r):
+    assert len(r.per_count) == len(r.weights) == r.truncation_count + 1
+    assert type(r.expected_time) is float
+
+
 def test_expected_total_zero_duration(urban):
     r = expected_los_total(urban, UserMotion(0.0, 0.0, 15.0, 0.0), Uav(120.0, 90.0, 100.0))
     assert r.expected_time == 0.0
+    # settled directly: one count of weight 1, worth the (empty) epoch
+    _assert_result_shape(r)
+    assert (r.per_count, r.weights, r.dropped_mass) == ([0.0], [1.0], 0.0)
+    _assert_result_shape(expected_los_total(urban, UserMotion(0, 0, 15, 0), Uav(120, 90, 100)))
 
 
 def test_expected_total_platform_over_own_street(urban):
     r = expected_los_total(urban, UserMotion(0.0, 0.0, 15.0, 10.0), Uav(30.0, 8.0, 60.0))
     assert r.expected_time == 10.0
+    _assert_result_shape(r)
+    assert (r.per_count, r.weights, r.dropped_mass) == ([10.0], [1.0], 0.0)
+    # integer inputs still give float results
+    r = expected_los_total(urban, UserMotion(0, 0, 15, 10), Uav(30, 8, 60))
+    assert r.expected_time == 10.0
+    _assert_result_shape(r)
+    assert [type(e) for e in r.per_count] == [float]
+    # a priced pair: one value and one weight per crossing count
+    r = expected_los_total(urban, UserMotion(0, 0, 15, 10), Uav(120, 90, 100))
+    _assert_result_shape(r)
+    assert r.truncation_count > 0
 
 
 def test_expected_total_static_user_reduces_to_point_probability(urban):
