@@ -17,7 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import GridParams, Uav, UrbanGrid, UserMotion, _Cities, _draw_anchored, _join_cities
+from .env import (
+    GridParams,
+    Uav,
+    UrbanGrid,
+    UserMotion,
+    _Cities,
+    _draw_anchored,
+    _generator,
+    _join_cities,
+    _seed_state,
+)
 from .analytic import RayleighHeights
 from .mobility import EpochGeometry, _expected_los
 from .oracle import (
@@ -256,8 +266,9 @@ def compare_policies(
     geometry); the benchmark re-assigns on every draw since it reads the
     realized start-of-walk blockage.  Trial i draws its city as
     ``sample_grid_anchored(params, SeedSequence([seed, i]), y0, params.mu_s)``
-    does, and both values are ``realized_value`` of the two assignments on
-    that city, bit for bit, computed for a chunk of cities at once.
+    does, from the same stream, which one ``_seed_state`` hash seeds for the
+    whole chunk; both values are ``realized_value`` of the two assignments
+    on that city, bit for bit, computed for a chunk of cities at once.
     """
     _check_trials(trials)
     y0 = _shared_street(users)
@@ -267,11 +278,9 @@ def compare_policies(
     fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
     values = [np.empty((2, 0))]
     for chunk in _chunks(trials):
-        cities = _join_cities(
-            [_draw_anchored(params, np.random.default_rng(np.random.SeedSequence([seed, i])),
-                            y0, params.mu_s) for i in chunk],
-            [1] * len(chunk),
-        )
+        state = _seed_state(seed, np.arange(chunk.start, chunk.stop))
+        cities = _join_cities([_draw_anchored(params, _generator(w), y0, params.mu_s)
+                               for w in state], [1] * len(chunk))
         clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
         for j, m in enumerate(users):
             if candidates[j]:

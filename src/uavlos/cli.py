@@ -63,6 +63,10 @@ class ConfigError(ValueError):
     """Bad experiment configuration; reported before any compute, exit code 2."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a preset or custom grid, a sweep family, and run knobs."""
@@ -124,8 +128,10 @@ class ExperimentConfig:
             self.values = list(DEFAULT_VALUES[self.sweep])
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_int(self.trials) or self.trials < 1:
+            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError("epsilon must be in (0, 1)")
         if self.sigma <= 0 or self.duration < 0 or self.speed < 0:
@@ -349,14 +355,10 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ExperimentConfig
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = ExperimentConfig.from_dict(raw)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("trials must be positive")
-        cfg.trials = args.trials
-    return cfg
+    for key in ("seed", "trials"):  # overrides pass the same checks as the file
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -375,6 +377,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_grid_dump(args: argparse.Namespace) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     _, mu_b, mu_s = PRESETS[args.preset]
     params = GridParams(mu_b, mu_s, args.sigma)
     if args.anchor_y is None:

@@ -13,11 +13,14 @@ Distances are meters, times are seconds throughout.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 GRID_FORMAT = "uavlos-grid-v1"
 
@@ -369,6 +372,81 @@ def _draw_anchored(
     return xp, yp, xs, ys, heights
 
 
+# -- seeding ------------------------------------------------------------------
+
+# NumPy's SeedSequence hash: mix_entropy folds the entropy words into a pool of
+# four uint32 words with the A constants, generate_state reads the pool out
+# with the B constants.  uint32 arrays wrap on overflow as its C code does.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The n hash constants init * mult**k mod 2**32, k = 0 .. n - 1, as a column."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per row of consts[:-1] (broadcasting)."""
+    v = v ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> _SHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x = x * _MIX_L
+    x -= y * _MIX_R
+    x ^= x >> _SHIFT
+    return x
+
+
+def _seed_state(seed: int, *columns: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence([seed, columns[0][i], ...]).generate_state(4,
+    np.uint64)``, bit for bit, for every row of the columns at once.
+
+    ``seed`` is any non-negative int; column entries are ints in [0, 2**32),
+    one entropy word each.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    n = len(words) + len(columns)
+    entropy = np.zeros((max(n, 4), len(columns[0])), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words):n] = columns
+    a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * (len(entropy) - 4))
+    pool = _hashmix(entropy[:4], a[:5])
+    for s in range(4):  # each word's hash into the three others, in order
+        pool[_OTHERS[s]] = _mix(pool[_OTHERS[s]], _hashmix(pool[s], a[4 + 3 * s:8 + 3 * s]))
+    for s in range(4, len(entropy)):  # entropy past the pool, into every word
+        pool = _mix(pool, _hashmix(entropy[s], a[4 * s:4 * s + 5]))
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 9))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence whose state is one row of ``_seed_state``, for PCG64."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for 4 words of np.uint64
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """``default_rng(SeedSequence(entropy))`` from that entropy's ``_seed_state`` row."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
 @dataclass
 class _Cities:
     """Several sampled cities as flat arrays, city after city.
@@ -397,6 +475,10 @@ class _Cities:
     first_cell: np.ndarray
 
 
+# attempts hashed per trial in a chunk's first round, and at most in any round
+_FIRST_ROUND, _LAST_ROUND = 4, 64
+
+
 def _draw_cities(
     params: GridParams,
     seed: int,
@@ -409,23 +491,37 @@ def _draw_cities(
     when contact_x is None), exactly as ``sample_grid_anchored`` draws it
     with the anchored street as wide as the mean street width.
 
+    Trials draw in order, as one ``SeedSequence([seed, trial, attempt])`` per
+    draw would, from the same streams: one ``_seed_state`` hash seeds a
+    round of attempts for every trial not yet drawn.  A trial that rejects
+    all of its round's attempts starts the next round, with twice as many
+    attempts per trial, up to ``_LAST_ROUND``.
+
     The invariants ``UrbanGrid`` checks hold for every city, checked on the
     flat arrays.  Raises DegenerateGeometryError after 1000 rejected draws.
     """
-    cities, draws = [], []
-    for trial in trials:
-        for attempt in range(1000):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, trial, attempt]))
-            city = _draw_anchored(params, rng, y_anchor, params.mu_s, contact_x)
-            if city is not None:
+    numbers = np.arange(trials.start, trials.stop, trials.step)
+    cities, draws = [None] * len(numbers), np.zeros(len(numbers), dtype=int)
+    first, per = 0, _FIRST_ROUND
+    while first < len(numbers):
+        state = _seed_state(seed, numbers[first:].repeat(per),
+                            (draws[first:, None] + np.arange(per)).ravel())
+        for words in state.reshape(-1, per, 4):
+            for row in words:
+                draws[first] += 1
+                cities[first] = _draw_anchored(params, _generator(row), y_anchor, params.mu_s,
+                                               contact_x)
+                if cities[first] is not None:
+                    break
+                if draws[first] == 1000:
+                    raise DegenerateGeometryError(
+                        f"no building band covered the start contact at x = {contact_x:g} "
+                        "in 1000 city draws"
+                    )
+            else:  # trial ``first`` is still pending: rehash from it
                 break
-        else:
-            raise DegenerateGeometryError(
-                f"no building band covered the start contact at x = {contact_x:g} "
-                "in 1000 city draws"
-            )
-        cities.append(city)
-        draws.append(attempt + 1)
+            first += 1
+        per = min(2 * per, _LAST_ROUND)
     return _join_cities(cities, draws)
 
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
@@ -285,7 +285,7 @@ _PLATFORM = st.tuples(st.floats(-150.0, 150.0), st.floats(5.0, 150.0), st.boolea
 @settings(max_examples=25)
 @given(
     preset=st.sampled_from([(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)),
     y0=st.floats(-150.0, 150.0).filter(lambda y: y != 0.0),
     xs=st.lists(st.floats(-150.0, 100.0), min_size=1, max_size=6),
     platforms=st.lists(_PLATFORM, max_size=4),
@@ -295,6 +295,9 @@ _PLATFORM = st.tuples(st.floats(-150.0, 150.0), st.floats(5.0, 150.0), st.boolea
     T=st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
     trials=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
 )
+@example(preset=(45.0, 13.0), seed=2**64 + 5, y0=-3.0, xs=[-120.0, -20.0],
+         platforms=[(-60.0, 45.0, True, 60.0, 200.0), (40.0, 30.0, False, 90.0, 120.0)],
+         own=(10.0, 0.5, 80.0, 150.0), v=12.0, T=10.0, trials=_CHUNK + 1)
 def test_compare_policies_trials_equal_per_city_reference(
     preset, seed, y0, xs, platforms, own, v, T, trials
 ):

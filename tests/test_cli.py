@@ -181,6 +181,17 @@ def test_run_config_errors_exit_two(tmp_path):
     for constant in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         bogus.write_text(f'{{"sweep": "velocity", "duration": {constant}, "values": [5.0]}}')
         assert main(["run", "--config", str(bogus)]) == 2
+    # a seed is a non-negative int and trials a positive int, a bool
+    # neither, also when given on the command line
+    for key, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("trials", 2.5),
+                       ("trials", True), ("trials", 0)):
+        bogus.write_text(json.dumps(_cfg(values=[5.0], **{key: value})))
+        assert main(["run", "--config", str(bogus)]) == 2, (key, value)
+    bogus.write_text(json.dumps(_cfg(values=[5.0])))
+    for flag, value in (("--seed", "-4"), ("--trials", "0"), ("--trials", "-3")):
+        assert main(["run", "--config", str(bogus), flag, value]) == 2, (flag, value)
+    assert main(["grid", "dump", "--seed", "-1", "--out", str(tmp_path / "g.json")]) == 2
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):

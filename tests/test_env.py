@@ -194,6 +194,28 @@ def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrup
         env._draw_cities(urban, 0, range(3), 0.0, None)
 
 
+@pytest.mark.parametrize("width", [3, 2], ids=["seed-trial-attempt", "seed-trial"])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**99 + 7],
+                         ids=["0", "1", "2^32-1", "2^32", "2^64+5", "100-digit"])
+def test_seed_state_matches_numpy_seed_sequence(seed, width):
+    # every row equals NumPy's own hash of [seed, trial(, attempt)], and a
+    # generator built from it draws what default_rng(SeedSequence) draws
+    trial = np.array([0, 1, 2, 255, 256, 999, 2**31, 2**32 - 1])
+    columns = (trial, np.arange(len(trial)) * 137 % 1000)[:width - 1]
+    state = env._seed_state(seed, *columns)
+    assert state.shape == (len(trial), 4) and state.dtype == np.uint64
+    for i, words in enumerate(state):
+        entropy = [seed, *(int(c[i]) for c in columns)]
+        assert np.array_equal(words, np.random.SeedSequence(entropy).generate_state(4, np.uint64))
+        expect = np.random.default_rng(np.random.SeedSequence(entropy)).random(8)
+        assert np.array_equal(env._generator(words).random(8), expect)
+
+
+def test_seed_state_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        env._seed_state(-1, np.arange(3))
+
+
 def test_blocks_overlapping_brute_force(urban):
     g = sample_grid(urban, 2)
     cw, ce = g.building_columns()

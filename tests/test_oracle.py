@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_single_block_grid
-from uavlos import oracle
+from uavlos import env, oracle
 from uavlos.env import (
     DegenerateGeometryError,
     GridParams,
@@ -430,12 +430,15 @@ def _reference_cities(params, seed, trials, y0, contact):
 
 
 def test_trial_grid_matches_full_draw_rejection(urban):
-    # the chunk's flat arrays hold the reference cities bit for bit
-    cx = start_contact_x(urban, (0.0, 0.0), Uav(120.0, 90.0, 100.0))
-    for seed in (0, 3):
+    # the chunk's flat arrays hold the reference cities bit for bit; with a
+    # building fraction of 0.1 and a two-word seed, trials need up to 51
+    # draws, so the chunk hashes its attempts in several rounds
+    sparse = GridParams(5.0, 45.0, 8.0)
+    for params, seed in ((urban, 0), (urban, 3), (sparse, 2**32 + 7)):
+        cx = start_contact_x(params, (0.0, 0.0), Uav(120.0, 90.0, 100.0))
         for contact in (cx, None):
-            grids, draws = zip(*_reference_cities(urban, seed, 40, 0.0, contact))
-            cities = _draw_cities(urban, seed, range(40), 0.0, contact)
+            grids, draws = zip(*_reference_cities(params, seed, 40, 0.0, contact))
+            cities = _draw_cities(params, seed, range(40), 0.0, contact)
             assert cities.draws.tolist() == list(draws)
             expect = {
                 "west": [g.x_splits for g in grids],
@@ -449,6 +452,19 @@ def test_trial_grid_matches_full_draw_rejection(urban):
             assert cities.nx.tolist() == [len(g.x_splits) for g in grids]
             assert cities.ny.tolist() == [len(g.y_splits) for g in grids]
             assert (sum(draws) > 40) == (contact is not None)
+            if params is sparse and contact is not None:
+                assert max(draws) > 4 * env._FIRST_ROUND
+
+
+def test_uncoverable_contact_raises_after_the_first_trials_1000_draws(monkeypatch):
+    # buildings 0.01 m wide in 100 m cells almost never cover x = 37: trial 0
+    # rejects all of its 1000 draws, and no later trial draws before the error
+    drawn = []
+    draw = env._draw_anchored
+    monkeypatch.setattr(env, "_draw_anchored", lambda *a: drawn.append(1) or draw(*a))
+    with pytest.raises(DegenerateGeometryError, match="x = 37 in 1000 city draws"):
+        _draw_cities(GridParams(0.01, 100.0, 8.0), 5, range(_CHUNK), 0.0, 37.0)
+    assert len(drawn) == 1000
 
 
 def test_mc_contact_outside_region_raises(urban, monkeypatch):
