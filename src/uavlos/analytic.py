@@ -11,9 +11,10 @@ factors into
 where ``F`` is the building height CDF and each rate is the (nonpositive)
 density-weighted void integral of ``1 - F`` along that axis.  For Rayleigh
 heights both rates collapse to a difference of error functions and the whole
-expression is closed form; any other height law takes the quadrature path
-(absolute tolerance 1e-10, delegated to an adaptive routine run well below
-that).
+expression is closed form.  Any other height law is integrated numerically:
+for each distinct platform height, [0, 1] is cut into Chebyshev panels that
+every contact fraction of the call shares (absolute error within 1e-12 on a
+law that is smooth between a few kinks or jumps; 1e-10 is the promise).
 
 The per-instant pieces (height CDF, void rate, ``erf_diff`` and
 ``p_los_contact``) take floats or NumPy arrays, so an epoch evaluator can
@@ -22,8 +23,7 @@ price every contact of every segment in one call.  The error function is
 real line; the test suite pins it against high precision reference values.
 The difference of two nearly equal erf values is the one cancellation-prone
 spot, so ``erf_diff`` switches to a midpoint series there.  A ``CdfHeights``
-law has no array form: it is evaluated one element at a time, and its void
-rate integrated once per distinct (contact fraction, platform height) pair.
+law calls its Python CDF once per height, on arrays too.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import chebyshev
 from scipy.special import erf
 
 from .env import Uav
@@ -64,26 +65,26 @@ class RayleighHeights:
 
 @dataclass
 class CdfHeights:
-    """Arbitrary building height law given by its CDF."""
+    """Arbitrary building height law given by its CDF on one height at a time."""
 
     cdf_fn: Callable[[float], float]
 
-    def cdf(self, h: float) -> float:
-        if math.isinf(h):
-            return 1.0
-        return min(max(float(self.cdf_fn(h)), 0.0), 1.0)
+    def cdf(self, h):
+        """CDF at a height or an array of heights, one ``cdf_fn`` call per
+        finite height, clamped to [0, 1]; 1 at +inf and 0 at -inf or nan.
+
+        Raises ValueError at the first height where ``cdf_fn`` is not finite.
+        """
+        h = np.asarray(h, dtype=float)
+        f = np.array([self.cdf_fn(x) if math.isfinite(x) else float(x > 0.0)
+                      for x in h.ravel().tolist()], dtype=float).reshape(h.shape)
+        bad = ~np.isfinite(f)
+        if bad.any():
+            raise ValueError(f"height CDF is {f[bad][0]} at height {h[bad][0]} m")
+        return np.clip(f, 0.0, 1.0)[()]
 
 
 HeightModel = RayleighHeights | CdfHeights
-
-
-def _cdf(model: HeightModel, h):
-    """Height CDF at a float or elementwise over an array."""
-    if isinstance(model, RayleighHeights):
-        return model.cdf(h)
-    if np.ndim(h) == 0:
-        return model.cdf(float(h))
-    return np.array([model.cdf(float(x)) for x in h])
 
 
 def erf_diff(a, b):
@@ -113,33 +114,86 @@ def _rayleigh_rate(s, lam: float, sigma: float, height: float):
     return -lam * math.sqrt(math.pi / 2.0) * (sigma / height) * erf_diff(c, c * s)
 
 
-def _generic_rate(s: float, lam: float, model: HeightModel, height: float) -> float:
-    """Void rate for an arbitrary height CDF, by adaptive quadrature.
+# Each panel of [0, 1] is fitted at 17 Chebyshev points (ascending on [-1, 1]).
+_X = -np.cos(np.pi * np.arange(17) / 16)
+_TOL = 1e-14  # bound on a kept panel's last three Chebyshev coefficients
+_FLOOR = 2.0 ** -44  # panels this narrow are kept whatever their fit
+_MAX_PENDING = 4096  # more failing panels than this at once: the law is too rough
 
-    Integrates 1 - F(height * q) for q in [s, 1]; tolerance comfortably under
-    the documented 1e-10 absolute.
+
+def _panel_matrix() -> np.ndarray:
+    """Constant map from a panel's node values to, row by row: the Chebyshev
+    coefficients of the integral from x to the panel's right edge (on [-1, 1]),
+    and the panel's own last three Chebyshev coefficients."""
+    n = _X.size - 1
+    k = np.arange(n + 1)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    # node values to coefficients is a discrete cosine transform at these
+    # points, written out so that the import makes no LAPACK call
+    to_coef = (2.0 / n) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, n - k) / n)
+    anti = chebyshev.chebint(np.eye(n + 1), lbnd=-1.0)  # each column vanishes at -1
+    tail = -anti
+    tail[0] += chebyshev.chebval(1.0, anti)
+    return np.vstack([np.einsum("ij,jk->ik", tail, to_coef), to_coef[-3:]])
+
+
+_PANEL = _panel_matrix()
+
+
+def _tail_integral(model: CdfHeights, height: float, s: np.ndarray) -> np.ndarray:
+    """Integral of 1 - F(height * q) over q in [s, 1], elementwise over s in [0, 1].
+
+    The eighths of [0, 1] are bisected until each panel's last three
+    Chebyshev coefficients are within ``_TOL`` (error about 1e-14 times its
+    width) or the panel is ``_FLOOR`` wide (a jump there costs about its
+    width).  A fraction's integral is its panel's polynomial plus the panel
+    integrals to its right, summed from 1 down.  The panels depend on the
+    height alone, so a fraction gets the same value whichever others share
+    the call.
     """
-    from scipy.integrate import quad  # imported here: it is most of ``import uavlos``
-    val, _ = quad(
-        lambda q: 1.0 - model.cdf(height * q), s, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200
-    )
-    return -lam * val
+    left, width, done = np.arange(8) / 8.0, np.full(8, 0.125), []
+    while left.size:
+        if left.size > _MAX_PENDING:
+            raise ValueError(f"height CDF too rough to integrate at platform height {height} m")
+        q = height * (left[:, None] + width[:, None] * (_X + 1.0) / 2.0)
+        g = 1.0 - model.cdf(q)
+        coef = np.einsum("pk,jk->pj", g, _PANEL)  # numpy's loop: no BLAS kernel choices
+        ok = (np.abs(coef[:, -3:]).max(axis=1) <= _TOL) | (width <= _FLOOR)
+        done.append((left[ok], width[ok], coef[ok, :-3]))
+        width = np.repeat(width[~ok] / 2.0, 2)
+        left = np.stack([left[~ok], left[~ok] + width[::2]], axis=1).ravel()
+    left, width, coef = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(left)
+    left, half, coef = left[order], width[order] / 2.0, coef[order].T
+    whole = half * (coef[::2].sum(axis=0) - coef[1::2].sum(axis=0))  # each tail at x = -1
+    after = np.append(np.cumsum(whole[::-1])[::-1][1:], 0.0)  # from each right edge to 1
+    at = np.searchsorted(left, s, side="right") - 1
+    x = (s - left[at]) / half[at] - 1.0
+    part = half[at] * chebyshev.chebval(x, coef[:, at], tensor=False)
+    return np.maximum(part + after[at], 0.0)
 
 
 def void_rate(s, lam: float, model: HeightModel, height):
     """Nonpositive decay rate of the void probabilities past the contact at s.
 
-    ``s`` and ``height`` may be arrays; the generic law then runs one
-    quadrature per distinct (s, height) pair.
+    ``s`` and ``height`` may be arrays.  A generic law is integrated once per
+    distinct height, on one set of panels that all of that height's
+    fractions share (see ``_tail_integral``); its ``s`` must lie in [0, 1].
+    Raises ValueError where the law's CDF is not finite or too rough to
+    integrate.
     """
     if isinstance(model, RayleighHeights):
         return _rayleigh_rate(s, lam, model.sigma, height)
-    if np.ndim(s) == 0 and np.ndim(height) == 0:
-        return _generic_rate(float(s), lam, model, float(height))
     s, height = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(height, dtype=float))
-    pairs, at = np.unique(np.stack([s.ravel(), height.ravel()]), axis=1, return_inverse=True)
-    rates = np.array([_generic_rate(q, lam, model, h) for q, h in pairs.T.tolist()])
-    return rates[at.ravel()].reshape(s.shape)
+    if not np.all((s >= 0.0) & (s <= 1.0)):
+        raise ValueError("contact fractions must lie in [0, 1]")
+    heights, which = np.unique(height, return_inverse=True)
+    which = which.reshape(s.shape)
+    out = np.empty(s.shape)
+    for i, h in enumerate(heights.tolist()):
+        at = which == i
+        out[at] = -lam * _tail_integral(model, h, s[at])
+    return out[()]
 
 
 def p_los_contact(s, span, lam: float, model: HeightModel, height):
@@ -148,7 +202,7 @@ def p_los_contact(s, span, lam: float, model: HeightModel, height):
     ``F(height * s) * exp(rate(s) * span)``, elementwise over arrays; span is
     the sum of the link's |dx| and |dy|.
     """
-    return _cdf(model, height * s) * np.exp(void_rate(s, lam, model, height) * span)
+    return model.cdf(height * s) * np.exp(void_rate(s, lam, model, height) * span)
 
 
 def p_los_static(

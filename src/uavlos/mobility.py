@@ -40,7 +40,6 @@ import numpy as np
 from .analytic import (
     HeightModel,
     RayleighHeights,
-    _cdf,
     p_los_contact,
     void_rate,
 )
@@ -238,8 +237,8 @@ def _face_integrals(geom: EpochGeometry, row, t_start, t_len):
     belongs to row ``row[i]`` of geom.
 
     The contact fraction of a pair is the constant w/dy, so one pair's
-    first-building term and void rate are computed once (and the generic
-    height law integrates once per distinct fraction and height); each
+    first-building term and void rate are computed once (the generic height
+    law on panels built once per distinct height for the whole call); each
     segment starts from its own static probability, which then decays while
     the user recedes from the platform in x and grows while approaching,
     with an exact split at the instant the user passes underneath.  A
@@ -257,7 +256,7 @@ def _face_integrals(geom: EpochGeometry, row, t_start, t_len):
     rate = void_rate(s, g.lam, g.model, g.height)
     v = g.speed
     x_start = g.x0 + v * t_start
-    base = _cdf(g.model, g.height * s) * np.exp(rate * (np.abs(g.ux - x_start) + abs(g.dy)))
+    base = g.model.cdf(g.height * s) * np.exp(rate * (np.abs(g.ux - x_start) + abs(g.dy)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t_star = (g.ux - x_start) / v
         approach = np.minimum(np.maximum(t_star, 0.0), t_len)  # up to the pass-under instant

@@ -40,6 +40,78 @@ def test_cdf_heights_clamps():
     assert m.cdf(-1.0) == 0.0
     assert m.cdf(3.0) == 1.0
     assert m.cdf(math.inf) == 1.0
+    # the infinities agree with the Rayleigh law's, and never reach cdf_fn
+    for h in (-math.inf, math.inf):
+        assert m.cdf(h) == RAY.cdf(h)
+    assert m.cdf(-math.inf) == 0.0
+    assert np.array_equal(m.cdf(np.array([-math.inf, -1.0, 0.25, 3.0, math.inf])),
+                          [0.0, 0.0, 0.5, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_cdf_is_a_typed_error(bad):
+    # a CDF that is not finite somewhere is refused, naming the height, and
+    # the void rate stops there: no nan result and no endless bisection
+    law = CdfHeights(lambda h: bad if h > 12.5 else 0.5)
+    with pytest.raises(ValueError, match="at height"):
+        law.cdf(np.array([3.0, 20.0]))
+    calls = []
+    stuck = CdfHeights(lambda h: calls.append(h) or math.nan)
+    with pytest.raises(ValueError, match="at height"):
+        void_rate(0.3, URBAN_LAM, stuck, 77.0)
+    assert len(calls) < 1000
+
+
+def test_too_rough_cdf_is_a_typed_error():
+    # a saw-tooth with a period of a micrometre fails every panel's error
+    # test; the bisection gives up with a typed error instead of growing
+    # toward 2**44 panels
+    saw = CdfHeights(lambda h: (h * 1e6) % 1.0)
+    with pytest.raises(ValueError, match="too rough"):
+        void_rate(0.5, URBAN_LAM, saw, 100.0)
+
+
+def _uniform_tail(s, height, top):
+    # heights uniform on [0, top]: 1 - F(height q) falls linearly to 0 at
+    # q = top / height, a kink
+    k = top / height
+    if k >= 1.0:
+        return (1.0 - s) - (1.0 - s * s) / (2.0 * k)
+    return (k - s) ** 2 / (2.0 * k) if s < k else 0.0
+
+
+def _step_tail(s, height, top):
+    # every building exactly top tall: 1 - F(height q) jumps from 1 to 0 at
+    # q = top / height
+    return max(0.0, min(1.0, top / height) - s)
+
+
+_UNIFORM = CdfHeights(lambda h: h / 40.0)
+_STEP = CdfHeights(lambda h: 1.0 if h >= 30.0 else 0.0)
+
+
+@pytest.mark.parametrize(
+    "model, exact, top, height",
+    [
+        pytest.param(_UNIFORM, _uniform_tail, 40.0, 100.0, id="uniform-h100"),
+        pytest.param(_UNIFORM, _uniform_tail, 40.0, 77.0, id="uniform-h77"),
+        pytest.param(_UNIFORM, _uniform_tail, 40.0, 25.0, id="uniform-h25"),
+        pytest.param(_STEP, _step_tail, 30.0, 77.0, id="step-h77"),
+        pytest.param(_STEP, _step_tail, 30.0, 100.0, id="step-h100"),
+    ],
+)
+def test_void_rate_generic_path_matches_exact_integrals(model, exact, top, height):
+    # laws whose void integral is known in closed form, at fractions on both
+    # sides of the kink or jump, at the ends of the link and on the panel
+    # edges 1/2 and 3/8; 1e-10 is the documented error, 1e-12 the tested one
+    k = min(1.0, top / height)
+    s = [0.0, 1.0, 0.5, 0.375, k, math.nextafter(k, 0.0), k - 1e-9, k + 1e-9, k - 1e-3,
+         k + 1e-3, 0.1, 0.9]
+    s = np.array([x for x in s if 0.0 <= x <= 1.0])
+    rates = void_rate(s, 1.0, model, height)
+    for x, r in zip(s.tolist(), rates.tolist()):
+        assert abs(-r - exact(x, height, top)) <= 1e-12, (x, -r, exact(x, height, top))
+        assert r == void_rate(x, 1.0, model, height)
 
 
 def test_erf_reference_values():
@@ -184,11 +256,20 @@ def test_p_static_decays_with_span(dist):
 
 
 def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate is most of the package's import time and only the
-    # quadrature path of ``void_rate`` needs it, so it loads on first use
+    # scipy.integrate is most of the package's import time and start-up
+    # memory; only the acceptance checks use it, as their own reference, so
+    # neither the import nor pricing an epoch on a generic height law loads it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, uavlos; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import math, sys, uavlos\n"
+        "law = uavlos.CdfHeights(lambda h: -math.expm1(-h * h / 128.0) if h > 0.0 else 0.0)\n"
+        "r = uavlos.expected_los_total(uavlos.GridParams(45.0, 13.0, 8.0),\n"
+        "                              uavlos.UserMotion(0.0, 0.0, 15.0, 10.0),\n"
+        "                              uavlos.Uav(120.0, 90.0, 100.0), model=law)\n"
+        "assert 0.0 < r.expected_time < 10.0\n"
+        "print('scipy.integrate' in sys.modules)"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"

@@ -267,7 +267,7 @@ _CDF = CdfHeights(lambda h: 1.0 - math.exp(-h * h / 128.0) if h > 0 else 0.0)
         (37.0, 10.0, 30.0, 120.0, 120.0, None, 43.82965766992164),
         (45.0, 13.0, 30.0, 120.0, 120.0, None, 79.4326054095491),
         (60.0, 20.0, 30.0, 120.0, 120.0, None, 116.28836950646857),
-        # the generic height law, one quadrature per contact
+        # the generic height law, every contact on one set of Chebyshev panels
         (45.0, 13.0, 15.0, 10.0, 120.0, _CDF, 8.233662496015025),
         # Simpson nodes on the pass-under instant: the first, the middle and
         # the last node of a wall segment
