@@ -26,6 +26,7 @@ from .env import (
     _draw_anchored,
     _generator,
     _join_cities,
+    _law,
     _seed_state,
 )
 from .analytic import RayleighHeights
@@ -277,10 +278,11 @@ def compare_policies(
     candidates = _candidates(users, uavs)
     fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
     values = [np.empty((2, 0))]
+    law = _law(params)
     for chunk in _chunks(trials):
         state = _seed_state(seed, np.arange(chunk.start, chunk.stop))
-        cities = _join_cities([_draw_anchored(params, _generator(w), y0, params.mu_s)
-                               for w in state], [1] * len(chunk))
+        cities = _join_cities([_draw_anchored(_generator(w), law, y0, params.mu_s)
+                               for w in state], [1] * len(chunk), y0, params.street_fraction)
         clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
         for j, m in enumerate(users):
             if candidates[j]:

@@ -28,7 +28,7 @@ from .env import (
     sample_grid,
     sample_grid_anchored,
 )
-from .mobility import expected_los_total
+from .mobility import MAX_MEAN_CROSSINGS, expected_los_total
 from .oracle import coverage_time, monte_carlo_expected_los, start_contact_x
 
 # Table I presets: (mean building height, mean building width, mean street width)
@@ -152,6 +152,16 @@ class ExperimentConfig:
                 raise ConfigError("street widths must be positive")
         if self.sweep == "association" and not self.user_xs:
             raise ConfigError("association sweep needs user_xs")
+        # street crossings an epoch expects (lam v T) on the densest grid at the fastest walk
+        if self.sweep == "building_ratio":
+            period = min(r * w + w for w in self.street_widths for r in self.values)
+        else:
+            custom = self.preset == "custom"
+            period = self.mu_b + self.mu_s if custom else sum(PRESETS[self.preset][1:])
+        speed = max(self.values) if self.sweep in ("velocity", "association") else self.speed
+        if period > 0 and 1.0 / period * speed * self.duration > MAX_MEAN_CROSSINGS:
+            raise ConfigError(f"an epoch of {self.duration:g} s at {speed:g} m/s expects more "
+                              f"than {MAX_MEAN_CROSSINGS:g} street crossings (lam v T)")
 
     def grid_params(self, mu_b: float | None = None, mu_s: float | None = None) -> GridParams:
         if mu_b is None or mu_s is None:

@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -132,8 +132,9 @@ def _check_cells(lo: np.ndarray, hi: np.ndarray, splits: np.ndarray) -> None:
         raise ValueError("band split outside its cell")
 
 
-def _check_shape(x_points: np.ndarray, y_points: np.ndarray, heights: np.ndarray) -> None:
-    if heights.shape != (max(len(x_points) - 1, 0), max(len(y_points) - 1, 0)):
+def _check_shapes(shapes, nx, ny) -> None:
+    """Height matrix shapes against cell counts (nx, ny), one row per city."""
+    if not np.array_equal(shapes, np.stack([nx, ny], axis=-1)):
         raise ValueError("height matrix shape does not match cell counts")
 
 
@@ -173,7 +174,8 @@ class UrbanGrid:
     def __post_init__(self) -> None:
         for pts, spl in ((self.x_points, self.x_splits), (self.y_points, self.y_splits)):
             _check_cells(pts[:-1], pts[1:], spl)
-        _check_shape(self.x_points, self.y_points, self.block_heights)
+        _check_shapes(self.block_heights.shape, max(len(self.x_points) - 1, 0),
+                      max(len(self.y_points) - 1, 0))
         _check_heights(self.block_heights)
 
     # -- band queries ---------------------------------------------------------
@@ -283,16 +285,16 @@ def _ppp(rng: np.random.Generator, lam: float, lo: float, hi: float) -> np.ndarr
     return points
 
 
-def _splits(points: np.ndarray, f: float) -> np.ndarray:
-    """Street/building boundary of each cell, a street fraction f into it."""
-    return points[:-1] + f * (points[1:] - points[:-1]) if len(points) >= 2 else np.empty(0)
-
-
-def _draw_columns(params: GridParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """X points and splits, the first draw of every city."""
-    x_lo, x_hi, _, _ = params.box
-    xp = _ppp(rng, params.lam, x_lo, x_hi)
-    return xp, _splits(xp, params.street_fraction)
+def _cells(points: np.ndarray, sizes, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, split) of every cell [lo, hi) of cities' sorted axis points
+    laid end to end, ``sizes[i]`` of them city i's: the pair that crosses from
+    one city to the next bounds no cell, and each split lies a street
+    fraction f into its cell."""
+    keep = np.ones(len(points), dtype=bool)
+    ends = np.cumsum(sizes)
+    keep[ends[ends > 0] - 1] = False  # a city's last point starts no cell
+    lo, hi = points[:-1][keep[:-1]], points[1:][keep[:-1]]
+    return lo, hi, lo + f * (hi - lo)
 
 
 def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> UrbanGrid:
@@ -302,12 +304,13 @@ def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> Urban
     height matrix row-major over (x cell, y cell).
     """
     rng = np.random.default_rng(seed)
-    _, _, y_lo, y_hi = params.box
-    xp, xs = _draw_columns(params, rng)
+    x_lo, x_hi, y_lo, y_hi = params.box
+    xp = _ppp(rng, params.lam, x_lo, x_hi)
     yp = _ppp(rng, params.lam, y_lo, y_hi)
-    ys = _splits(yp, params.street_fraction)
     heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), max(len(yp) - 1, 0)))
-    return UrbanGrid(params, seed, xp, yp, xs, ys, heights)
+    f = params.street_fraction
+    return UrbanGrid(params, seed, xp, yp, _cells(xp, [len(xp)], f)[2],
+                     _cells(yp, [len(yp)], f)[2], heights)
 
 
 def sample_grid_anchored(
@@ -326,30 +329,45 @@ def sample_grid_anchored(
     cell is split like any other cell.
 
     Draw order: X count and points, anchor cell gap, Y points below, Y points
-    above, then heights.
+    above, then heights.  The city is one ``_draw_anchored`` draw built by
+    ``_join_cities``, as each city of a Monte Carlo chunk is.
     """
-    rng = np.random.default_rng(seed)
-    return UrbanGrid(params, seed, *_draw_anchored(params, rng, y_anchor, street_width))
+    pieces = _draw_anchored(np.random.default_rng(seed), _law(params), y_anchor, street_width)
+    xp, below, above, cell_end, _, heights = pieces
+    city = _join_cities([pieces], [1], y_anchor, params.street_fraction)
+    return UrbanGrid(params, seed, xp, np.concatenate([below, [y_anchor, cell_end], above]),
+                     city.west, city.south, heights)
+
+
+def _law(params: GridParams) -> tuple[float, ...]:
+    """(lam, x_lo, x_hi, y_lo, y_hi, street fraction, sigma): all that a city
+    draw reads of params, computed once for a chunk of draws."""
+    return (params.lam, *params.box, params.street_fraction, params.sigma)
 
 
 def _draw_anchored(
-    params: GridParams,
     rng: np.random.Generator,
+    law: tuple[float, ...],
     y_anchor: float,
     street_width: float | None,
     contact_x: float | None = None,
-) -> tuple[np.ndarray, ...] | None:
-    """The draws of ``sample_grid_anchored`` from rng, as its (x_points,
-    y_points, x_splits, y_splits, block_heights), or None without drawing past
-    the X points when contact_x is given and no building band covers it."""
-    xp, xs = _draw_columns(params, rng)
-    if contact_x is not None and _band(xp, xs, contact_x)[0] != "building":
-        return None
-    _, _, y_lo, y_hi = params.box
+) -> tuple | None:
+    """The draws of ``sample_grid_anchored`` from rng, in its order, for the
+    ``_law`` of its params, as raw pieces: (sorted X points, sorted Y points
+    below y_anchor, sorted Y points above the anchor cell, the anchor cell's
+    end, its pinned split, block heights).  ``_join_cities`` builds every
+    other split, a chunk of cities at once.  None, without drawing past the
+    X points, when contact_x is given and no building band covers it."""
+    lam, x_lo, x_hi, y_lo, y_hi, f, sigma = law
+    xp = _ppp(rng, lam, x_lo, x_hi)
+    if contact_x is not None:
+        # ``UrbanGrid.band_at`` on the one cell holding contact_x, split as ``_cells`` splits it
+        k = xp.searchsorted(contact_x, "right")
+        if k == 0 or k == len(xp) or contact_x < xp[k - 1] + f * (xp[k] - xp[k - 1]):
+            return None
     if not (y_lo <= y_anchor < y_hi):
         raise DegenerateGridError("anchor outside the region")
-    f = params.street_fraction
-    gap = rng.exponential(1.0 / params.lam)
+    gap = rng.exponential(1.0 / lam)
     if street_width is None:
         w = f * gap
         cell_end = y_anchor + gap
@@ -362,14 +380,10 @@ def _draw_anchored(
     cell_end = min(cell_end, y_hi)
     if cell_end - y_anchor <= w:
         w = cell_end - y_anchor
-    below = _ppp(rng, params.lam, y_lo, y_anchor)
-    above = _ppp(rng, params.lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
-    yp = np.concatenate([below, [y_anchor, cell_end], above])
-    ys = _splits(yp, f)
-    # pin the anchor cell's split, cell len(below), to the requested street width
-    ys[len(below)] = min(y_anchor + w, cell_end)
-    heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), len(ys)))
-    return xp, yp, xs, ys, heights
+    below = _ppp(rng, lam, y_lo, y_anchor)
+    above = _ppp(rng, lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
+    heights = rng.rayleigh(sigma, size=(max(len(xp) - 1, 0), len(below) + 1 + len(above)))
+    return xp, below, above, cell_end, min(y_anchor + w, cell_end), heights
 
 
 # -- seeding ------------------------------------------------------------------
@@ -455,9 +469,10 @@ class _Cities:
     ``UrbanGrid.building_columns`` gives them), ``south`` and ``north`` its
     building rows, and ``heights`` its height matrix row-major.  ``nx`` and
     ``ny`` count the columns and rows of each city, and ``draws`` the city
-    draws it took.  ``col_city`` and ``row_city`` give the city of each
-    column and row, and ``first_col``, ``first_row`` and ``first_cell`` the
-    flat index of each city's first column, row and height.
+    draws it took.  Derived from those: ``col_city`` and ``row_city`` give
+    the city of each column and row, and ``first_col``, ``first_row`` and
+    ``first_cell`` the flat index of each city's first column, row and
+    height.  Drawn cities come from ``_join_cities``, which checks them.
     """
 
     west: np.ndarray
@@ -468,11 +483,18 @@ class _Cities:
     nx: np.ndarray
     ny: np.ndarray
     draws: np.ndarray
-    col_city: np.ndarray
-    row_city: np.ndarray
-    first_col: np.ndarray
-    first_row: np.ndarray
-    first_cell: np.ndarray
+    col_city: np.ndarray = field(init=False)
+    row_city: np.ndarray = field(init=False)
+    first_col: np.ndarray = field(init=False)
+    first_row: np.ndarray = field(init=False)
+    first_cell: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        city = np.arange(len(self.nx))
+        self.col_city, self.row_city = np.repeat(city, self.nx), np.repeat(city, self.ny)
+        self.first_col = np.cumsum(self.nx) - self.nx
+        self.first_row = np.cumsum(self.ny) - self.ny
+        self.first_cell = np.cumsum(self.nx * self.ny) - self.nx * self.ny
 
 
 # attempts hashed per trial in a chunk's first round, and at most in any round
@@ -495,21 +517,23 @@ def _draw_cities(
     draw would, from the same streams: one ``_seed_state`` hash seeds a
     round of attempts for every trial not yet drawn.  A trial that rejects
     all of its round's attempts starts the next round, with twice as many
-    attempts per trial, up to ``_LAST_ROUND``.
+    attempts per trial, up to ``_LAST_ROUND``.  Each draw makes only its
+    RNG calls and the contact test (``_draw_anchored``); the accepted
+    cities' splits and checks are one ``_join_cities`` pass for the chunk.
 
-    The invariants ``UrbanGrid`` checks hold for every city, checked on the
-    flat arrays.  Raises DegenerateGeometryError after 1000 rejected draws.
+    Raises DegenerateGeometryError after 1000 rejected draws.
     """
+    law = _law(params)
     numbers = np.arange(trials.start, trials.stop, trials.step)
-    cities, draws = [None] * len(numbers), np.zeros(len(numbers), dtype=int)
+    cities, draws = [None] * len(numbers), [0] * len(numbers)
     first, per = 0, _FIRST_ROUND
     while first < len(numbers):
         state = _seed_state(seed, numbers[first:].repeat(per),
-                            (draws[first:, None] + np.arange(per)).ravel())
+                            (np.array(draws[first:])[:, None] + np.arange(per)).ravel())
         for words in state.reshape(-1, per, 4):
             for row in words:
                 draws[first] += 1
-                cities[first] = _draw_anchored(params, _generator(row), y_anchor, params.mu_s,
+                cities[first] = _draw_anchored(_generator(row), law, y_anchor, params.mu_s,
                                                contact_x)
                 if cities[first] is not None:
                     break
@@ -522,27 +546,32 @@ def _draw_cities(
                 break
             first += 1
         per = min(2 * per, _LAST_ROUND)
-    return _join_cities(cities, draws)
+    return _join_cities(cities, draws, y_anchor, params.street_fraction)
 
 
-def _join_cities(cities: list[tuple[np.ndarray, ...]], draws: list[int]) -> _Cities:
-    """At least one city drawn by ``_draw_anchored`` joined into flat arrays,
-    with the invariants ``UrbanGrid`` checks checked on them; ``draws[i]``
-    counts the city draws behind city i."""
-    xp, yp, xs, ys, hs = zip(*cities)
-    for x, y, h in zip(xp, yp, hs):
-        _check_shape(x, y, h)
-    west, south = np.concatenate(xs), np.concatenate(ys)
-    east, north = np.concatenate([p[1:] for p in xp]), np.concatenate([p[1:] for p in yp])
-    _check_cells(np.concatenate([p[:-1] for p in xp]), east, west)
-    _check_cells(np.concatenate([p[:-1] for p in yp]), north, south)
-    heights = np.concatenate([h.ravel() for h in hs])
-    _check_heights(heights)
-    nx, ny = np.array([len(x) for x in xs]), np.array([len(y) for y in ys])
-    city = np.arange(len(nx))
-    return _Cities(west, east, south, north, heights, nx, ny, np.array(draws),
-                   np.repeat(city, nx), np.repeat(city, ny), np.cumsum(nx) - nx,
-                   np.cumsum(ny) - ny, np.cumsum(nx * ny) - nx * ny)
+def _join_cities(pieces: list[tuple], draws: list[int], y_anchor: float, f: float) -> _Cities:
+    """At least one city drawn by ``_draw_anchored`` at y_anchor, as flat
+    arrays, built in one pass: one concatenation per axis, every cell split
+    a street fraction f into it (``_cells``), the anchor cells' splits
+    pinned, and the invariants ``UrbanGrid`` checks checked on the flat
+    arrays.  ``draws[i]`` counts the city draws behind city i."""
+    xp, below, above, cell_end, pin, hs = zip(*pieces)
+    n_points = np.array(list(map(len, xp)))
+    x_lo, east, west = _cells(np.concatenate(xp), n_points, f)
+    _check_cells(x_lo, east, west)
+    # each city's Y points: below, y_anchor, the anchor cell's end, above
+    y = np.concatenate([p for b, a, end in zip(below, above, cell_end)
+                        for p in (b, (y_anchor, end), a)])
+    n_below = np.array(list(map(len, below)))
+    size = n_below + np.array(list(map(len, above))) + 2
+    y_lo, north, south = _cells(y, size, f)
+    cities = _Cities(west, east, south, north, np.concatenate(hs, axis=None),
+                     np.maximum(n_points - 1, 0), size - 1, np.array(draws))
+    south[cities.first_row + n_below] = pin
+    _check_cells(y_lo, north, south)
+    _check_shapes([h.shape for h in hs], cities.nx, cities.ny)
+    _check_heights(cities.heights)
+    return cities
 
 
 # -- slab intersection --------------------------------------------------------

@@ -66,6 +66,10 @@ ROW_BLOCK = 256
 CELL_BLOCK = 2**11
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 _SETTLED = ([1.0], 0.0)  # the law of a pair settled directly: one count, nothing dropped
+# most street crossings (lam v T) an epoch priced count by count may expect:
+# it prices about lam v T counts of about lam v T corners each, so one urban
+# pair just below the bound takes about 9 s of CPU on a 2-core x86 host
+MAX_MEAN_CROSSINGS = 4096.0
 
 
 def p_los_x_segment(t, base, rate, v):
@@ -487,11 +491,16 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> tuple:
     directly: one count of weight 1, worth its whole epoch.  The other pairs
     expand into one row per crossing count, priced a block at a time on
     their canonical layouts; the weights are computed once per distinct lam v T.
+    Raises ValueError when a pair to price has lam v T above MAX_MEAN_CROSSINGS.
     """
     T = np.asarray(geom.duration, dtype=float).reshape(-1)
     mu = geom.lam * geom.speed * T
     settled = (T == 0.0) | (geom.dy <= geom.street_width)
-    pmfs = {m: _truncated_pmf(m, epsilon) for m in set(mu[~settled].tolist())}
+    rates = set(mu[~settled].tolist())
+    if max(rates, default=0.0) > MAX_MEAN_CROSSINGS:
+        raise ValueError(f"an epoch expects {max(rates):g} street crossings (lam v T), "
+                         f"more than the {MAX_MEAN_CROSSINGS:g} priced")
+    pmfs = {m: _truncated_pmf(m, epsilon) for m in rates}
     laws = [_SETTLED if s else pmfs[m] for m, s in zip(mu.tolist(), settled.tolist())]
     sizes = np.array([len(w) for w, _ in laws], dtype=int)
     starts = sizes.cumsum() - sizes

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from uavlos.env import GridParams, UrbanGrid
+from uavlos.env import GridParams, UrbanGrid, _Cities
 
 settings.register_profile(
     "suite",
@@ -41,3 +41,10 @@ def make_single_block_grid(height: float) -> UrbanGrid:
         np.array([16.0]),
         np.array([[height]]),
     )
+
+
+def grid_cities(grid: UrbanGrid) -> _Cities:
+    """One city, built by hand, as the flat arrays the chunk referees judge."""
+    nx, ny = grid.block_heights.shape
+    return _Cities(grid.x_splits, grid.x_points[1:], grid.y_splits, grid.y_points[1:],
+                   grid.block_heights.ravel(), np.array([nx]), np.array([ny]), np.array([1]))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_single_block_grid
+from conftest import grid_cities, make_single_block_grid
 from uavlos.analytic import CdfHeights, RayleighHeights
 from uavlos import oracle
 from uavlos.assoc import (
@@ -26,6 +26,7 @@ from uavlos.env import (
     UserMotion,
     _draw_anchored,
     _join_cities,
+    _law,
     sample_grid_anchored,
 )
 from uavlos.mobility import (
@@ -322,8 +323,8 @@ def test_one_platform_per_group_equals_per_city_reference(urban, monkeypatch):
             Uav(90.0, 30.0, 120.0)]
     trials = _CHUNK + 1
     seeds = [np.random.SeedSequence([3, i]) for i in range(trials)]
-    cities = _join_cities([_draw_anchored(urban, np.random.default_rng(q), 0.0, urban.mu_s)
-                           for q in seeds], [1] * trials)
+    cities = _join_cities([_draw_anchored(np.random.default_rng(q), _law(urban), 0.0, urban.mu_s)
+                           for q in seeds], [1] * trials, 0.0, urban.street_fraction)
     grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
     for m in users:
         g = (m.x0, m.y0)
@@ -353,8 +354,7 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     grid = UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, np.array([x_end, x_end + 10.0]),
                      np.array([16.0, 24.0]), np.array([x_end]), np.array([16.0]),
                      np.array([[1000.0]]))
-    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
-                            grid.block_heights)], [1])
+    cities = grid_cities(grid)
     above, east = Uav(x_end, 30.0, 50.0), Uav(x_end + 30.0, 30.0, 50.0)
     g = (x_end, 0.0)
     assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
@@ -377,6 +377,18 @@ def test_compare_policies_prefix_stable_across_chunk_boundary(urban):
     # association draws are never rejected: one city per trial
     for stats in (long.proposed, long.benchmark, long.difference):
         assert stats.draws.tolist() == [1] * (_CHUNK + 2)
+
+
+def test_compare_policies_stream_is_frozen(urban, monkeypatch):
+    # both means of one 60-trial run in two chunks, frozen from the per-draw
+    # sampler: a drawer that moves the city streams moves them
+    monkeypatch.setattr(oracle, "_CHUNK", 32)
+    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-170.0, -55.0)]
+    uavs = [Uav(-150.0, 45.0, 60.0), Uav(-60.0, -40.0, 90.0, 140.0), Uav(10.0, 80.0, 40.0),
+            Uav(90.0, 30.0, 120.0)]
+    cmp = compare_policies(urban, users, uavs, 60, 3)
+    assert cmp.proposed.mean == 18.880481874465023
+    assert cmp.benchmark.mean == 16.13301078082126
 
 
 def test_compare_policies_sums_each_trial_left_to_right(urban):

@@ -34,6 +34,24 @@ def test_presets_are_frozen():
     assert set(RUNNERS) == set(SWEEPS) == set(DEFAULT_VALUES)
 
 
+def test_config_bounds_street_crossings_on_the_densest_grid_and_fastest_walk():
+    # a 20 m period (ratio 1 at w = 10) at 20 m/s, the fastest of a velocity
+    # sweep (30 m/s on the 58 m urban period), and of an association sweep
+    # (with the duration of its walks)
+    for raw, at_bound in (
+        ({"sweep": "building_ratio", "values": [1.0, 3.0], "street_widths": [20.0, 10.0],
+          "speed": 20.0}, 4096.0),
+        (_cfg(values=[5.0, 30.0]), 4096.0 * 58.0 / 30.0),
+        (_cfg(sweep="association", values=[5.0, 30.0]), 4096.0 * 58.0 / 30.0),
+    ):
+        ExperimentConfig.from_dict({**raw, "duration": at_bound * (1.0 - 1e-9)})
+        with pytest.raises(ConfigError, match="more than 4096 street crossings"):
+            ExperimentConfig.from_dict({**raw, "duration": at_bound * (1.0 + 1e-9)})
+    # every default sweep passes, at its default duration
+    for sweep in SWEEPS:
+        ExperimentConfig.from_dict({"sweep": sweep, "initial_distance": 200.0})
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict(_cfg(nonsense=1))
@@ -181,6 +199,9 @@ def test_run_config_errors_exit_two(tmp_path):
     for constant in ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400):
         bogus.write_text(f'{{"sweep": "velocity", "duration": {constant}, "values": [5.0]}}')
         assert main(["run", "--config", str(bogus)]) == 2
+    # an epoch expecting more street crossings than are priced is refused up front
+    bogus.write_text(json.dumps({"sweep": "velocity", "duration": 1e300, "values": [5.0]}))
+    assert main(["run", "--config", str(bogus)]) == 2
     # a seed is a non-negative int and trials a positive int, a bool
     # neither, also when given on the command line
     for key, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("trials", 2.5),

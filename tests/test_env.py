@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,20 +175,38 @@ def _set(k, value):
     return corrupt
 
 
-@pytest.mark.parametrize("field, corrupt, message", [
-    (0, _set(1, lambda a: a[0]), "axis points must be strictly increasing"),
-    (3, _set(0, lambda a: a[0] - 100.0), "band split outside its cell"),
-    (2, lambda a: a[:-1], "band splits for"),
-    (4, lambda h: h[:, :-1], "height matrix shape does not match cell counts"),
-    (4, _set(0, lambda h: -1.0), "negative building height"),
+@pytest.mark.parametrize("field, corrupt, piece, corrupt_piece, message", [
+    ("x_points", _set(1, lambda a: a[0]), 0, _set(1, lambda a: a[0]),
+     "axis points must be strictly increasing"),
+    ("y_splits", _set(0, lambda a: a[0] - 100.0), 4, lambda pin: pin - 100.0,
+     "band split outside its cell"),
+    ("x_splits", lambda a: a[:-1], None, None, "band splits for"),
+    ("block_heights", lambda h: h[:, :-1], 5, lambda h: h[:, :-1],
+     "height matrix shape does not match cell counts"),
+    ("block_heights", _set(0, lambda h: -1.0), 5, _set(0, lambda h: -1.0),
+     "negative building height"),
 ], ids=["points", "split", "split-count", "shape", "height"])
-def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrupt, message):
-    # the same five checks guard a city built by hand and each city of a chunk
-    good = env._draw_anchored(urban, np.random.default_rng(0), 0.0, 13.0)
-    bad = list(good)
-    bad[field] = corrupt(bad[field].copy())
+def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrupt, piece,
+                                               corrupt_piece, message):
+    # the same five checks guard a city built by hand and each city of a
+    # chunk.  A draw yields no split but its anchor cell's, so a split count
+    # that does not match the cells can arise only in the flat arrays the
+    # join builds and checks
+    grid = sample_grid_anchored(urban, 0, 0.0, 13.0)
     with pytest.raises(ValueError, match=message):
-        UrbanGrid(urban, 0, *bad)
+        replace(grid, **{field: corrupt(getattr(grid, field).copy())})
+    good = env._draw_anchored(np.random.default_rng(0), env._law(urban), 0.0, 13.0)
+    bad = list(good)
+    if piece is None:
+        cells = env._cells
+
+        def short(*args):
+            lo, hi, split = cells(*args)
+            return lo, hi, split[:-1]
+
+        monkeypatch.setattr(env, "_cells", short)
+    else:
+        bad[piece] = corrupt_piece(np.copy(bad[piece]))
     draws = iter([good, tuple(bad), good])
     monkeypatch.setattr(env, "_draw_anchored", lambda *a: next(draws))
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static, void_rate
 from uavlos.cli import PRESETS
 from uavlos.env import _FACE, _OPEN, KINDS, GridParams, SegmentTable, Uav, UserMotion
 from uavlos.mobility import (
+    MAX_MEAN_CROSSINGS,
     EpochGeometry,
     WallSweep,
     canonical_plan,
@@ -292,6 +294,23 @@ def test_expected_total_past_exp_underflow(urban):
     assert math.isfinite(r.expected_time)
     assert 0.0 <= r.expected_time <= m.duration
     assert 0.0 <= r.dropped_mass <= 1e-3
+
+
+def test_crossings_above_the_bound_raise_at_once(urban):
+    # just past the bound, and at a duration of 1e300 s, the epoch is refused
+    # before any count is priced; the truncation count alone stays unbounded
+    u = Uav(120.0, 90.0, 100.0)
+    for duration in (MAX_MEAN_CROSSINGS * 58.0 / 30.0 * (1.0 + 1e-12), 1e300):
+        m = UserMotion(0.0, 0.0, 30.0, duration)
+        assert urban.lam * m.speed * m.duration > MAX_MEAN_CROSSINGS
+        start = time.process_time()
+        with pytest.raises(ValueError, match="street crossings"):
+            expected_los_total(urban, m, u)
+        assert time.process_time() - start < 1.0
+    assert poisson_truncation_count(1.0, 2.0 * MAX_MEAN_CROSSINGS, 1.0, 1e-3) > MAX_MEAN_CROSSINGS
+    # a platform over the user's own street prices no count at any length
+    assert expected_los_total(urban, UserMotion(0.0, 0.0, 30.0, 1e300),
+                              Uav(120.0, 5.0, 100.0)).expected_time == 1e300
 
 
 @given(

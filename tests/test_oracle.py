@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_single_block_grid
+from conftest import grid_cities, make_single_block_grid
 from uavlos import env, oracle
 from uavlos.env import (
     DegenerateGeometryError,
+    DegenerateGridError,
     GridParams,
     Uav,
     UserInBuildingError,
     UrbanGrid,
     UserMotion,
     _draw_cities,
-    _join_cities,
     sample_grid_anchored,
 )
 from uavlos.oracle import (
@@ -69,8 +69,7 @@ def test_subnormal_run_along_x_is_judged_without_warnings():
                      np.array([16.0, 24.0]), np.array([-2.0]), np.array([16.0]),
                      np.array([[1000.0]]))
     u = Uav(5e-324, 40.0, 50.0)
-    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
-                            grid.block_heights)], [1])
+    cities = grid_cities(grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_los(grid, (0.0, 0.0), u) is False
@@ -267,8 +266,7 @@ def test_verdicts_do_not_depend_on_the_prefilter(case):
     # blocks its box query returns, for links on block edges and walks that
     # start or end under their platform
     grid, g, uavs, walks = case
-    cities = _join_cities([(grid.x_points, grid.y_points, grid.x_splits, grid.y_splits,
-                            grid.block_heights)], [1])
+    cities = grid_cities(grid)
     runs = _box_runs(cities, -np.inf, np.inf, -np.inf, np.inf)
     every = _box_blocks(cities, *runs)
     with pytest.MonkeyPatch.context() as mp:
@@ -417,16 +415,132 @@ def test_mc_contact_conditioning_lowers_clear_probability(urban):
     assert set(cond.values) <= {0.0, 1.0}
 
 
+# A straightforward per-draw city sampler, the reference the chunked drawer is
+# held to bit for bit: every draw computes its own splits and joins its own Y
+# points, with no pass over a chunk.
+
+
+def _ref_ppp(rng, lam, lo, hi):
+    points = rng.uniform(lo, hi, rng.poisson(lam * (hi - lo)))
+    points.sort()
+    return points
+
+
+def _ref_splits(points, f):
+    return points[:-1] + f * (points[1:] - points[:-1]) if len(points) >= 2 else np.empty(0)
+
+
+def _ref_draw(params, rng, y_anchor, street_width, contact_x=None):
+    """(x_points, y_points, x_splits, y_splits, block_heights) of one anchored
+    city, or None once the X points are drawn when contact_x is given and no
+    building band covers it."""
+    x_lo, x_hi, y_lo, y_hi = params.box
+    f = params.street_fraction
+    xp = _ref_ppp(rng, params.lam, x_lo, x_hi)
+    xs = _ref_splits(xp, f)
+    if contact_x is not None:
+        k = int(xp.searchsorted(contact_x, "right")) - 1
+        if not (0 <= k < len(xs) and contact_x >= xs[k]):
+            return None
+    if not (y_lo <= y_anchor < y_hi):
+        raise DegenerateGridError("anchor outside the region")
+    gap = rng.exponential(1.0 / params.lam)
+    if street_width is None:
+        w = f * gap
+        cell_end = y_anchor + gap
+    else:
+        if street_width <= 0:
+            raise ValueError("street width must be positive")
+        w = street_width
+        cell_end = y_anchor + w + (1.0 - f) * gap
+    cell_end = min(cell_end, y_hi)
+    if cell_end - y_anchor <= w:
+        w = cell_end - y_anchor
+    below = _ref_ppp(rng, params.lam, y_lo, y_anchor)
+    above = _ref_ppp(rng, params.lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
+    yp = np.concatenate([below, [y_anchor, cell_end], above])
+    ys = _ref_splits(yp, f)
+    ys[len(below)] = min(y_anchor + w, cell_end)
+    heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), len(ys)))
+    return xp, yp, xs, ys, heights
+
+
 def _reference_cities(params, seed, trials, y0, contact):
-    """(city, draws) per trial by the reference rule: draw whole cities over
-    seeds [seed, trial, attempt] until a building band covers the contact."""
-    for trial in range(trials):
+    """(city, draws) per trial of the range by the reference rule: draw whole
+    cities over seeds [seed, trial, attempt] until a building band covers
+    the contact, at most 1000 of them."""
+    for trial in trials:
         for attempt in range(1000):
-            grid = sample_grid_anchored(params, np.random.SeedSequence([seed, trial, attempt]),
-                                        y0, params.mu_s)
-            if contact is None or grid.band_at("x", contact)[0] == "building":
-                yield grid, attempt + 1
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial, attempt]))
+            city = _ref_draw(params, rng, y0, params.mu_s, contact)
+            if city is not None:
+                yield UrbanGrid(params, seed, *city), attempt + 1
                 break
+        else:
+            raise DegenerateGeometryError("no building band covered the contact")
+
+
+def _reference_chunk(params, seed, trials, y0, contact) -> dict:
+    """Every ``_Cities`` field of a chunk, from the reference cities."""
+    grids, draws = zip(*_reference_cities(params, seed, trials, y0, contact))
+    nx = np.array([len(g.x_splits) for g in grids])
+    ny = np.array([len(g.y_splits) for g in grids])
+    return {
+        "west": np.concatenate([g.x_splits for g in grids]),
+        "east": np.concatenate([g.x_points[1:] for g in grids]),
+        "south": np.concatenate([g.y_splits for g in grids]),
+        "north": np.concatenate([g.y_points[1:] for g in grids]),
+        "heights": np.concatenate([g.block_heights.ravel() for g in grids]),
+        "nx": nx,
+        "ny": ny,
+        "draws": np.array(draws),
+        "col_city": np.concatenate([np.full(n, i) for i, n in enumerate(nx)]),
+        "row_city": np.concatenate([np.full(n, i) for i, n in enumerate(ny)]),
+        "first_col": np.concatenate([[0], np.cumsum(nx)[:-1]]),
+        "first_row": np.concatenate([[0], np.cumsum(ny)[:-1]]),
+        "first_cell": np.concatenate([[0], np.cumsum(nx * ny)[:-1]]),
+    }
+
+
+@settings(max_examples=60)
+@given(
+    preset=st.sampled_from([(45.0, 13.0), (37.0, 10.0), (60.0, 20.0), (5.0, 45.0), (0.5, 80.0)]),
+    side=st.tuples(st.floats(30.0, 400.0), st.floats(30.0, 400.0)),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)),
+    # anchors near both region edges clip the anchor cell or leave nothing above it
+    at=st.one_of(st.floats(0.0, 0.02), st.floats(0.0, 1.0), st.floats(0.97, 1.0)),
+    contact=st.one_of(st.none(), st.floats(-0.5, 0.5)),
+    first=st.sampled_from([0, 1, 250]),
+    n=st.integers(1, 12),
+    width=st.one_of(st.none(), st.floats(0.5, 60.0)),
+)
+def test_chunk_cities_match_the_per_draw_reference(preset, side, seed, at, contact, first, n,
+                                                   width):
+    # every field of a chunk's cities, and a whole city of sample_grid_anchored,
+    # equals the per-draw reference, dtype and all; where the reference raises,
+    # the drawer raises the same error.  Regions down to 30 m give cities with
+    # no X point or one
+    params = GridParams(*preset, 8.0, side)
+    y0 = -side[1] / 2 + at * side[1]
+    cx = None if contact is None else contact * side[0]
+    trials = range(first, first + n)
+    try:
+        expect = _reference_chunk(params, seed, trials, y0, cx)
+    except (DegenerateGridError, DegenerateGeometryError) as e:
+        with pytest.raises(ValueError) as raised:
+            _draw_cities(params, seed, trials, y0, cx)
+        assert type(raised.value) is type(e)
+        return
+    cities = _draw_cities(params, seed, trials, y0, cx)
+    for name, value in expect.items():
+        got = getattr(cities, name)
+        assert got.dtype == value.dtype and np.array_equal(got, value), name
+    q = np.random.SeedSequence([seed, first])
+    grid = sample_grid_anchored(params, q, y0, width)
+    ref = _ref_draw(params, np.random.default_rng(q), y0, width)
+    for name, value in zip(("x_points", "y_points", "x_splits", "y_splits", "block_heights"), ref):
+        got = getattr(grid, name)
+        assert got.dtype == value.dtype and np.array_equal(got, value), name
 
 
 def test_trial_grid_matches_full_draw_rejection(urban):
@@ -437,7 +551,7 @@ def test_trial_grid_matches_full_draw_rejection(urban):
     for params, seed in ((urban, 0), (urban, 3), (sparse, 2**32 + 7)):
         cx = start_contact_x(params, (0.0, 0.0), Uav(120.0, 90.0, 100.0))
         for contact in (cx, None):
-            grids, draws = zip(*_reference_cities(params, seed, 40, 0.0, contact))
+            grids, draws = zip(*_reference_cities(params, seed, range(40), 0.0, contact))
             cities = _draw_cities(params, seed, range(40), 0.0, contact)
             assert cities.draws.tolist() == list(draws)
             expect = {
@@ -465,6 +579,35 @@ def test_uncoverable_contact_raises_after_the_first_trials_1000_draws(monkeypatc
     with pytest.raises(DegenerateGeometryError, match="x = 37 in 1000 city draws"):
         _draw_cities(GridParams(0.01, 100.0, 8.0), 5, range(_CHUNK), 0.0, 37.0)
     assert len(drawn) == 1000
+
+
+# per-trial draws and clear seconds of one contact-conditioned run (urban,
+# Uav(120, 90, 100), a 15 m/s walk for 10 s, seed 3, 60 trials), frozen from
+# the per-draw sampler
+FROZEN_DRAWS = [
+    1, 1, 2, 1, 1, 1, 1, 1, 1, 2, 1, 1, 2, 1, 2, 2, 1, 3, 1, 1, 1, 2, 2, 1, 1, 1, 2, 2, 2, 1,
+    2, 1, 1, 1, 2, 1, 2, 4, 1, 2, 3, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 1, 1, 1, 1,
+]
+FROZEN_VALUES = [
+    10.0, 10.0, 9.176841669534257, 10.0, 10.0, 10.0, 9.119741521401009, 7.938728795602326,
+    7.510971609795801, 10.0, 8.899867901205777, 10.0, 2.285000445276994, 9.05593076363224,
+    10.0, 10.0, 10.0, 10.0, 9.83492858954415, 7.536497483760923, 10.0, 10.0, 10.0,
+    4.793800222912298, 9.637424461035215, 10.0, 10.0, 5.710809076516936, 10.0,
+    5.771312022721354, 10.0, 6.095043664249086, 10.0, 6.184034765341076, 10.0, 10.0,
+    8.845227311400302, 10.0, 10.0, 9.659526074917855, 9.463409922069252, 9.681348118757084,
+    5.860446670909171, 10.0, 9.443273500415756, 6.047265058428925, 9.13848737853786, 10.0,
+    7.673953454144106, 10.0, 10.0, 10.0, 7.5999057093098, 7.011523397564023, 8.755202443202206,
+    10.0, 10.0, 9.423038585697299, 10.0, 9.319037091307575,
+]
+
+
+def test_monte_carlo_stream_is_frozen(urban, monkeypatch):
+    # in two chunks, the second starting mid-run
+    monkeypatch.setattr(oracle, "_CHUNK", 32)
+    run = monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0),
+                                   Uav(120.0, 90.0, 100.0), 60, 3)
+    assert run.draws.tolist() == FROZEN_DRAWS
+    assert run.values.tolist() == FROZEN_VALUES
 
 
 def test_mc_contact_outside_region_raises(urban, monkeypatch):
@@ -508,7 +651,7 @@ def test_mc_trials_equal_los_time_on_reference_cities(
     u = Uav(ux, y0 + dy if north else y0 - dy, h)
     contact = start_contact_x(params, (x0, y0), u) if require_contact else None
     run = monte_carlo_expected_los(params, motion, u, trials, seed, require_contact)
-    ref = list(_reference_cities(params, seed, trials, y0, contact))
+    ref = list(_reference_cities(params, seed, range(trials), y0, contact))
     assert run.values.tolist() == [los_time(g, motion, u) for g, _ in ref]
     assert run.draws.tolist() == [d for _, d in ref]
 
@@ -522,7 +665,7 @@ def test_mc_static_trials_equal_is_los_on_reference_cities(
     u = Uav(ux, y0 + dy if north else y0 - dy, h)
     contact = start_contact_x(params, (x0, y0), u) if require_contact else None
     run = monte_carlo_static_los(params, (x0, y0), u, trials, seed, require_contact)
-    ref = list(_reference_cities(params, seed, trials, y0, contact))
+    ref = list(_reference_cities(params, seed, range(trials), y0, contact))
     assert run.values.tolist() == [float(is_los(g, (x0, y0), u)) for g, _ in ref]
     assert run.draws.tolist() == [d for _, d in ref]
 
