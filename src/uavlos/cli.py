@@ -4,9 +4,12 @@ Four sweep families: platform height at a fixed 3D start distance, built-to-
 street ratio at two street widths, walking speed, and the association policy
 comparison.  Every run is reproducible: identical config and seed give a
 byte-identical CSV (the runtime column is left blank unless --timing is on,
-and the header carries a hash of the resolved config).  ``validate`` runs the
-acceptance criteria of ``uavlos.checks``, one JSON verdict line each, and
-exits 1 on any failure that is not the expected one.
+and the header carries a hash of the resolved config).  A config is checked
+before any compute: each field's JSON type against its annotation on
+``ExperimentConfig``, then each value by building the grids, walks and
+platforms the sweep prices (``_points``); a refusal exits 2.  ``validate``
+runs the acceptance criteria of ``uavlos.checks``, one JSON verdict line
+each, and exits 1 on any failure that is not the expected one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import json
 import math
 import sys
 import time
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .assoc import compare_policies
@@ -60,11 +65,23 @@ DEFAULT_VALUES = {
 
 
 class ConfigError(ValueError):
-    """Bad experiment configuration; reported before any compute, exit code 2."""
+    """Bad experiment configuration: an unknown key or name, a value of the
+    wrong JSON type, or a value a sweep object refuses.  Reported before any
+    compute, exit code 2."""
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a field annotation declares: an int
+    counts as a float, a bool as neither, and null only where None may be."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    kind, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if kind is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if kind is tuple:
+        return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+    accepted = (int, float) if kind is float else kind
+    return not isinstance(value, bool) and isinstance(value, accepted)
 
 
 @dataclass
@@ -111,6 +128,9 @@ class ExperimentConfig:
         raw = dict(raw)
         if raw.get("link_range") is None and "link_range" in raw:
             raw["link_range"] = math.inf
+        for f in fields(cls):
+            if f.name in raw and not _fits(raw[f.name], _FIELD_TYPES[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {raw[f.name]!r}")
         if "region" in raw:
             raw["region"] = tuple(raw["region"])
         cfg = cls(**raw)
@@ -118,6 +138,9 @@ class ExperimentConfig:
         return cfg
 
     def check(self) -> None:
+        """Refuse what no sweep object checks, then build the sweep: a value
+        its grids, walks or platforms refuse is a ConfigError, and a start
+        contact no city draw can cover a DegenerateGeometryError."""
         if self.sweep not in SWEEPS:
             raise ConfigError(f"sweep must be one of {SWEEPS}, got {self.sweep!r}")
         if self.preset not in PRESETS and self.preset != "custom":
@@ -128,40 +151,35 @@ class ExperimentConfig:
             self.values = list(DEFAULT_VALUES[self.sweep])
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
-        if not _is_int(self.seed) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_int(self.trials) or self.trials < 1:
+        if self.trials < 1:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (0.0 < self.epsilon < 1.0):
             raise ConfigError("epsilon must be in (0, 1)")
-        if self.sigma <= 0 or self.duration < 0 or self.speed < 0:
-            raise ConfigError("sigma must be positive, duration and speed nonnegative")
         if self.sweep == "uav_height":
             if self.initial_distance is None:
                 raise ConfigError("uav_height sweep needs initial_distance")
             for h in self.values:
                 if h * h + self.uav_dy**2 >= self.initial_distance**2:
-                    raise ConfigError(
-                        f"height {h} incompatible with initial_distance "
-                        f"{self.initial_distance} at uav_dy {self.uav_dy}"
-                    )
-        if self.sweep == "building_ratio":
-            if any(r <= 0 for r in self.values):
-                raise ConfigError("building ratios must be positive")
-            if any(w <= 0 for w in self.street_widths):
-                raise ConfigError("street widths must be positive")
-        if self.sweep == "association" and not self.user_xs:
-            raise ConfigError("association sweep needs user_xs")
-        # street crossings an epoch expects (lam v T) on the densest grid at the fastest walk
-        if self.sweep == "building_ratio":
-            period = min(r * w + w for w in self.street_widths for r in self.values)
-        else:
-            custom = self.preset == "custom"
-            period = self.mu_b + self.mu_s if custom else sum(PRESETS[self.preset][1:])
-        speed = max(self.values) if self.sweep in ("velocity", "association") else self.speed
-        if period > 0 and 1.0 / period * speed * self.duration > MAX_MEAN_CROSSINGS:
-            raise ConfigError(f"an epoch of {self.duration:g} s at {speed:g} m/s expects more "
-                              f"than {MAX_MEAN_CROSSINGS:g} street crossings (lam v T)")
+                    raise ConfigError(f"height {h} incompatible with initial_distance "
+                                      f"{self.initial_distance} at uav_dy {self.uav_dy}")
+        try:
+            points = _points(self)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        if not points or not all(walks and uavs for *_, walks, uavs in points):
+            raise ConfigError("street_widths and user_xs need at least one entry")
+        for _, _, params, walks, _ in points:
+            for m in walks:  # the street crossings the epoch expects (lam v T)
+                if params.lam * m.speed * m.duration > MAX_MEAN_CROSSINGS:
+                    raise ConfigError(f"an epoch of {m.duration:g} s at {m.speed:g} m/s "
+                                      f"expects more than {MAX_MEAN_CROSSINGS:g} street "
+                                      "crossings (lam v T)")
+        if self.sweep != "association":  # the start contact the Monte Carlo conditions on
+            for _, _, params, (m,), (u,) in points:
+                if coverage_time(m, u) > 0.0:
+                    start_contact_x(params, (m.x0, m.y0), u)
 
     def grid_params(self, mu_b: float | None = None, mu_s: float | None = None) -> GridParams:
         if mu_b is None or mu_s is None:
@@ -182,6 +200,9 @@ class ExperimentConfig:
             out[f.name] = v
         out.pop("out")
         return out
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -217,76 +238,53 @@ class ResultRow:
         ]
 
 
-def _clipped_motion(cfg: ExperimentConfig, speed: float, u: Uav) -> UserMotion:
-    m = UserMotion(0.0, 0.0, speed, cfg.duration)
-    return replace(m, duration=coverage_time(m, u))
+def _points(cfg: ExperimentConfig) -> list[tuple]:
+    """Every point of the sweep as (value, variant, grid, walks, platforms):
+    the objects the runners price, whose constructors check every value."""
+    def uav(x: float, h: float = cfg.uav_height) -> Uav:
+        return Uav(x, cfg.uav_dy, h, link_range=cfg.link_range)
 
+    def walk(speed: float, x0: float = 0.0) -> UserMotion:
+        return UserMotion(x0, 0.0, speed, cfg.duration)
 
-def _paired_point(
-    cfg: ExperimentConfig, params: GridParams, u: Uav, speed: float, value: float, variant: str
-) -> ResultRow:
-    t0 = time.perf_counter()
-    motion = _clipped_motion(cfg, speed, u)
-    if motion.duration <= 0.0:
-        return ResultRow(cfg.sweep, value, variant, 0.0, 0.0, 0.0, cfg.trials, 0.0)
-    ana = expected_los_total(params, motion, u, epsilon=cfg.epsilon).expected_time
-    mc = monte_carlo_expected_los(params, motion, u, cfg.trials, cfg.seed)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return ResultRow(cfg.sweep, value, variant, ana, mc.mean, mc.stderr, cfg.trials, ms)
-
-
-def _paired_rows(
-    cfg: ExperimentConfig, points: list[tuple[GridParams, Uav, float, float, str]]
-) -> list[ResultRow]:
-    """One row per (params, platform, speed, value, variant) point.
-
-    Every start contact the Monte Carlo conditions on is checked first, so a
-    geometry that no city draw can cover fails before any point is priced.
-    """
-    for params, u, speed, _, _ in points:
-        motion = _clipped_motion(cfg, speed, u)
-        if motion.duration > 0.0:
-            start_contact_x(params, (motion.x0, motion.y0), u)
-    return [_paired_point(cfg, *point) for point in points]
-
-
-def _run_uav_height(cfg: ExperimentConfig) -> list[ResultRow]:
+    if cfg.sweep == "building_ratio":
+        return [(r, f"w={w:g}", cfg.grid_params(mu_b=r * w, mu_s=w), [walk(cfg.speed)],
+                 [uav(cfg.uav_dx)])
+                for w in cfg.street_widths for r in cfg.values]
     params = cfg.grid_params()
-    points = []
-    for h in cfg.values:
-        dx = math.sqrt(cfg.initial_distance**2 - h * h - cfg.uav_dy**2)
-        u = Uav(dx, cfg.uav_dy, h, link_range=cfg.link_range)
-        points.append((params, u, cfg.speed, h, ""))
-    return _paired_rows(cfg, points)
+    if cfg.sweep == "uav_height":
+        return [(h, "", params, [walk(cfg.speed)],
+                 [uav(math.sqrt(cfg.initial_distance**2 - h * h - cfg.uav_dy**2), h)])
+                for h in cfg.values]
+    if cfg.sweep == "velocity":
+        return [(v, "", params, [walk(v)], [uav(cfg.uav_dx)]) for v in cfg.values]
+    uavs = [uav(x0 + dx) for x0 in cfg.user_xs for dx in (cfg.uav_behind_dx, cfg.uav_ahead_dx)]
+    return [(v, "", params, [walk(v, x0) for x0 in cfg.user_xs], uavs) for v in cfg.values]
 
 
-def _run_building_ratio(cfg: ExperimentConfig) -> list[ResultRow]:
-    u = Uav(cfg.uav_dx, cfg.uav_dy, cfg.uav_height, link_range=cfg.link_range)
-    return _paired_rows(cfg, [(cfg.grid_params(mu_b=r * w, mu_s=w), u, cfg.speed, r, f"w={w:g}")
-                              for w in cfg.street_widths for r in cfg.values])
-
-
-def _run_velocity(cfg: ExperimentConfig) -> list[ResultRow]:
-    params = cfg.grid_params()
-    u = Uav(cfg.uav_dx, cfg.uav_dy, cfg.uav_height, link_range=cfg.link_range)
-    return _paired_rows(cfg, [(params, u, v, v, "") for v in cfg.values])
-
-
-def _association_layout(cfg: ExperimentConfig) -> list[Uav]:
-    uavs = []
-    for x0 in cfg.user_xs:
-        uavs.append(Uav(x0 + cfg.uav_behind_dx, cfg.uav_dy, cfg.uav_height, cfg.link_range))
-        uavs.append(Uav(x0 + cfg.uav_ahead_dx, cfg.uav_dy, cfg.uav_height, cfg.link_range))
-    return uavs
-
-
-def _run_association(cfg: ExperimentConfig) -> list[ResultRow]:
-    params = cfg.grid_params()
-    uavs = _association_layout(cfg)
+def _paired_rows(cfg: ExperimentConfig) -> list[ResultRow]:
+    """One row per point: the closed form and the Monte Carlo of its one walk
+    past its one platform, cut where the link range ends."""
     rows = []
-    for v in cfg.values:
+    for value, variant, params, (m,), (u,) in _points(cfg):
         t0 = time.perf_counter()
-        users = [UserMotion(x0, 0.0, v, cfg.duration) for x0 in cfg.user_xs]
+        motion = replace(m, duration=coverage_time(m, u))
+        if motion.duration <= 0.0:
+            rows.append(ResultRow(cfg.sweep, value, variant, 0.0, 0.0, 0.0, cfg.trials, 0.0))
+            continue
+        ana = expected_los_total(params, motion, u, epsilon=cfg.epsilon).expected_time
+        mc = monte_carlo_expected_los(params, motion, u, cfg.trials, cfg.seed)
+        ms = (time.perf_counter() - t0) * 1000.0
+        rows.append(ResultRow(cfg.sweep, value, variant, ana, mc.mean, mc.stderr, cfg.trials, ms))
+    return rows
+
+
+def _association_rows(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Three rows per speed: the proposed policy, the nearest-in-sight
+    benchmark, and their paired difference."""
+    rows = []
+    for v, _, params, users, uavs in _points(cfg):
+        t0 = time.perf_counter()
         cmp = compare_policies(params, users, uavs, cfg.trials, cfg.seed, cfg.epsilon)
         ms = (time.perf_counter() - t0) * 1000.0
         d = cmp.difference
@@ -299,12 +297,7 @@ def _run_association(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-RUNNERS = {
-    "uav_height": _run_uav_height,
-    "building_ratio": _run_building_ratio,
-    "velocity": _run_velocity,
-    "association": _run_association,
-}
+RUNNERS = {s: _association_rows if s == "association" else _paired_rows for s in SWEEPS}
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | None, timing: bool) -> None:
@@ -387,14 +380,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_grid_dump(args: argparse.Namespace) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {args.seed}")
     _, mu_b, mu_s = PRESETS[args.preset]
-    params = GridParams(mu_b, mu_s, args.sigma)
-    if args.anchor_y is None:
-        grid = sample_grid(params, args.seed)
-    else:
-        grid = sample_grid_anchored(params, args.seed, args.anchor_y, args.street_width)
+    try:
+        params = GridParams(mu_b, mu_s, args.sigma)
+        if args.anchor_y is None:
+            grid = sample_grid(params, args.seed)
+        else:
+            grid = sample_grid_anchored(params, args.seed, args.anchor_y, args.street_width)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     text = grid.to_json()
     if args.out is None:
         sys.stdout.write(text + "\n")

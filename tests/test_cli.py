@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_run_association_sweep_variants(tmp_path):
             assert r["analytic_s"] == ""
 
 
-def test_run_config_errors_exit_two(tmp_path):
+def test_run_config_errors_exit_two(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.json")])
     assert rc == 2
     bad = tmp_path / "bad.json"
@@ -211,8 +212,14 @@ def test_run_config_errors_exit_two(tmp_path):
     bogus.write_text(json.dumps(_cfg(values=[5.0])))
     for flag, value in (("--seed", "-4"), ("--trials", "0"), ("--trials", "-3")):
         assert main(["run", "--config", str(bogus), flag, value]) == 2, (flag, value)
-    assert main(["grid", "dump", "--seed", "-1", "--out", str(tmp_path / "g.json")]) == 2
-    assert not (tmp_path / "g.json").exists()
+    # a grid dump value that GridParams or the sampler refuses writes no file
+    capsys.readouterr()
+    for flags in (["--seed", "-1"], ["--sigma", "0"], ["--sigma", "nan"], ["--anchor-y", "999"],
+                  ["--street-width", "-1", "--anchor-y", "0"]):
+        assert main(["grid", "dump", *flags, "--out", str(tmp_path / "g.json")]) == 2, flags
+        assert not (tmp_path / "g.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, (flags, err)
 
 
 def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
@@ -230,6 +237,36 @@ def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
         assert err.startswith("geometry error: the start contact at x = " + x + " lies outside")
         assert err.count("\n") == 1
     assert priced == []
+
+
+@pytest.mark.parametrize("extra, rc", [
+    ({"preset": "custom", "mu_b": -1, "mu_s": 5}, 2),
+    ({"region": [0, 400]}, 2),
+    ({"uav_height": -3}, 2),
+    ({"link_range": -1}, 2),
+    ({"sweep": "building_ratio", "street_widths": []}, 2),
+    ({"sigma": "8"}, 2),
+    ({"region": [400]}, 2),
+    ({"values": [1, "a"]}, 2),
+    ({"values": 5}, 2),
+    ({"sigma": 0}, 2),
+    ({"duration": -1}, 2),
+    ({"sweep": "association", "user_xs": []}, 2),
+    ({"seed": 1.5}, 2),
+    ({"preset": None}, 2),
+    ({"link_range": None}, 0),
+], ids=lambda x: json.dumps(x) if isinstance(x, dict) else f"rc{x}")
+def test_run_refuses_a_value_a_sweep_object_refuses(tmp_path, capsys, monkeypatch, extra, rc):
+    # a bad type or value exits 2 with one line before anything is priced;
+    # the null link range (unlimited) still runs
+    priced = []
+    monkeypatch.setattr(cli, "expected_los_total",
+                        lambda *a, **k: priced.append(a) or SimpleNamespace(expected_time=1.0))
+    monkeypatch.setattr(cli, "compare_policies", lambda *a, **k: priced.append(a))
+    assert _run(tmp_path, {**_cfg(values=[5.0]), **extra})[0] == rc
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 if rc else err == ""
+    assert bool(priced) == (rc == 0)
 
 
 def test_ratio_criteria_share_one_sweep(monkeypatch):
