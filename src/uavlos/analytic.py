@@ -179,6 +179,10 @@ def void_rate(s, lam: float, model: HeightModel, height):
     ``s`` and ``height`` may be arrays.  A generic law is integrated once per
     distinct height, on one set of panels that all of that height's
     fractions share (see ``_tail_integral``); its ``s`` must lie in [0, 1].
+    The panels are built per call and kept by nothing, so a caller prices
+    all of its fractions in one call to build each height's panels once, as
+    ``mobility`` does with a table's face and wall contacts.  Each rate
+    depends on its own (s, height) alone, whatever else shares the call.
     Raises ValueError where the law's CDF is not finite or too rough to
     integrate.
     """

@@ -160,6 +160,10 @@ class ExperimentConfig:
         if self.sweep == "uav_height":
             if self.initial_distance is None:
                 raise ConfigError("uav_height sweep needs initial_distance")
+            d, dy = float(self.initial_distance), float(self.uav_dy)  # a JSON int may be huge
+            if not math.isfinite(d * d + dy * dy):  # ``**`` below and in ``_points`` would raise
+                raise ConfigError(f"initial_distance {d:g} and uav_dy {dy:g} are too large: "
+                                  "their squares overflow")
             for h in self.values:
                 if h * h + self.uav_dy**2 >= self.initial_distance**2:
                     raise ConfigError(f"height {h} incompatible with initial_distance "

@@ -326,7 +326,9 @@ def sample_grid_anchored(
     y = y_anchor is guaranteed to stand on the low edge of a street.  When
     ``street_width`` is given, that street's width is pinned to it and the
     building band behind keeps its natural width law; otherwise the anchor
-    cell is split like any other cell.
+    cell is split like any other cell.  A width that is not positive (nan
+    too) raises ValueError; an infinite one gives a street up to the region
+    edge, as does any width past it.
 
     Draw order: X count and points, anchor cell gap, Y points below, Y points
     above, then heights.  The city is one ``_draw_anchored`` draw built by
@@ -372,7 +374,7 @@ def _draw_anchored(
         w = f * gap
         cell_end = y_anchor + gap
     else:
-        if street_width <= 0:
+        if not street_width > 0:  # nan too
             raise ValueError("street width must be positive")
         w = street_width
         cell_end = y_anchor + w + (1.0 - f) * gap

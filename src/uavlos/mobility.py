@@ -17,7 +17,8 @@ walks, so that a block holds about CELL_BLOCK padded corners, which bounds
 the memory of long epochs) are built together as one padded (row x corner)
 array (``env.segment_table``), every segment of every row lands in one flat
 ``SegmentTable``, face and wall segments are integrated as arrays that read
-their row's parameters through ``SegmentTable.row``, and ``np.bincount``
+their row's parameters through ``SegmentTable.row``, every contact of the
+table is priced in one ``void_rate`` call, and ``np.bincount``
 sums them per row.  The pass returns arrays (expected times, per-count
 values, Poisson laws); a pair settled without pricing (an empty epoch, or a
 platform over the user's own street) is one count of weight 1.  One pair
@@ -157,7 +158,7 @@ class WallSweep:
     ``wall_back``.  A missing wall is +inf ahead and -inf behind, as in
     ``SegmentTable``; a missing or unreachable wall means no contact, so the
     clear probability there is 1, as it is with the user under the platform.
-    ``p`` is the scalar reference form of ``_wall_clear``.
+    ``p`` is the scalar reference form of ``_wall_contacts`` and its pricing.
     """
 
     x_start: float
@@ -175,7 +176,7 @@ class WallSweep:
         if dx == 0.0:
             return 1.0
         s_wall = ((self.wall_ahead if dx > 0.0 else self.wall_back) - x_t) / dx
-        # the better conditioned axis, through the contact's y as ``_wall_clear`` rounds it
+        # the better conditioned axis, through the contact's y as ``_wall_contacts`` rounds it
         s =((self.y0 + dy * s_wall) - self.y0) / dy if abs(dx) < abs(dy) else s_wall
         if not (0.0 < s_wall <= 1.0 and 0.0 < s <= 1.0):
             return 1.0
@@ -198,14 +199,16 @@ def _nudged(node, t_len, t_sing):
     return np.where(close, shifted, node)[()]
 
 
-def _wall_clear(g: EpochGeometry, x, ahead, back):
-    """Clear probability of a wall-pinned link with the user at x, elementwise
-    along the last axis of x, whose entries belong to the rows of g.
+def _wall_contacts(g: EpochGeometry, x, ahead, back):
+    """Where the wall-pinned links with the user at x meet their wall,
+    elementwise along the last axis of x, whose entries belong to the rows of
+    g: the mask of links that meet it, and their contact fractions, spans
+    and platform heights (one height for every link when g has one).
 
-    Array form of ``WallSweep.p``: the wall ahead while the user is west of
-    the platform, the wall behind once past it; the contact fraction is
-    taken along the better conditioned axis (y when the link runs more
-    across the street than along it).
+    Array form of the contact in ``WallSweep.p``: the wall ahead while the
+    user is west of the platform, the wall behind once past it; the contact
+    fraction is taken along the better conditioned axis (y when the link
+    runs more across the street than along it).
     The caller ignores division warnings: a user under the platform or a
     link along the street divides by zero.
     """
@@ -215,52 +218,23 @@ def _wall_clear(g: EpochGeometry, x, ahead, back):
     s_wall = (wall - x) / dx  # where the link meets the wall
     s = np.where(np.abs(dx) < abs(span_y), ((g.y0 + span_y * s_wall) - g.y0) / span_y, s_wall)
     hit = (s_wall > 0.0) & (s_wall <= 1.0) & (s > 0.0) & (s <= 1.0)
-    p = np.ones(x.shape)
-    span = (np.abs(dx) + abs(span_y))[hit]
     height = g.height
     if isinstance(height, np.ndarray):
         height = np.broadcast_to(height, x.shape)[hit]
-    p[hit] = p_los_contact(s[hit], span, g.lam, g.model, height)
-    return p
+    return hit, s[hit], (np.abs(dx) + abs(span_y))[hit], height
 
 
-def _wall_integrals(geom: EpochGeometry, row, t_start, t_len, ahead, back):
-    """Three point Simpson estimate of each wall segment's clear time; segment
-    i belongs to row ``row[i]`` of geom."""
-    g = geom.take(row)
-    x_start = g.x0 + g.speed * t_start
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_sing = (g.ux - x_start) / g.speed  # +-inf or nan standing still: no such instant
-        nodes = _nudged(_SIMPSON_NODES * t_len, t_len, t_sing)
-        p0, p1, p2 = _wall_clear(g, x_start + g.speed * nodes, ahead, back)
-    return np.where(t_len > 0.0, (t_len / 6.0) * (p0 + 4.0 * p1 + p2), 0.0)
+def _face_integrals(g: EpochGeometry, x_start, t_len, base, rate):
+    """Exact clear-time integral of each front-line sliding segment, segment
+    i starting at x_start[i] on row i of g.
 
-
-def _face_integrals(geom: EpochGeometry, row, t_start, t_len):
-    """Exact clear-time integral of each front-line sliding segment; segment i
-    belongs to row ``row[i]`` of geom.
-
-    The contact fraction of a pair is the constant w/dy, so one pair's
-    first-building term and void rate are computed once (the generic height
-    law on panels built once per distinct height for the whole call); each
-    segment starts from its own static probability, which then decays while
-    the user recedes from the platform in x and grows while approaching,
-    with an exact split at the instant the user passes underneath.  A
-    platform over the user's own street (dy <= w) leaves no contact: always
-    clear.
+    The contact fraction of a pair is the constant w/dy, so a segment's
+    clear probability starts at ``base`` and its void rate ``rate`` holds
+    throughout; the probability decays while the user recedes from the
+    platform in x and grows while approaching, with an exact split at the
+    instant the user passes underneath.
     """
-    g = geom.take(row)
-    contact = g.dy > g.street_width
-    if not _all(contact):
-        out = t_len.copy()
-        if _any(contact):
-            out[contact] = _face_integrals(geom, row[contact], t_start[contact], t_len[contact])
-        return out
-    s = g.street_width / g.dy
-    rate = void_rate(s, g.lam, g.model, g.height)
     v = g.speed
-    x_start = g.x0 + v * t_start
-    base = g.model.cdf(g.height * s) * np.exp(rate * (np.abs(g.ux - x_start) + abs(g.dy)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t_star = (g.ux - x_start) / v
         approach = np.minimum(np.maximum(t_star, 0.0), t_len)  # up to the pass-under instant
@@ -278,16 +252,41 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     table priced on row r of geom.
 
     Faces integrate in closed form, walls by the three point Simpson rule,
-    open segments contribute their full length.
+    open segments contribute their full length.  A face whose platform is
+    over the user's own street (dy <= w) leaves no contact: always clear.
+    Every contact of the table, the faces' fractions and the wall Simpson
+    nodes', is priced in one ``model.cdf`` and one ``void_rate`` call, so a
+    generic height law builds each distinct height's panels once per table.
     """
     out = table.t_end - table.t_start
-    face = table.kind == _FACE
-    if face.any():
-        out[face] = _face_integrals(geom, table.row[face], table.t_start[face], out[face])
-    wall = table.kind == _WALL
-    if wall.any():
-        out[wall] = _wall_integrals(geom, table.row[wall], table.t_start[wall], out[wall],
-                                    table.wall_x[wall], table.back_wall_x[wall])
+    face = np.flatnonzero(table.kind == _FACE)
+    fg = geom.take(table.row[face])
+    contact = fg.dy > fg.street_width
+    if not _all(contact):
+        face = face[np.broadcast_to(contact, face.shape)]
+        fg = geom.take(table.row[face])
+    f_start = fg.x0 + fg.speed * table.t_start[face]
+    wall = np.flatnonzero(table.kind == _WALL)
+    wg, w_len = geom.take(table.row[wall]), out[wall]
+    w_start = wg.x0 + wg.speed * table.t_start[wall]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_sing = (wg.ux - w_start) / wg.speed  # +-inf or nan standing still: no such instant
+        x = w_start + wg.speed * _nudged(_SIMPSON_NODES * w_len, w_len, t_sing)
+        hit, s, span, height = _wall_contacts(wg, x, table.wall_x[wall], table.back_wall_x[wall])
+    # the face fractions first (one per face, or one for all when one pair
+    # holds for every row), then the wall nodes'
+    s = np.concatenate([fg.street_width / np.atleast_1d(fg.dy)[:face.size], s])
+    if isinstance(height, np.ndarray):
+        height = np.concatenate([fg.height, height])
+    f = geom.model.cdf(height * s)
+    rate = void_rate(s, geom.lam, geom.model, height)
+    n = s.size - span.size
+    base = f[:n] * np.exp(rate[:n] * (np.abs(fg.ux - f_start) + abs(fg.dy)))
+    out[face] = _face_integrals(fg, f_start, out[face], base, rate[:n])
+    clear = np.ones(x.shape)
+    clear[hit] = f[n:] * np.exp(rate[n:] * span)
+    p0, p1, p2 = clear
+    out[wall] = np.where(w_len > 0.0, (w_len / 6.0) * (p0 + 4.0 * p1 + p2), 0.0)
     return out
 
 
@@ -296,8 +295,9 @@ def expected_los_y_segment(sweep: WallSweep, t_len: float) -> float:
     u = sweep.u
     geom = EpochGeometry(sweep.x_start, sweep.y0, sweep.v, t_len, u.x, u.y, u.height, math.nan,
                          sweep.lam, sweep.model)
-    return float(_wall_integrals(geom, np.zeros(1, dtype=int), np.zeros(1), np.array([t_len]),
-                                 np.array([sweep.wall_ahead]), np.array([sweep.wall_back]))[0])
+    table = SegmentTable(np.zeros(1, dtype=int), np.array([_WALL]), np.zeros(1), np.array([t_len]),
+                         np.array([sweep.wall_ahead]), np.array([sweep.wall_back]))
+    return float(_segment_integrals(table, geom)[0])
 
 
 def expected_los_y_segment_reference(

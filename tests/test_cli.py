@@ -203,6 +203,10 @@ def test_run_config_errors_exit_two(tmp_path, capsys):
     # an epoch expecting more street crossings than are priced is refused up front
     bogus.write_text(json.dumps({"sweep": "velocity", "duration": 1e300, "values": [5.0]}))
     assert main(["run", "--config", str(bogus)]) == 2
+    # a start distance whose square overflows a float, here a JSON int
+    bogus.write_text('{"sweep": "uav_height", "values": [60.0], "initial_distance": 1'
+                     + "0" * 200 + "}")
+    assert main(["run", "--config", str(bogus)]) == 2
     # a seed is a non-negative int and trials a positive int, a bool
     # neither, also when given on the command line
     for key, value in (("seed", -1), ("seed", 1.5), ("seed", True), ("trials", 2.5),
@@ -215,7 +219,8 @@ def test_run_config_errors_exit_two(tmp_path, capsys):
     # a grid dump value that GridParams or the sampler refuses writes no file
     capsys.readouterr()
     for flags in (["--seed", "-1"], ["--sigma", "0"], ["--sigma", "nan"], ["--anchor-y", "999"],
-                  ["--street-width", "-1", "--anchor-y", "0"]):
+                  ["--street-width", "-1", "--anchor-y", "0"],
+                  ["--street-width", "nan", "--anchor-y", "0"]):
         assert main(["grid", "dump", *flags, "--out", str(tmp_path / "g.json")]) == 2, flags
         assert not (tmp_path / "g.json").exists()
         err = capsys.readouterr().err
@@ -255,6 +260,9 @@ def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
     ({"seed": 1.5}, 2),
     ({"preset": None}, 2),
     ({"link_range": None}, 0),
+    ({"sweep": "uav_height", "trials": 5, "values": [60.0], "initial_distance": 1e200}, 2),
+    ({"sweep": "uav_height", "trials": 5, "values": [60.0], "initial_distance": 160.0,
+      "uav_dy": 1e200}, 2),
 ], ids=lambda x: json.dumps(x) if isinstance(x, dict) else f"rc{x}")
 def test_run_refuses_a_value_a_sweep_object_refuses(tmp_path, capsys, monkeypatch, extra, rc):
     # a bad type or value exits 2 with one line before anything is priced;

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from uavlos.analytic import CdfHeights, RayleighHeights, p_los_static, void_rate
+from uavlos.analytic import CdfHeights, RayleighHeights, _tail_integral, p_los_static, void_rate
 from uavlos.cli import PRESETS
-from uavlos.env import _FACE, _OPEN, KINDS, GridParams, SegmentTable, Uav, UserMotion
+from uavlos.env import _FACE, _OPEN, _WALL, KINDS, GridParams, SegmentTable, Uav, UserMotion
 from uavlos.mobility import (
     MAX_MEAN_CROSSINGS,
     EpochGeometry,
@@ -244,6 +244,26 @@ def test_piecewise_detail_rows_sum_to_total():
         (KINDS[k], a, b)
         for k, a, b in zip(plan.kind.tolist(), plan.t_start.tolist(), plan.t_end.tolist())
     ]
+
+
+def test_face_and_wall_contacts_share_one_panel_build():
+    # a face segment and a wall segment below one platform height: the
+    # generic law builds that height's panels once, then evaluates its CDF
+    # at the face's contact and at the wall's three Simpson nodes
+    calls = []
+    model = CdfHeights(lambda h: calls.append(h) or RAY.cdf(h))
+    _tail_integral(model, 100.0, np.array([0.5]))
+    build = len(calls)
+    geom = EpochGeometry.pair(UserMotion(0.0, 0.0, 5.0, 4.0), Uav(120.0, 90.0, 100.0), 15.0,
+                              1.0 / 58.0, model)
+    # the user walks x = 10 to 20 over the wall segment, meeting the wall at x = 50 throughout
+    table = SegmentTable(np.zeros(2, dtype=int), np.array([_FACE, _WALL]), np.array([0.0, 2.0]),
+                         np.array([2.0, 4.0]), np.array([math.inf, 50.0]),
+                         np.array([-math.inf, -math.inf]))
+    for _ in range(2):  # the same count again: no panels outlive a call
+        calls.clear()
+        expected_los_piecewise(table, geom)
+        assert len(calls) == build + 1 + 3
 
 
 # -- marginalized total -------------------------------------------------------
