@@ -650,7 +650,9 @@ class SegmentTable:
     corner ahead of the front-line crossing (met while the user is west of
     the platform), ``back_wall_x`` the east corner behind it (met once the
     user has passed under the platform's x).  A missing candidate is +inf
-    ahead and -inf behind: a link aimed at it never reaches a wall.
+    ahead and -inf behind: a link aimed at it never reaches a wall.  Plans
+    are built by ``segment_table`` alone, canonical or realized, so every
+    face segment's platform is beyond the street's far line.
     """
 
     row: np.ndarray
@@ -659,12 +661,6 @@ class SegmentTable:
     t_end: np.ndarray
     wall_x: np.ndarray
     back_wall_x: np.ndarray
-
-    @classmethod
-    def whole_epoch(cls, rows: int, kind: int, duration: float) -> "SegmentTable":
-        """One segment of the given kind over [0, duration] in each of ``rows`` plans."""
-        return cls(np.arange(rows), np.full(rows, kind), np.zeros(rows), np.full(rows, duration),
-                   np.full(rows, math.inf), np.full(rows, -math.inf))
 
 
 def segment_table(
@@ -682,14 +678,13 @@ def segment_table(
     with the nearest west wall ahead and east wall behind), or past every
     column (open).  Zero-length pieces are dropped, except the one piece of
     an epoch of length 0, and neighbours of the same kind merged; two wall
-    pieces merge only when they track the same walls.
+    pieces merge only when they track the same walls.  A layout without
+    columns, or a user who passes no corner, gets one piece over [0, T].
+    Raises DegenerateGeometryError unless every platform is beyond its
+    street's far line (``corner_position``).
     """
     rows, cols = west.shape
     v, T = speed, duration
-    if cols == 0:
-        if _any(uy - y0 <= street_width):
-            raise DegenerateGeometryError("platform not beyond the street's far line")
-        return SegmentTable.whole_epoch(rows, _OPEN, T)
     # corners interleave west, east, west, ... and their passages inherit
     # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
     # only zero-length pieces behind, so a user standing still keeps one piece
@@ -761,11 +756,6 @@ def _at(a, index):
 def _any(mask) -> bool:
     """Whether a per-row mask, or one truth value for every row, holds anywhere."""
     return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _all(mask) -> bool:
-    """Whether a per-row mask, or one truth value for every row, holds everywhere."""
-    return bool(mask.all()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _front_cross(x_user, y0, ux, uy, street_width: float):

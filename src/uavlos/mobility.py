@@ -12,14 +12,13 @@ The epoch expectation weights per-crossing-count plans by a truncated
 Poisson law over the number of streets the user passes.  Evaluation is
 batched over (user-platform pair x crossing count) rows: ``EpochGeometry``
 holds the walk and platform of each row as arrays, the representative
-layouts of a block of rows (at most ROW_BLOCK of them, and fewer for long
-walks, so that a block holds about CELL_BLOCK padded corners, which bounds
-the memory of long epochs) are built together as one padded (row x corner)
-array (``env.segment_table``), every segment of every row lands in one flat
-``SegmentTable``, face and wall segments are integrated as arrays that read
-their row's parameters through ``SegmentTable.row``, every contact of the
-table is priced in one ``void_rate`` call, and ``np.bincount``
-sums them per row.  The pass returns arrays (expected times, per-count
+layouts of a block of rows (as many as hold about CELL_BLOCK padded
+corners, which bounds the memory of long epochs) are built together as one
+padded (row x corner) array (``env.segment_table``), every segment of every
+row lands in one flat ``SegmentTable``, face and wall segments are
+integrated as arrays that read their row's parameters through
+``SegmentTable.row``, every contact of the table is priced in one
+``void_rate`` call, and ``np.bincount`` sums them per row.  The pass returns arrays (expected times, per-count
 values, Poisson laws); a pair settled without pricing (an empty epoch, or a
 platform over the user's own street) is one count of weight 1.  One pair
 (``expected_los_total``, the only builder of ``ExpectedLosResult``) is a
@@ -48,7 +47,6 @@ from .env import (
     _FACE,
     _WALL,
     KINDS,
-    _all,
     _any,
     DegenerateGeometryError,
     SegmentTable,
@@ -61,9 +59,7 @@ from .env import (
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
 NUDGE = 1e-9  # relative node shift off a removable singular instant
 # (pair x crossing count) rows whose layouts are built and priced together:
-# at most ROW_BLOCK, and fewer for long walks, whose layouts have many columns,
-# so that a block's padded layout holds about CELL_BLOCK corners at most
-ROW_BLOCK = 256
+# as many as keep a block's padded layout to about CELL_BLOCK corners
 CELL_BLOCK = 2**11
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 _SETTLED = ([1.0], 0.0)  # the law of a pair settled directly: one count, nothing dropped
@@ -252,19 +248,16 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     table priced on row r of geom.
 
     Faces integrate in closed form, walls by the three point Simpson rule,
-    open segments contribute their full length.  A face whose platform is
-    over the user's own street (dy <= w) leaves no contact: always clear.
-    Every contact of the table, the faces' fractions and the wall Simpson
-    nodes', is priced in one ``model.cdf`` and one ``void_rate`` call, so a
-    generic height law builds each distinct height's panels once per table.
+    open segments contribute their full length.  Every face has a contact
+    at the constant fraction w/dy: its platform is beyond the street's far
+    line, as every plan builder checks.  Every contact of the table, the
+    faces' fractions and the wall Simpson nodes', is priced in one
+    ``model.cdf`` and one ``void_rate`` call, so a generic height law builds
+    each distinct height's panels once per table.
     """
     out = table.t_end - table.t_start
     face = np.flatnonzero(table.kind == _FACE)
     fg = geom.take(table.row[face])
-    contact = fg.dy > fg.street_width
-    if not _all(contact):
-        face = face[np.broadcast_to(contact, face.shape)]
-        fg = geom.take(table.row[face])
     f_start = fg.x0 + fg.speed * table.t_start[face]
     wall = np.flatnonzero(table.kind == _WALL)
     wg, w_len = geom.take(table.row[wall]), out[wall]
@@ -368,8 +361,8 @@ def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    if mu < 0:
-        raise ValueError("negative event rate")
+    if not 0.0 <= mu < math.inf:  # NaN fails here too
+        raise ValueError(f"event rate must be finite and nonnegative, got {mu!r}")
     mode = math.floor(mu)
     terms = [1.0]
     for n in range(mode, 0, -1):
@@ -396,7 +389,7 @@ def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
 def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> int:
     """Smallest N with Poisson(lam v T) mass at least 1 - epsilon on {0..N}.
 
-    Raises ValueError unless 0 < epsilon < 1 and lam v T >= 0.
+    Raises ValueError unless 0 < epsilon < 1 and lam v T is finite and >= 0.
     """
     return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
 
@@ -408,19 +401,21 @@ def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
     The columns of a layout are an arithmetic progression with the mean
     period.  Each row takes the column range its own walk needs, and rows
     are padded to the widest by continuing their progressions: surplus
-    columns fall outside the epoch and change nothing.
+    columns fall outside the epoch and change nothing.  A row with no
+    crossings, or a still or empty walk, has one face along the whole line:
+    its contact never leaves it.  Raises DegenerateGeometryError unless
+    every row's platform is beyond the street's far line.
     """
+    w = geom.street_width
+    if _any(geom.dy <= w):
+        raise DegenerateGeometryError("platform not beyond the street's far line")
     T = geom.duration
     moving = counts > 0
     still = (geom.speed == 0.0) | (T == 0.0)
     if _any(still):
         moving &= np.logical_not(still)
-    if not moving.any():
-        return SegmentTable.whole_epoch(len(counts), _FACE, T)  # the contact never leaves its face
-    g, w = geom.take(moving), geom.street_width
+    g = geom.take(moving)
     dy = g.dy
-    if _any(dy <= w):
-        raise DegenerateGeometryError("platform not beyond the street's far line")
     t_first = g.duration / (counts[moving] + 1.0)
     enter_x = g.x0 + g.speed * t_first
     first_west = g.ux - (g.ux - enter_x) * (dy - w) / dy
@@ -432,7 +427,7 @@ def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
     xc1 = _front_cross(g.x0 + g.speed * g.duration, g.y0, g.ux, g.uy, w)
     k_lo = np.floor((xc0 - first_west) / period)
     k_hi = np.ceil((xc1 - first_west) / period)
-    cols = int((k_hi - k_lo).max()) + 3
+    cols = int((k_hi - k_lo).max(initial=0.0)) + 3
     west = np.full((len(counts), cols), math.inf)
     west[moving] = first_west[:, None] + period * (k_lo[:, None] + np.arange(-1, cols - 1))
     east = west + mu_b
@@ -455,7 +450,9 @@ def canonical_plan(
     so the first face-enter event lands at T / (crossings + 1), the mean
     first arrival of a Poisson process conditioned on that many arrivals in
     the epoch; every corner passage inside the epoch then becomes an event.
-    Zero crossings means the contact never leaves its face.
+    Zero crossings, or a still or empty walk, means the contact never leaves
+    its face.  Raises DegenerateGeometryError, at any crossing count, unless
+    the platform is beyond the street's far line.
     """
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
@@ -508,7 +505,7 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> tuple:
     per_count = T[pair]  # a settled pair's one count: its whole epoch
     live = (~settled)[pair].nonzero()[0]
     # a layout spans about lam v T (the keys of pmfs) mean periods of its walk, plus margins
-    step = max(1, min(ROW_BLOCK, int(CELL_BLOCK // (max(pmfs, default=0.0) + 4.0))))
+    step = max(1, int(CELL_BLOCK // (max(pmfs, default=0.0) + 4.0)))
     for lo in range(0, len(live), step):
         rows = live[lo:lo + step]
         g, c = geom.take(pair[rows]), rows - starts[pair[rows]]

@@ -30,7 +30,7 @@ from uavlos.env import (
     sample_grid_anchored,
 )
 from uavlos.mobility import (
-    ROW_BLOCK,
+    CELL_BLOCK,
     EpochGeometry,
     _expected_los,
     expected_los_total,
@@ -257,7 +257,8 @@ def test_score_matrix_with_a_long_epoch_across_blocks(urban):
     # holds, and its rows start at a block offset inside the matrix
     users = [UserMotion(-100.0, 0.0, 5.0, 10.0), UserMotion(0.0, 0.0, 30.0, 450.0)]
     uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0, link_range=2e4)]
-    assert poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1 > ROW_BLOCK
+    mu = urban.lam * 30.0 * 450.0  # lam v T, the longest epoch of the matrix
+    assert poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1 > CELL_BLOCK // (mu + 4.0)
     scores = _score_pairs(users, uavs, urban, 1e-3)
     assert scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
     clipped = replace(users[1], duration=coverage_time(users[1], uavs[1]))

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -137,6 +138,24 @@ def test_run_is_byte_identical(tmp_path):
     text1 = first.read_bytes()
     _, second = _run(tmp_path, cfg)
     assert second.read_bytes() == text1
+
+
+# the urban sweeps whose CSVs every change of the model must leave byte for
+# byte as they are, frozen under tests/data at seed 3 and 20 trials
+FROZEN_SWEEPS = {
+    "velocity": {"sweep": "velocity"},
+    "building_ratio": {"sweep": "building_ratio"},
+    "association": {"sweep": "association"},
+    "uav_height": {"sweep": "uav_height", "initial_distance": 160.0, "uav_dy": 45.0,
+                   "link_range": 165.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SWEEPS))
+def test_run_matches_the_frozen_csv(tmp_path, name):
+    rc, out = _run(tmp_path, FROZEN_SWEEPS[name], "--seed", "3", "--trials", "20")
+    assert rc == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / f"sweep_{name}.csv").read_bytes()
 
 
 def test_run_timing_flag_fills_runtime(tmp_path):

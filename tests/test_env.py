@@ -24,11 +24,13 @@ from uavlos.env import (
     corner_position,
     sample_grid,
     sample_grid_anchored,
+    _FACE,
+    _OPEN,
     _WALL,
     _front_cross,
 )
 from uavlos.analytic import RayleighHeights
-from uavlos.mobility import EpochGeometry, _canonical_table
+from uavlos.mobility import EpochGeometry, _canonical_table, expected_los_piecewise
 
 
 def test_params_derived_quantities(urban):
@@ -350,6 +352,34 @@ def test_corner_event_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_s, 
     g = sample_grid_anchored(GridParams(45.0, mu_s, 8.0), seed, 0.0, 13.0)
     m = UserMotion(x0, 0.0, speed, duration)
     _assert_valid_plans(corner_events(g, m, Uav(ux, uy, 100.0)), 1, duration)
+
+
+def test_still_canonical_tables_keep_one_face_per_row():
+    # no row moves, whatever its crossing count: each keeps its face over [0, T]
+    ms = [UserMotion(-20.0, 0.0, 0.0, 10.0), UserMotion(5.0, 0.0, 0.0, 3.0),
+          UserMotion(0.0, 0.0, 12.0, 0.0)]
+    uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0), Uav(30.0, 40.0, 50.0)]
+    geom = EpochGeometry.of(ms, uavs, 13.0, 1.0 / 58.0, RayleighHeights(8.0))
+    t = _canonical_table(45.0, 13.0, geom, np.array([0, 4, 7]))
+    assert t.row.tolist() == [0, 1, 2]
+    assert t.kind.tolist() == [_FACE] * 3
+    assert t.t_start.tolist() == [0.0] * 3
+    assert t.t_end.tolist() == [10.0, 3.0, 0.0]
+
+
+def test_corner_events_without_building_columns_are_one_open_segment():
+    params = GridParams(45.0, 13.0, 8.0, (2.0, 60.0))  # too narrow for a building column
+    g = sample_grid_anchored(params, 0, 0.0)
+    assert g.building_columns()[0].size == 0
+    m, u = UserMotion(-1.0, 0.5, 15.0, 10.0), Uav(120.0, 90.0, 100.0)
+    t = corner_events(g, m, u)
+    assert (t.row.tolist(), t.kind.tolist(), t.t_start.tolist(), t.t_end.tolist()) == (
+        [0], [_OPEN], [0.0], [10.0])
+    w = g.street_width_at_y(m.y0)
+    geom = EpochGeometry.pair(m, u, w, params.lam, RayleighHeights(8.0))
+    assert expected_los_piecewise(t, geom) == 10.0
+    with pytest.raises(DegenerateGeometryError, match="far line"):
+        corner_events(g, m, Uav(120.0, m.y0 + w, 100.0))
 
 
 def test_corner_events_on_realized_grid(urban):

@@ -10,11 +10,22 @@ from scipy.stats import poisson
 
 from uavlos.analytic import CdfHeights, RayleighHeights, _tail_integral, p_los_static, void_rate
 from uavlos.cli import PRESETS
-from uavlos.env import _FACE, _OPEN, _WALL, KINDS, GridParams, SegmentTable, Uav, UserMotion
+from uavlos.env import (
+    _FACE,
+    _OPEN,
+    _WALL,
+    KINDS,
+    DegenerateGeometryError,
+    GridParams,
+    SegmentTable,
+    Uav,
+    UserMotion,
+)
 from uavlos.mobility import (
     MAX_MEAN_CROSSINGS,
     EpochGeometry,
     WallSweep,
+    _canonical_table,
     canonical_plan,
     expected_los_piecewise,
     expected_los_total,
@@ -171,6 +182,12 @@ def test_truncation_count_zero_rate():
     assert poisson_truncation_count(1.0 / 58.0, 15.0, 0.0, 1e-3) == 0
 
 
+@pytest.mark.parametrize("mu", [-1.0, math.inf, math.nan])
+def test_truncation_count_refuses_a_rate_not_finite_and_nonnegative(mu):
+    with pytest.raises(ValueError, match="event rate must be finite and nonnegative"):
+        poisson_truncation_count(1.0, mu, 1.0, 1e-3)
+
+
 # -- representative layouts ---------------------------------------------------
 
 
@@ -179,6 +196,19 @@ def test_canonical_plan_zero_crossings_single_face():
     plan = canonical_plan(45.0, 13.0, m, Uav(120.0, 90.0, 100.0), 13.0, 0)
     assert plan.kind.tolist() == [_FACE]
     assert plan.t_end[0] == 10.0
+
+
+@pytest.mark.parametrize("speed, duration", [(15.0, 10.0), (0.0, 10.0), (15.0, 0.0)])
+@pytest.mark.parametrize("crossings", [0, 3])
+def test_canonical_plans_refuse_a_platform_over_the_street(speed, duration, crossings):
+    # moving, still and empty walks alike, at any crossing count
+    m = UserMotion(0.0, 0.0, speed, duration)
+    u = Uav(120.0, 13.0, 100.0)  # on the street's far line
+    with pytest.raises(DegenerateGeometryError, match="far line"):
+        canonical_plan(45.0, 13.0, m, u, 13.0, crossings)
+    geom = EpochGeometry.of([m, m], [Uav(120.0, 90.0, 100.0), u], 13.0, 1.0 / 58.0, RAY)
+    with pytest.raises(DegenerateGeometryError, match="far line"):
+        _canonical_table(45.0, 13.0, geom, np.array([crossings, crossings]))
 
 
 def test_canonical_plan_structure_and_spacing():
@@ -219,7 +249,7 @@ def test_face_expectation_matches_dense_integral():
     m = UserMotion(-30.0, 0.0, 15.0, 10.0)
     w, lam = 13.0, 1.0 / 58.0
     geom = EpochGeometry.pair(m, u, w, lam, RAY)
-    got = expected_los_piecewise(SegmentTable.whole_epoch(1, _FACE, m.duration), geom)
+    got = expected_los_piecewise(canonical_plan(45.0, w, m, u, w, 0), geom)
     ts = np.linspace(0.0, m.duration, 20001)
     ps = [p_los_static(m.position(float(t)), u, w, lam, RAY) for t in ts]
     ref = float(np.trapezoid(ps, ts))
@@ -230,7 +260,9 @@ def test_open_segment_counts_full_length():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
     geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
-    assert expected_los_piecewise(SegmentTable.whole_epoch(1, _OPEN, 10.0), geom) == 10.0
+    table = SegmentTable(np.zeros(1, dtype=int), np.array([_OPEN]), np.zeros(1), np.array([10.0]),
+                         np.array([math.inf]), np.array([-math.inf]))
+    assert expected_los_piecewise(table, geom) == 10.0
 
 
 def test_piecewise_detail_rows_sum_to_total():
