@@ -35,9 +35,7 @@ from .oracle import (
     TrialStats,
     _check_trials,
     _chunks,
-    _gathers,
     _point_clear,
-    _walk_box,
     _walk_clear,
     coverage_time,
     is_los,
@@ -238,17 +236,19 @@ class PolicyComparison:
 def _realized(cities: _Cities, users: list[UserMotion], uavs: list[Uav],
               pairs: np.ndarray) -> np.ndarray:
     """``realized_value`` of the assignments ``pairs[..., t, :]`` (platform per
-    user, -1 for none) on city t, bit for bit; each assigned pair's walk is
-    refereed once for the whole chunk, a user's walks sharing block gathers."""
-    values = np.zeros(pairs.shape)
-    for j, m in enumerate(users):
-        walks = [(k, replace(m, duration=coverage_time(m, uavs[k])))
-                 for k in np.unique(pairs[..., j]).tolist() if k >= 0]
-        boxes = np.array([_walk_box(w, uavs[k]) for k, w in walks]).T
-        for part, blocks in _gathers(cities, boxes) if walks else []:
-            for k, w in walks[part]:
-                clear = _walk_clear(cities, w, uavs[k], blocks)
-                values[..., j] = np.where(pairs[..., j] == k, clear, values[..., j])
+    user, -1 for none) on city t, bit for bit.  Every distinct assigned
+    (user, platform) walk is refereed in one ``_walk_clear`` call for the
+    whole chunk; each trial's walks are then read by one index, a zero column
+    standing for an unassigned user."""
+    code = np.where(pairs >= 0, np.arange(len(users)) * len(uavs) + pairs, -1)
+    walks = np.unique(code[code >= 0])
+    user, uav = np.divmod(walks, len(uavs))
+    motions = [replace(users[j], duration=coverage_time(users[j], uavs[k]))
+               for j, k in zip(user.tolist(), uav.tolist())]
+    clear = np.concatenate([_walk_clear(cities, motions, [uavs[k] for k in uav.tolist()]),
+                            np.zeros((len(cities.nx), 1))], axis=1)
+    column = np.where(code >= 0, np.searchsorted(walks, code), -1)
+    values = clear[np.arange(len(clear))[:, None], column]
     # left to right over the users, as ``realized_value`` adds its pairs
     return np.cumsum(values, axis=-1)[..., -1]
 
@@ -269,7 +269,9 @@ def compare_policies(
     ``sample_grid_anchored(params, SeedSequence([seed, i]), y0, params.mu_s)``
     does, from the same stream, which one ``_seed_state`` hash seeds for the
     whole chunk; both values are ``realized_value`` of the two assignments
-    on that city, bit for bit, computed for a chunk of cities at once.
+    on that city, bit for bit, computed for a chunk of cities at once: the
+    start links one user at a time (``_point_clear``), then every walk
+    either policy assigns in the chunk in one ``_walk_clear`` call.
     """
     _check_trials(trials)
     y0 = _shared_street(users)

@@ -326,7 +326,12 @@ def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: boo
     ``np.bincount`` that ``expected_los_total`` takes per count, so both
     agree bit for bit.  With ``detail`` a list of (kind, t_start, t_end,
     contribution, simpson residual) rows comes back alongside the total.
+    Raises DegenerateGeometryError for a table with a face segment unless
+    the platform is beyond the street's far line, as every plan builder
+    checks: such a face has no contact.
     """
+    if (table.kind == _FACE).any() and _any(geom.dy <= geom.street_width):
+        raise DegenerateGeometryError("platform not beyond the street's far line")
     contrib = _segment_integrals(table, geom)
     total = float(np.bincount(table.row, weights=contrib, minlength=1)[0])
     if not detail:

@@ -8,12 +8,14 @@ and its height fix the window of link fractions where the link could meet it,
 and the link point at any fixed fraction moves linearly in time, so the block
 blocks on exactly one interval, bounded by the instants the window's two ends
 cross the block's west and east edges.  All blocks are solved at once as arrays
-and the clear intervals are the complement of their union; the Monte Carlo
-runners and the policy comparison in ``assoc`` apply the same algebra to the
-blocks of a whole chunk of sampled cities at once, links sharing each block
-gather (``_gathers``).  Touching a footprint's face or corner does not block,
-while reaching exactly the link height does, so box queries and gathers are
-prefilters only: every verdict is the same on any superset of a link's blocks.
+and the clear intervals are the complement of their union.  One referee,
+``_walk_clear``, applies the same algebra to a whole chunk of sampled cities
+and any number of walks at once, walks sharing each block gather
+(``_gathers``): the Monte Carlo runner judges its one walk with it, and the
+policy comparison in ``assoc`` every walk of a chunk in one call.  Touching
+a footprint's face or corner does not block, while reaching exactly the
+link height does, so box queries and gathers are prefilters only: every
+verdict is the same on any superset of a link's blocks.
 None of it reuses the closed-form machinery, so it can referee it.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,29 +71,58 @@ def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     return not bool(_blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height).any())
 
 
-def _edge_times(edge: np.ndarray, s: np.ndarray, motion: UserMotion, u: Uav) -> np.ndarray:
-    """When the link point at fraction s reaches x = edge, elementwise.
+class _Walks(NamedTuple):
+    """Walks and their platforms, field by field, with the box every link of
+    a walk lies in: floats for the one walk of ``los_intervals``, or (walk, 1)
+    columns that broadcast across a gather's (city, 1, block) arrays."""
 
-    The point sits at (1 - s) x(t) + s u.x = u.x + (1 - s)(x(t) - u.x).  At
-    s = 1 it stands still at u.x, and the time is the limit from s < 1: the
-    walker reaching u.x when the edge is at u.x, never (+inf) past an edge
-    east of u.x and always (-inf) past one west of it.
+    x0: float | np.ndarray
+    y0: float | np.ndarray
+    speed: float | np.ndarray
+    duration: float | np.ndarray
+    ux: float | np.ndarray
+    uy: float | np.ndarray
+    uh: float | np.ndarray
+    x_lo: float | np.ndarray
+    x_hi: float | np.ndarray
+    y_lo: float | np.ndarray
+    y_hi: float | np.ndarray
+
+    @classmethod
+    def one(cls, m: UserMotion, u: Uav) -> _Walks:
+        x_end = m.x0 + m.speed * m.duration
+        return cls(m.x0, m.y0, m.speed, m.duration, u.x, u.y, u.height, min(m.x0, x_end, u.x),
+                   max(m.x0, x_end, u.x), min(m.y0, u.y), max(m.y0, u.y))
+
+    @property
+    def box(self):
+        return self.x_lo, self.x_hi, self.y_lo, self.y_hi
+
+    def take(self, rows) -> _Walks:
+        return _Walks(*(f[rows] for f in self))
+
+
+def _edge_times(edge: np.ndarray, s: np.ndarray, w: _Walks) -> np.ndarray:
+    """At [i, j], when the link point at fraction s[j] reaches x = edge[i],
+    elementwise over the axes after the first.
+
+    The point sits at (1 - s) x(t) + s ux = ux + (1 - s)(x(t) - ux).  At
+    s = 1 it stands still at ux, and the time is the limit from s < 1: the
+    walker reaching ux when the edge is at ux, never (+inf) past an edge
+    east of ux and always (-inf) past one west of it.
     """
-    d = edge - u.x
+    d = (edge - w.ux)[:, None]
     gap = 1.0 - s
     limit = np.where(d == 0.0, 0.0, np.copysign(np.inf, d))
-    offset = np.divide(d, gap, out=limit, where=gap > 0.0)
-    return (u.x - motion.x0 + offset) / motion.speed
+    # in place from here: a fresh (edge x end x city x walk x block)
+    # temporary can come on fresh pages, a page fault each
+    t = np.divide(d, gap, out=np.repeat(limit, len(s), axis=1), where=gap > 0.0)
+    t += w.ux - w.x0
+    t /= w.speed
+    return t
 
 
-def _walk_box(motion: UserMotion, u: Uav) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of the box every link of the walk lies in."""
-    x_end = motion.x0 + motion.speed * motion.duration
-    return (min(motion.x0, x_end, u.x), max(motion.x0, x_end, u.x),
-            min(motion.y0, u.y), max(motion.y0, u.y))
-
-
-def _blocked_spans(west, east, south, north, height, motion: UserMotion, u: Uav):
+def _blocked_spans(west, east, south, north, height, w: _Walks):
     """(start, end, hit): the instants each block blocks the walk, elementwise,
     and whether that span reaches into (0, T).
 
@@ -103,37 +135,35 @@ def _blocked_spans(west, east, south, north, height, motion: UserMotion, u: Uav)
     last instant either end leaves its east edge.  A block outside the walk's
     box could meet it only at t = 0 or T, up to rounding, so it never hits.
     """
-    T = motion.duration
-    x_lo, x_hi, _, _ = _walk_box(motion, u)
-    sy_lo, sy_hi = _slab_fracs(south, north, motion.y0, u.y - motion.y0)
+    sy_lo, sy_hi = _slab_fracs(south, north, w.y0, w.uy - w.y0)
     s_a = np.maximum(sy_lo, 0.0)
-    s_b = np.minimum(np.minimum(sy_hi, 1.0), height / u.height)
+    s_b = np.minimum(np.minimum(sy_hi, 1.0), height / w.uh)
     # the window must be nonempty and the footprint crossed on a stretch of
     # positive length strictly between the walker and the platform
     meet = ((s_a <= s_b) & (s_a < 1.0) & (sy_hi > 0.0) & (sy_lo < sy_hi)
-            & (west < x_hi) & (east > x_lo) & (west < east))
-    t = _edge_times(np.array([west, west, east, east]), np.array([s_a, s_b, s_a, s_b]), motion, u)
-    start = np.minimum(t[0], t[1])
-    end = np.maximum(t[2], t[3])
-    return start, end, meet & (end > 0.0) & (start < T)
+            & (west < w.x_hi) & (east > w.x_lo) & (west < east))
+    (west_a, west_b), (east_a, east_b) = _edge_times(np.array([west, east]),
+                                                     np.array([s_a, s_b]), w)
+    start = np.minimum(west_a, west_b)
+    end = np.maximum(east_a, east_b)
+    return start, end, meet & (end > 0.0) & (start < w.duration)
 
 
-def _merged_spans(start: np.ndarray, end: np.ndarray, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked spans along the last axis (one city, or one row per city)
-    sorted by start and clipped to [0, T], each end raised to the latest end
-    so far.
+def _merged_spans(start: np.ndarray, end: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
+    """Blocked spans along the last axis, for any leading shape, sorted by
+    start and clipped to [0, T], each end raised to the latest end so far.
 
     The clear pieces are then, in time order, from 0 to the first start,
     from each end to the next start, and from the last end to T; a piece
     that does not run forward is empty, and a span with start = end = T adds
     only empty pieces.
     """
+    shape = start.shape
     order = np.argsort(start, axis=-1)
-    if start.ndim == 2:  # flat indices into the row-major arrays
-        order += (np.arange(len(start)) * start.shape[1])[:, None]
-        start, end = start.ravel(), end.ravel()
-    return (np.maximum(start[order], 0.0),
-            np.maximum.accumulate(np.minimum(end[order], T), axis=-1))
+    # flat indices into the row-major arrays
+    order += (np.arange(math.prod(shape[:-1])) * shape[-1]).reshape(shape[:-1] + (1,))
+    start, end = start.ravel()[order], end.ravel()[order]
+    return np.maximum(start, 0.0), np.maximum.accumulate(np.minimum(end, T), axis=-1)
 
 
 def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[float, float]]:
@@ -150,7 +180,8 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
     if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
-    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*_walk_box(motion, u)), motion, u)
+    w = _Walks.one(motion, u)
+    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*w.box), w)
     start, end = _merged_spans(start[hit], end[hit], T)
     return [(a, b) for a, b in zip([0.0, *end.tolist()], [*start.tolist(), T]) if b > a]
 
@@ -337,26 +368,49 @@ def _chunks(trials: int) -> list[range]:
     return [range(first, min(first + _CHUNK, trials)) for first in range(0, trials, _CHUNK)]
 
 
-def _walk_clear(cities: _Cities, motion: UserMotion, u: Uav, blocks=None) -> np.ndarray:
-    """Per city, the clear seconds of the walk: ``los_time`` on that city,
-    bit for bit, for a chunk of cities at once; ``blocks``, if given, is a
-    gather holding at least the blocks of the walk's box, judged as it stands."""
-    T = motion.duration
-    if T <= 0.0:
-        return np.zeros(len(cities.nx))
-    if _in_bands(cities.south, cities.north, cities.row_city, len(cities.ny), motion.y0).any():
-        raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
-    if blocks is None:
-        blocks = _box_blocks(cities, *_box_runs(cities, *_walk_box(motion, u)))
-    if motion.speed == 0.0:
-        blocked = _blocking(*blocks, motion.x0, motion.y0, u.x, u.y, u.height).any(axis=1)
-        return np.where(blocked, 0.0, T)
-    start, end, hit = _blocked_spans(*blocks, motion, u)
+def _still_clear(blocks, w: _Walks) -> np.ndarray:
+    """Clear seconds of still walks per (city, walk): all of T or none."""
+    blocked = _blocking(*blocks, w.x0, w.y0, w.ux, w.uy, w.uh).any(axis=-1, keepdims=True)
+    return np.where(blocked, 0.0, w.duration)[..., 0]
+
+
+def _moving_clear(blocks, w: _Walks) -> np.ndarray:
+    """Clear seconds of moving walks per (city, walk): the clear pieces
+    between the merged blocked spans, summed left to right along each row,
+    as ``los_time`` sums its intervals."""
+    T = w.duration
+    start, end, hit = _blocked_spans(*blocks, w)
     start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
-    lo = np.concatenate([np.zeros((len(end), 1)), end], axis=1)
-    hi = np.concatenate([start, np.full((len(start), 1), T)], axis=1)
-    # left to right along each row, as ``los_time`` sums its intervals
-    return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=1)[:, -1]
+    rows = end.shape[:-1] + (1,)
+    lo = np.concatenate([np.zeros(rows), end], axis=-1)
+    hi = np.concatenate([start, np.full(rows, T)], axis=-1)
+    return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[..., -1]
+
+
+def _walk_clear(cities: _Cities, motions: list[UserMotion], uavs: list[Uav]) -> np.ndarray:
+    """Per city (row) and walk (column), the clear seconds of walk w with
+    platform w: ``los_time`` on that city, bit for bit, for a chunk of cities
+    and any number of walks at once.
+
+    Still and moving walks go apart, and each kind is judged in groups of
+    walks sharing one gather (``_gathers``): a group's fields are (walk, 1)
+    columns broadcast across its (city, 1, block) arrays.  A lone walk is a
+    group of one on its own box's gather.
+    """
+    n = len(cities.nx)
+    clear = np.zeros((n, len(motions)))
+    live = [k for k, m in enumerate(motions) if m.duration > 0.0]
+    for y0 in dict.fromkeys(motions[k].y0 for k in live):
+        if _in_bands(cities.south, cities.north, cities.row_city, n, y0).any():
+            raise UserInBuildingError(f"walk line y = {y0} lies in a building band")
+    for still, judge in ((True, _still_clear), (False, _moving_clear)):
+        cols = [k for k in live if (motions[k].speed == 0.0) == still]
+        rows = [_Walks.one(motions[k], uavs[k]) for k in cols]
+        if rows:
+            walks = _Walks(*np.array(rows, dtype=float).T[:, :, None])
+            for part, blocks in _gathers(cities, walks.box):
+                clear[:, cols[part]] = judge([b[:, None, :] for b in blocks], walks.take(part))
+    return clear
 
 
 def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np.ndarray:
@@ -412,7 +466,7 @@ def monte_carlo_expected_los(
     _check_trials(trials)
     cx = start_contact_x(params, (motion.x0, motion.y0), u) if require_contact else None
     return _run_chunks(params, seed, trials, motion.y0, cx,
-                       lambda cities: _walk_clear(cities, motion, u))
+                       lambda cities: _walk_clear(cities, [motion], [u])[:, 0])
 
 
 def monte_carlo_static_los(

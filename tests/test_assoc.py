@@ -36,7 +36,7 @@ from uavlos.mobility import (
     expected_los_total,
     poisson_truncation_count,
 )
-from uavlos.oracle import _CHUNK, _point_clear, coverage_time, is_los, los_time
+from uavlos.oracle import _CHUNK, _point_clear, _walk_clear, coverage_time, is_los, los_time
 
 
 def test_assignment_rejects_shared_platform():
@@ -184,6 +184,26 @@ def test_association_sweep_scores_each_pair_once_per_speed(monkeypatch):
     n_users, n_uavs = len(user_xs), 2 * len(user_xs)
     assert sum(calls) == len(cfg.values) * n_users * n_uavs
     assert len(calls) == len(cfg.values)
+
+
+def test_compare_policies_referees_each_chunk_in_one_walk_pass(urban, monkeypatch):
+    import uavlos.assoc as assoc
+
+    calls = []  # (cities, walks) handed to each walk referee pass
+    real = assoc._walk_clear
+
+    def counted(cities, motions, uavs):
+        calls.append((len(cities.nx), len(motions)))
+        return real(cities, motions, uavs)
+
+    monkeypatch.setattr(assoc, "_walk_clear", counted)
+    monkeypatch.setattr(oracle, "_CHUNK", 32)
+    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-170.0, -55.0, 40.0)]
+    uavs = [Uav(m.x0 + dx, 45.0, 100.0) for m in users for dx in (-25.0, 60.0)]
+    compare_policies(urban, users, uavs, 65, 3)
+    # one pass per chunk, over at most every (user, platform) pair
+    assert [c for c, _ in calls] == [32, 32, 1]
+    assert all(len(users) <= w <= len(users) * len(uavs) for _, w in calls)
 
 
 _PRESETS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
@@ -361,6 +381,8 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
     assert _point_clear(cities, g, [above, east]).tolist() == [
         [True, is_los(grid, g, east)]]
+    assert _walk_clear(cities, [walk, walk], [above, east]).tolist() == [
+        [walk.duration, los_time(grid, walk, east)]]
     # the user walks to ``above`` in the first row and to ``east`` in the second
     pairs = np.array([[[0]], [[1]]])
     assert _realized(cities, [walk], [above, east], pairs).tolist() == [

@@ -265,6 +265,25 @@ def test_open_segment_counts_full_length():
     assert expected_los_piecewise(table, geom) == 10.0
 
 
+def test_hand_built_face_table_refuses_a_platform_not_beyond_the_street():
+    # a face's contact sits at the fraction w / dy of the link, so a platform
+    # on the user's line (dy = 0) or over the street (dy <= w) has none; the
+    # table is refused before any division, as the plan builders refuse it
+    m = UserMotion(0.0, 0.0, 15.0, 10.0)
+    face = SegmentTable(np.zeros(1, dtype=int), np.array([_FACE]), np.zeros(1), np.array([10.0]),
+                        np.array([math.inf]), np.array([-math.inf]))
+    for dy in (0.0, 5.0, 13.0):
+        geom = EpochGeometry.pair(m, Uav(120.0, dy, 100.0), 13.0, 1.0 / 58.0, RAY)
+        with pytest.raises(DegenerateGeometryError, match="far line"):
+            expected_los_piecewise(face, geom)
+    # beyond the far line, hand-built and builder-made tables price as before
+    for dy, hand, plan in ((13.5, 10.0, 10.0), (90.0, 7.902878649873793, 8.23891811289297)):
+        u = Uav(120.0, dy, 100.0)
+        geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
+        assert expected_los_piecewise(face, geom) == hand
+        assert expected_los_piecewise(canonical_plan(45.0, 13.0, m, u, 13.0, 3), geom) == plan
+
+
 def test_piecewise_detail_rows_sum_to_total():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)

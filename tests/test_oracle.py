@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,20 +265,27 @@ def _edge_cities(draw):
 def test_verdicts_do_not_depend_on_the_prefilter(case):
     # every referee judges a link on all blocks of the city exactly as on the
     # blocks its box query returns, for links on block edges and walks that
-    # start or end under their platform
+    # start or end under their platform; all the walks judged at once, on
+    # the gather for all their boxes, read the same
     grid, g, uavs, walks = case
     cities = grid_cities(grid)
     runs = _box_runs(cities, -np.inf, np.inf, -np.inf, np.inf)
     every = _box_blocks(cities, *runs)
+    motions = [UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
+               for u, (v, T, ends) in zip(uavs, walks)]
+    row = [[los_time(grid, m, u) for m, u in zip(motions, uavs)]]
+    assert _walk_clear(cities, motions, uavs).tolist() == row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_box_runs", lambda cities, *box: runs)
         assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]]
-    for u, (v, T, ends) in zip(uavs, walks):
-        m = UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
-        assert _walk_clear(cities, m, u, every).tolist() == [los_time(grid, m, u)]
-        ts = (np.arange(64) + 0.5) * (T / 64)
-        blocked = _blocking(*every, (m.x0 + v * ts)[:, None], m.y0, u.x, u.y, u.height).any(axis=1)
-        assert los_time_sampled(grid, m, u, samples=64) == T * (64 - blocked.sum()) / 64
+        assert _walk_clear(cities, motions, uavs).tolist() == row
+        for u, m in zip(uavs, motions):
+            v, T = m.speed, m.duration
+            assert _walk_clear(cities, [m], [u]).tolist() == [[los_time(grid, m, u)]]
+            ts = (np.arange(64) + 0.5) * (T / 64)
+            blocked = _blocking(*every, (m.x0 + v * ts)[:, None], m.y0, u.x, u.y,
+                                u.height).any(axis=1)
+            assert los_time_sampled(grid, m, u, samples=64) == T * (64 - blocked.sum()) / 64
 
 
 PRESET_WIDTHS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
@@ -689,6 +697,61 @@ def test_mc_runners_reject_negative_trials(urban):
         monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, -2, 0)
     with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
         monte_carlo_static_los(urban, (0.0, 0.0), u, -2, 0)
+
+
+# a walk on the anchored street: its line's offset into the street as a
+# fraction of the pinned width, where it starts (anywhere, or under its
+# platform so that it starts or ends there), its speed and duration, and its
+# platform as (x, dy, north, height, link range); a small range gives a
+# coverage horizon of 0
+_STREET_WALK = st.tuples(
+    st.sampled_from([0.0, 0.5]), st.floats(-150.0, 100.0),
+    st.sampled_from(["free", "starts under", "ends under"]),
+    st.one_of(st.just(0.0), st.floats(0.5, 30.0)), st.one_of(st.just(0.0), st.floats(0.5, 20.0)),
+    st.tuples(st.floats(-150.0, 150.0), st.one_of(st.just(0.0), st.floats(5.0, 150.0)),
+              st.booleans(), st.floats(20.0, 160.0),
+              st.one_of(st.just(math.inf), st.floats(30.0, 250.0))))
+
+
+@settings(max_examples=60)
+@given(preset=st.sampled_from(PRESET_WIDTHS), seed=st.integers(0, 2**32 - 1),
+       y0=st.floats(-150.0, 150.0), n=st.integers(1, 4), walks=st.lists(_STREET_WALK, max_size=6))
+def test_walk_clear_judges_every_walk_as_los_time(preset, seed, y0, n, walks):
+    # many walks in one call, still, moving and empty ones mixed, each walk
+    # on each city equal to ``los_time`` there; a budget of one element per
+    # gather, one walk per group, gives the same array
+    params = GridParams(*preset, 8.0)
+    motions, uavs = [], []
+    for off, x0, start, v, T, (ux, dy, north, h, reach) in walks:
+        line = y0 + off * params.mu_s
+        u = Uav(ux, line + dy if north else line - dy, h, reach)
+        x0 = {"free": x0, "starts under": ux, "ends under": ux - v * T}[start]
+        m = UserMotion(x0, line, v, T)
+        motions.append(replace(m, duration=coverage_time(m, u)))
+        uavs.append(u)
+    cities = _draw_cities(params, seed, range(n), y0, None)
+    grids = [g for g, _ in _reference_cities(params, seed, range(n), y0, None)]
+    clear = _walk_clear(cities, motions, uavs)
+    assert clear.shape == (n, len(motions))
+    assert clear.tolist() == [[los_time(g, m, u) for m, u in zip(motions, uavs)] for g in grids]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_BROADCAST", 1)
+        assert np.array_equal(_walk_clear(cities, motions, uavs), clear)
+
+
+def test_walk_clear_refuses_a_walk_line_in_a_building_band():
+    grid = make_single_block_grid(1000.0)
+    cities = grid_cities(grid)
+    inside = UserMotion(0.0, 20.0, 1.0, 10.0)  # y = 20 lies in the block's band [16, 24)
+    for motions in ([inside], [WALK, inside], [WALK, replace(inside, speed=0.0)]):
+        with pytest.raises(UserInBuildingError, match="walk line y = 20.0 "):
+            _walk_clear(cities, motions, [UAV] * len(motions))
+    with pytest.raises(UserInBuildingError):
+        los_time(grid, inside, UAV)
+    # an empty walk is not judged, as ``los_time`` does not judge it
+    empty = replace(inside, duration=0.0)
+    assert _walk_clear(cities, [WALK, empty], [UAV, UAV]).tolist() == [
+        [los_time(grid, WALK, UAV), los_time(grid, empty, UAV)]]
 
 
 def test_mc_walk_line_in_building_band_raises():
