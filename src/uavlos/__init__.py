@@ -26,7 +26,6 @@ from .mobility import (
     expected_los_piecewise,
     expected_los_total,
     expected_los_x_segment,
-    expected_los_y_segment,
     p_los_x_segment,
     poisson_truncation_count,
 )

@@ -651,8 +651,9 @@ class SegmentTable:
     the platform), ``back_wall_x`` the east corner behind it (met once the
     user has passed under the platform's x).  A missing candidate is +inf
     ahead and -inf behind: a link aimed at it never reaches a wall.  Plans
-    are built by ``segment_table`` alone, canonical or realized, so every
-    face segment's platform is beyond the street's far line.
+    from ``segment_table``, canonical or realized, put every face segment's
+    platform beyond the street's far line; a hand-built table need not, and
+    ``mobility.expected_los_piecewise`` refuses one whose face does not.
     """
 
     row: np.ndarray

@@ -5,8 +5,9 @@ projected link does not change.  While the contact slides along a building
 front line the contact fraction is the constant w/dy, the clear probability
 is a pure exponential in time and its integral is closed form.  While the
 contact is pinned on a vertical wall the fraction drifts and the integral is
-taken with the three point Simpson rule (a dense composite rule on the
-scalar ``WallSweep`` is kept alongside as the error reference).
+taken with the three point Simpson rule; ``expected_los_piecewise`` reports
+each wall segment's gap to composite Simpson on 129 nodes, priced by the same
+array pass over the segment cut into pieces.
 
 The epoch expectation weights per-crossing-count plans by a truncated
 Poisson law over the number of streets the user passes.  Evaluation is
@@ -40,7 +41,6 @@ import numpy as np
 from .analytic import (
     HeightModel,
     RayleighHeights,
-    p_los_contact,
     void_rate,
 )
 from .env import (
@@ -62,11 +62,15 @@ NUDGE = 1e-9  # relative node shift off a removable singular instant
 # as many as keep a block's padded layout to about CELL_BLOCK corners
 CELL_BLOCK = 2**11
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
+_RESIDUAL_PIECES = 64  # pieces of a wall segment in its dense Simpson reference
 _SETTLED = ([1.0], 0.0)  # the law of a pair settled directly: one count, nothing dropped
 # most street crossings (lam v T) an epoch priced count by count may expect:
 # it prices about lam v T counts of about lam v T corners each, so one urban
 # pair just below the bound takes about 9 s of CPU on a 2-core x86 host
 MAX_MEAN_CROSSINGS = 4096.0
+# largest Poisson rate whose law is built: about 1.05 M terms, 0.45 s of CPU on
+# the same host
+MAX_EVENT_RATE = 2.0**20
 
 
 def p_los_x_segment(t, base, rate, v):
@@ -145,46 +149,6 @@ class EpochGeometry:
         return self.uy - self.y0
 
 
-@dataclass
-class WallSweep:
-    """A wall-pinned sweep starting at x_start, local time tau in [0, t_len].
-
-    Which wall the link meets flips when the user passes under the platform's
-    x: ahead of it the west corner ``wall_ahead``, behind it the east corner
-    ``wall_back``.  A missing wall is +inf ahead and -inf behind, as in
-    ``SegmentTable``; a missing or unreachable wall means no contact, so the
-    clear probability there is 1, as it is with the user under the platform.
-    ``p`` is the scalar reference form of ``_wall_contacts`` and its pricing.
-    """
-
-    x_start: float
-    y0: float
-    v: float
-    u: Uav
-    lam: float
-    model: HeightModel
-    wall_ahead: float = math.inf
-    wall_back: float = -math.inf
-
-    def p(self, tau: float) -> float:
-        x_t = self.x_start + self.v * tau
-        dx, dy = self.u.x - x_t, self.u.y - self.y0
-        if dx == 0.0:
-            return 1.0
-        s_wall = ((self.wall_ahead if dx > 0.0 else self.wall_back) - x_t) / dx
-        # the better conditioned axis, through the contact's y as ``_wall_contacts`` rounds it
-        s =((self.y0 + dy * s_wall) - self.y0) / dy if abs(dx) < abs(dy) else s_wall
-        if not (0.0 < s_wall <= 1.0 and 0.0 < s <= 1.0):
-            return 1.0
-        return p_los_contact(s, abs(dx) + abs(dy), self.lam, self.model, self.u.height)
-
-    def singular_time(self) -> float:
-        """Instant the user passes under the platform's x; nan when standing still."""
-        if self.v == 0.0:
-            return math.nan
-        return (self.u.x - self.x_start) / self.v
-
-
 def _nudged(node, t_len, t_sing):
     """Shift quadrature nodes off the removable singular instant (nan or inf: none)."""
     eps = NUDGE * t_len
@@ -201,12 +165,13 @@ def _wall_contacts(g: EpochGeometry, x, ahead, back):
     g: the mask of links that meet it, and their contact fractions, spans
     and platform heights (one height for every link when g has one).
 
-    Array form of the contact in ``WallSweep.p``: the wall ahead while the
-    user is west of the platform, the wall behind once past it; the contact
-    fraction is taken along the better conditioned axis (y when the link
-    runs more across the street than along it).
-    The caller ignores division warnings: a user under the platform or a
-    link along the street divides by zero.
+    The link meets the wall ahead while the user is west of the platform
+    and the wall behind once past it; a missing or unreachable wall, or the
+    user under the platform, means no contact.  The contact fraction is
+    taken along the better conditioned axis (y when the link runs more
+    across the street than along it).  The caller ignores division and
+    overflow warnings: a user under the platform or a link along the street
+    divides by zero, a user all but under it overflows.
     """
     dx = g.ux - x
     span_y = g.uy - g.y0
@@ -262,7 +227,8 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     wall = np.flatnonzero(table.kind == _WALL)
     wg, w_len = geom.take(table.row[wall]), out[wall]
     w_start = wg.x0 + wg.speed * table.t_start[wall]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a speed so small that the pass-under instant overflows never reaches it either
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_sing = (wg.ux - w_start) / wg.speed  # +-inf or nan standing still: no such instant
         x = w_start + wg.speed * _nudged(_SIMPSON_NODES * w_len, w_len, t_sing)
         hit, s, span, height = _wall_contacts(wg, x, table.wall_x[wall], table.back_wall_x[wall])
@@ -283,39 +249,6 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     return out
 
 
-def expected_los_y_segment(sweep: WallSweep, t_len: float) -> float:
-    """Three point Simpson estimate of the wall-segment clear time."""
-    u = sweep.u
-    geom = EpochGeometry(sweep.x_start, sweep.y0, sweep.v, t_len, u.x, u.y, u.height, math.nan,
-                         sweep.lam, sweep.model)
-    table = SegmentTable(np.zeros(1, dtype=int), np.array([_WALL]), np.zeros(1), np.array([t_len]),
-                         np.array([sweep.wall_ahead]), np.array([sweep.wall_back]))
-    return float(_segment_integrals(table, geom)[0])
-
-
-def expected_los_y_segment_reference(
-    sweep: WallSweep, t_len: float, nodes: int = 129
-) -> float:
-    """Composite Simpson on >= 129 nodes, the error reference for the 3 point rule."""
-    if t_len <= 0.0:
-        return 0.0
-    if nodes < 129:
-        nodes = 129
-    if nodes % 2 == 0:
-        nodes += 1
-    ts = sweep.singular_time()
-    xs = np.linspace(0.0, t_len, nodes)
-    ps = np.array([sweep.p(float(_nudged(float(x), t_len, ts))) for x in xs])
-    h = t_len / (nodes - 1)
-    return float(h / 3.0 * (ps[0] + ps[-1] + 4.0 * ps[1:-1:2].sum() + 2.0 * ps[2:-2:2].sum()))
-
-
-def simpson_residual(sweep: WallSweep, t_len: float) -> float:
-    """Absolute gap between the 3 point rule and the dense reference."""
-    dense = expected_los_y_segment_reference(sweep, t_len)
-    return abs(expected_los_y_segment(sweep, t_len) - dense)
-
-
 def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: bool = False):
     """Expected clear seconds over the whole epoch of a one-row segment table,
     priced on the one pair of geom.
@@ -325,7 +258,9 @@ def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: boo
     segments contribute their full length.  The sum is the same
     ``np.bincount`` that ``expected_los_total`` takes per count, so both
     agree bit for bit.  With ``detail`` a list of (kind, t_start, t_end,
-    contribution, simpson residual) rows comes back alongside the total.
+    contribution, simpson residual) rows comes back alongside the total: a
+    wall segment's residual is its gap to composite Simpson on 129 nodes,
+    the same pass over the segment cut into 64 pieces; other kinds have 0.
     Raises DegenerateGeometryError for a table with a face segment unless
     the platform is beyond the street's far line, as every plan builder
     checks: such a face has no contact.
@@ -336,19 +271,22 @@ def expected_los_piecewise(table: SegmentTable, geom: EpochGeometry, detail: boo
     total = float(np.bincount(table.row, weights=contrib, minlength=1)[0])
     if not detail:
         return total
-    g = geom.take(0)
-    rows = []
-    for k, t0, t1, ahead, back, c in zip(
-        table.kind.tolist(), table.t_start.tolist(), table.t_end.tolist(),
-        table.wall_x.tolist(), table.back_wall_x.tolist(), contrib.tolist(),
-    ):
-        resid = 0.0
-        if k == _WALL:
-            sweep = WallSweep(g.x0 + g.speed * t0, g.y0, g.speed, Uav(g.ux, g.uy, g.height),
-                              g.lam, g.model, ahead, back)
-            resid = simpson_residual(sweep, t1 - t0)
-        rows.append((KINDS[k], t0, t1, c, resid))
-    return total, rows
+    # each wall segment cut into n equal pieces, all priced in one pass:
+    # their sum is composite Simpson on 2n + 1 nodes
+    n = _RESIDUAL_PIECES
+    wall = np.flatnonzero(table.kind == _WALL)
+    t0, t1 = table.t_start[wall], table.t_end[wall]
+    edges = t0[:, None] + (t1 - t0)[:, None] * (np.arange(n + 1) / n)
+    each = wall.repeat(n)
+    pieces = SegmentTable(table.row[each], table.kind[each], edges[:, :-1].ravel(),
+                          edges[:, 1:].ravel(), table.wall_x[each], table.back_wall_x[each])
+    dense = np.bincount(np.arange(wall.size).repeat(n), weights=_segment_integrals(pieces, geom),
+                        minlength=wall.size)
+    resid = np.zeros(contrib.size)
+    resid[wall] = np.abs(contrib[wall] - dense)
+    kinds = [KINDS[k] for k in table.kind.tolist()]
+    return total, list(zip(kinds, table.t_start.tolist(), table.t_end.tolist(), contrib.tolist(),
+                           resid.tolist()))
 
 
 # -- crossing-count marginalization -------------------------------------------
@@ -366,8 +304,9 @@ def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    if not 0.0 <= mu < math.inf:  # NaN fails here too
-        raise ValueError(f"event rate must be finite and nonnegative, got {mu!r}")
+    if not 0.0 <= mu <= MAX_EVENT_RATE:  # NaN fails here too
+        raise ValueError(f"event rate must be finite and nonnegative, at most "
+                         f"{MAX_EVENT_RATE:.0f}, got {mu!r}")
     mode = math.floor(mu)
     terms = [1.0]
     for n in range(mode, 0, -1):
@@ -394,7 +333,7 @@ def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
 def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> int:
     """Smallest N with Poisson(lam v T) mass at least 1 - epsilon on {0..N}.
 
-    Raises ValueError unless 0 < epsilon < 1 and lam v T is finite and >= 0.
+    Raises ValueError unless 0 < epsilon < 1 and 0 <= lam v T <= MAX_EVENT_RATE.
     """
     return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
 

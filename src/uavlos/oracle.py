@@ -198,8 +198,11 @@ def los_time_sampled(
 
     Each sample is judged exactly as ``is_los`` judges it, all samples
     against every block the walk's box query returns in one (sample x block)
-    array; a block outside a sample's own box does not block it.
+    array; a block outside a sample's own box does not block it.  Raises
+    ValueError unless ``samples`` is a positive int.
     """
+    if not (isinstance(samples, (int, np.integer)) and samples > 0):
+        raise ValueError(f"samples must be a positive int, got {samples!r}")
     T = motion.duration
     if T <= 0.0:
         return 0.0

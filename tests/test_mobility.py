@@ -1,14 +1,23 @@
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
 
-from uavlos.analytic import CdfHeights, RayleighHeights, _tail_integral, p_los_static, void_rate
+from uavlos.analytic import (
+    CdfHeights,
+    HeightModel,
+    RayleighHeights,
+    _tail_integral,
+    p_los_contact,
+    p_los_static,
+    void_rate,
+)
 from uavlos.cli import PRESETS
 from uavlos.env import (
     _FACE,
@@ -20,21 +29,22 @@ from uavlos.env import (
     SegmentTable,
     Uav,
     UserMotion,
+    corner_events,
+    sample_grid_anchored,
 )
 from uavlos.mobility import (
+    MAX_EVENT_RATE,
     MAX_MEAN_CROSSINGS,
     EpochGeometry,
-    WallSweep,
     _canonical_table,
+    _nudged,
+    _segment_integrals,
     canonical_plan,
     expected_los_piecewise,
     expected_los_total,
     expected_los_x_segment,
-    expected_los_y_segment,
-    expected_los_y_segment_reference,
     p_los_x_segment,
     poisson_truncation_count,
-    simpson_residual,
 )
 
 RAY = RayleighHeights(8.0)
@@ -83,6 +93,72 @@ def test_x_segment_bounded_by_endpoint_probabilities(base, rate, v, t_len):
 
 
 # -- street-gap sweeps --------------------------------------------------------
+
+
+@dataclass
+class WallSweep:
+    """Scalar reference for one wall-pinned sweep starting at x_start, local
+    time tau in [0, t_len], judged one instant at a time.
+
+    Which wall the link meets flips when the user passes under the platform's
+    x: ahead of it the west corner ``wall_ahead``, behind it the east corner
+    ``wall_back``.  A missing wall is +inf ahead and -inf behind, as in
+    ``SegmentTable``; a missing or unreachable wall means no contact, so the
+    clear probability there is 1, as it is with the user under the platform.
+    """
+
+    x_start: float
+    y0: float
+    v: float
+    u: Uav
+    lam: float
+    model: HeightModel
+    wall_ahead: float = math.inf
+    wall_back: float = -math.inf
+
+    def p(self, tau: float) -> float:
+        x_t = self.x_start + self.v * tau
+        dx, dy = self.u.x - x_t, self.u.y - self.y0
+        if dx == 0.0:
+            return 1.0
+        s_wall = ((self.wall_ahead if dx > 0.0 else self.wall_back) - x_t) / dx
+        # the better conditioned axis, through the contact's y as the array pass rounds it
+        s = ((self.y0 + dy * s_wall) - self.y0) / dy if abs(dx) < abs(dy) else s_wall
+        if not (0.0 < s_wall <= 1.0 and 0.0 < s <= 1.0):
+            return 1.0
+        return p_los_contact(s, abs(dx) + abs(dy), self.lam, self.model, self.u.height)
+
+    def singular_time(self) -> float:
+        """Instant the user passes under the platform's x; nan when standing still."""
+        if self.v == 0.0:
+            return math.nan
+        return (self.u.x - self.x_start) / self.v
+
+
+def simpson_3(sweep: WallSweep, t_len: float) -> float:
+    """The library's three point estimate of the sweep: a one-wall table."""
+    u = sweep.u
+    geom = EpochGeometry(sweep.x_start, sweep.y0, sweep.v, t_len, u.x, u.y, u.height, math.nan,
+                         sweep.lam, sweep.model)
+    table = SegmentTable(np.zeros(1, dtype=int), np.array([_WALL]), np.zeros(1), np.array([t_len]),
+                         np.array([sweep.wall_ahead]), np.array([sweep.wall_back]))
+    return expected_los_piecewise(table, geom)
+
+
+def simpson_dense(sweep: WallSweep, t_len: float, nodes: int = 129) -> float:
+    """Composite Simpson of ``sweep.p`` on an odd number of nodes."""
+    if t_len <= 0.0:
+        return 0.0
+    ts = sweep.singular_time()
+    xs = np.linspace(0.0, t_len, nodes)
+    ps = np.array([sweep.p(float(_nudged(float(x), t_len, ts))) for x in xs])
+    h = t_len / (nodes - 1)
+    return float(h / 3.0 * (ps[0] + ps[-1] + 4.0 * ps[1:-1:2].sum() + 2.0 * ps[2:-2:2].sum()))
+
+
+def scalar_residual(sweep: WallSweep, t_len: float) -> float:
+    """Gap between the three point estimate and the 129 node scalar reference."""
+    return abs(simpson_3(sweep, t_len) - simpson_dense(sweep, t_len))
 
 
 def _gap_sweep() -> tuple[WallSweep, float]:
@@ -134,14 +210,14 @@ def test_y_segment_simpson_uses_the_reference_probability():
         t_len = 1.5
         ps = [sweep.p(t) for t in (0.0, 0.5 * t_len, t_len)]
         simpson = t_len / 6.0 * (ps[0] + 4.0 * ps[1] + ps[2])
-        assert math.isclose(expected_los_y_segment(sweep, t_len), simpson, rel_tol=1e-13)
+        assert math.isclose(simpson_3(sweep, t_len), simpson, rel_tol=1e-13)
 
 
 def test_y_segment_simpson_against_dense_reference():
     sweep, t_len = _gap_sweep()
-    coarse = expected_los_y_segment(sweep, t_len)
-    fine = expected_los_y_segment_reference(sweep, t_len, nodes=513)
-    resid = simpson_residual(sweep, t_len)
+    coarse = simpson_3(sweep, t_len)
+    fine = simpson_dense(sweep, t_len, nodes=513)
+    resid = scalar_residual(sweep, t_len)
     assert abs(coarse - fine) <= max(10.0 * abs(resid), 1e-6 * t_len)
     assert abs(coarse - fine) / t_len < 1e-3
 
@@ -186,6 +262,15 @@ def test_truncation_count_zero_rate():
 def test_truncation_count_refuses_a_rate_not_finite_and_nonnegative(mu):
     with pytest.raises(ValueError, match="event rate must be finite and nonnegative"):
         poisson_truncation_count(1.0, mu, 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("mu", [MAX_EVENT_RATE * (1.0 + 1e-12), 1e300])
+def test_truncation_count_refuses_a_rate_above_the_bound_at_once(mu):
+    # no Poisson law is built: it would take about mu terms
+    start = time.process_time()
+    with pytest.raises(ValueError, match="event rate must be finite and nonnegative"):
+        poisson_truncation_count(1.0, mu, 1.0, 1e-3)
+    assert time.process_time() - start < 1.0
 
 
 # -- representative layouts ---------------------------------------------------
@@ -297,6 +382,50 @@ def test_piecewise_detail_rows_sum_to_total():
     ]
 
 
+_CDF = CdfHeights(lambda h: -math.expm1(-(h * h) / 128.0) if h > 0.0 else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+# a walk so slow that its pass-under instant overflows, on a canonical and a realized wall
+@example(model=RAY, realized=False, crossings=1, seed=0, x0=0.0, speed=5e-324, duration=2.0,
+         ux=0.0, uy=35.0, height=20.0)
+@example(model=RAY, realized=True, crossings=0, seed=1, x0=0.0, speed=1e-310, duration=2.0,
+         ux=50.0, uy=35.0, height=20.0)
+@given(
+    model=st.sampled_from([RAY, _CDF]),
+    realized=st.booleans(),
+    crossings=st.integers(0, 8),
+    seed=st.integers(0, 10_000),
+    x0=st.floats(-100.0, 100.0),
+    speed=st.floats(0.0, 30.0),
+    duration=st.floats(0.0, 12.0),
+    ux=st.floats(-150.0, 150.0),
+    uy=st.floats(35.0, 150.0),
+    height=st.floats(20.0, 150.0),
+)
+def test_detail_residuals_match_the_scalar_reference(model, realized, crossings, seed, x0, speed,
+                                                    duration, ux, uy, height):
+    # canonical and realized plans: each wall segment's residual is its
+    # three point value's gap to the 129 node scalar rule on WallSweep.p
+    params = GridParams(45.0, 13.0, 8.0)
+    m, u = UserMotion(x0, 0.0, speed, duration), Uav(ux, uy, height)
+    if realized:
+        table = corner_events(sample_grid_anchored(params, seed, 0.0, 13.0), m, u)
+    else:
+        table = canonical_plan(params.mu_b, params.mu_s, m, u, 13.0, crossings)
+    geom = EpochGeometry.pair(m, u, 13.0, params.lam, model)
+    total, rows = expected_los_piecewise(table, geom, detail=True)
+    assert total == expected_los_piecewise(table, geom)
+    assert [c for *_, c, _ in rows] == _segment_integrals(table, geom).tolist()
+    for (kind, t0, t1, c, resid), ahead, back in zip(rows, table.wall_x.tolist(),
+                                                     table.back_wall_x.tolist()):
+        if kind != KINDS[_WALL]:
+            assert resid == 0.0
+            continue
+        sweep = WallSweep(x0 + speed * t0, 0.0, speed, u, params.lam, model, ahead, back)
+        assert abs(resid - abs(c - simpson_dense(sweep, t1 - t0))) <= 1e-12
+
+
 def test_face_and_wall_contacts_share_one_panel_build():
     # a face segment and a wall segment below one platform height: the
     # generic law builds that height's panels once, then evaluates its CDF
@@ -369,7 +498,8 @@ def test_expected_total_past_exp_underflow(urban):
 
 def test_crossings_above_the_bound_raise_at_once(urban):
     # just past the bound, and at a duration of 1e300 s, the epoch is refused
-    # before any count is priced; the truncation count alone stays unbounded
+    # before any count is priced; the truncation count alone goes on up to
+    # MAX_EVENT_RATE
     u = Uav(120.0, 90.0, 100.0)
     for duration in (MAX_MEAN_CROSSINGS * 58.0 / 30.0 * (1.0 + 1e-12), 1e300):
         m = UserMotion(0.0, 0.0, 30.0, duration)

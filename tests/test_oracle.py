@@ -332,6 +332,17 @@ def test_los_time_sampled_equals_static_loop():
     assert los_time_sampled(g, walk, u, samples=16) == walk.duration * hits / 16 == 9.0
 
 
+@pytest.mark.parametrize("samples", [0, -3, 1.5, 2.0, "16"])
+def test_los_time_sampled_refuses_a_sample_count_not_a_positive_int(samples):
+    g = make_single_block_grid(1000.0)
+    walk = UserMotion(-0.5, 0.0, 1.0, 10.0)
+    with pytest.raises(ValueError, match="samples must be a positive int"):
+        los_time_sampled(g, walk, UAV, samples=samples)
+    # a NumPy integer counts as an int
+    assert los_time_sampled(g, walk, UAV, samples=np.int64(16)) == los_time_sampled(
+        g, walk, UAV, samples=16)
+
+
 def test_los_time_sampled_user_in_building():
     g = make_single_block_grid(1000.0)
     with pytest.raises(UserInBuildingError):
