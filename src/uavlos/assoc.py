@@ -284,7 +284,7 @@ def compare_policies(
     for chunk in _chunks(trials):
         state = _seed_state(seed, np.arange(chunk.start, chunk.stop))
         cities = _join_cities([_draw_anchored(_generator(w), law, y0, params.mu_s)
-                               for w in state], [1] * len(chunk), y0, params.street_fraction)
+                               for w in state], [1] * len(chunk), y0, law)
         clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
         for j, m in enumerate(users):
             if candidates[j]:

@@ -385,6 +385,8 @@ def _cmd_grid_dump(args: argparse.Namespace) -> int:
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r}")
     _, mu_b, mu_s = PRESETS[args.preset]
+    if args.street_width is not None and args.anchor_y is None:
+        raise ConfigError("--street-width pins the anchored street, so it needs --anchor-y")
     try:
         params = GridParams(mu_b, mu_s, args.sigma)
         if args.anchor_y is None:

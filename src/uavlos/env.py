@@ -8,11 +8,15 @@ region in both directions and buildings occupy the rectangular blocks where two
 building bands overlap.  Each block carries one building with a Rayleigh
 distributed height.
 
+A city draw makes only its RNG calls, each run of axis points as sorted unit
+variates, and ``_join_cities`` maps a whole chunk's points to meters at once.
+
 Distances are meters, times are seconds throughout.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -132,9 +136,9 @@ def _check_cells(lo: np.ndarray, hi: np.ndarray, splits: np.ndarray) -> None:
         raise ValueError("band split outside its cell")
 
 
-def _check_shapes(shapes, nx, ny) -> None:
-    """Height matrix shapes against cell counts (nx, ny), one row per city."""
-    if not np.array_equal(shapes, np.stack([nx, ny], axis=-1)):
+def _check_shapes(shapes: list[tuple], nx: list[int], ny: list[int]) -> None:
+    """Height matrix shapes against cell counts (nx, ny), one per city."""
+    if shapes != list(zip(nx, ny)):
         raise ValueError("height matrix shape does not match cell counts")
 
 
@@ -174,8 +178,8 @@ class UrbanGrid:
     def __post_init__(self) -> None:
         for pts, spl in ((self.x_points, self.x_splits), (self.y_points, self.y_splits)):
             _check_cells(pts[:-1], pts[1:], spl)
-        _check_shapes(self.block_heights.shape, max(len(self.x_points) - 1, 0),
-                      max(len(self.y_points) - 1, 0))
+        _check_shapes([self.block_heights.shape], [max(len(self.x_points) - 1, 0)],
+                      [max(len(self.y_points) - 1, 0)])
         _check_heights(self.block_heights)
 
     # -- band queries ---------------------------------------------------------
@@ -279,10 +283,15 @@ class UrbanGrid:
 
 
 def _ppp(rng: np.random.Generator, lam: float, lo: float, hi: float) -> np.ndarray:
-    """Homogeneous Poisson draws on [lo, hi), sorted."""
-    points = rng.uniform(lo, hi, rng.poisson(lam * (hi - lo)))
-    points.sort()
-    return points
+    """Homogeneous Poisson draws on [lo, hi), as sorted unit variates (``_scaled``)."""
+    u = rng.random(rng.poisson(lam * (hi - lo)))
+    u.sort()
+    return u
+
+
+def _scaled(lo, hi, u):
+    """Unit variates u on [lo, hi) as ``rng.uniform`` maps them; floats or arrays."""
+    return lo + (hi - lo) * u
 
 
 def _cells(points: np.ndarray, sizes, f: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -305,8 +314,8 @@ def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> Urban
     """
     rng = np.random.default_rng(seed)
     x_lo, x_hi, y_lo, y_hi = params.box
-    xp = _ppp(rng, params.lam, x_lo, x_hi)
-    yp = _ppp(rng, params.lam, y_lo, y_hi)
+    xp = _scaled(x_lo, x_hi, _ppp(rng, params.lam, x_lo, x_hi))
+    yp = _scaled(y_lo, y_hi, _ppp(rng, params.lam, y_lo, y_hi))
     heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), max(len(yp) - 1, 0)))
     f = params.street_fraction
     return UrbanGrid(params, seed, xp, yp, _cells(xp, [len(xp)], f)[2],
@@ -331,14 +340,13 @@ def sample_grid_anchored(
     edge, as does any width past it.
 
     Draw order: X count and points, anchor cell gap, Y points below, Y points
-    above, then heights.  The city is one ``_draw_anchored`` draw built by
-    ``_join_cities``, as each city of a Monte Carlo chunk is.
+    above, then heights.  The city is one ``_draw_anchored`` draw mapped and
+    split by ``_join_cities``, as each city of a Monte Carlo chunk is.
     """
-    pieces = _draw_anchored(np.random.default_rng(seed), _law(params), y_anchor, street_width)
-    xp, below, above, cell_end, _, heights = pieces
-    city = _join_cities([pieces], [1], y_anchor, params.street_fraction)
-    return UrbanGrid(params, seed, xp, np.concatenate([below, [y_anchor, cell_end], above]),
-                     city.west, city.south, heights)
+    law = _law(params)
+    pieces = _draw_anchored(np.random.default_rng(seed), law, y_anchor, street_width)
+    city = _join_cities([pieces], [1], y_anchor, law)
+    return UrbanGrid(params, seed, city.x_points, city.y_points, city.west, city.south, pieces[-1])
 
 
 def _law(params: GridParams) -> tuple[float, ...]:
@@ -355,17 +363,19 @@ def _draw_anchored(
     contact_x: float | None = None,
 ) -> tuple | None:
     """The draws of ``sample_grid_anchored`` from rng, in its order, for the
-    ``_law`` of its params, as raw pieces: (sorted X points, sorted Y points
-    below y_anchor, sorted Y points above the anchor cell, the anchor cell's
-    end, its pinned split, block heights).  ``_join_cities`` builds every
-    other split, a chunk of cities at once.  None, without drawing past the
-    X points, when contact_x is given and no building band covers it."""
+    ``_law`` of its params, as raw pieces: (X points, Y points below y_anchor
+    and above the anchor cell, each as sorted unit variates, the anchor
+    cell's end, its pinned split, block heights) that ``_join_cities`` maps
+    and splits.  None, without drawing past the X points, when contact_x is
+    given and no building band covers it."""
     lam, x_lo, x_hi, y_lo, y_hi, f, sigma = law
-    xp = _ppp(rng, lam, x_lo, x_hi)
+    xu = _ppp(rng, lam, x_lo, x_hi)
     if contact_x is not None:
-        # ``UrbanGrid.band_at`` on the one cell holding contact_x, split as ``_cells`` splits it
-        k = xp.searchsorted(contact_x, "right")
-        if k == 0 or k == len(xp) or contact_x < xp[k - 1] + f * (xp[k] - xp[k - 1]):
+        # ``UrbanGrid.band_at`` on the one cell holding contact_x, split as
+        # ``_cells`` splits it; only the cell's two ends are mapped
+        at, u = functools.partial(_scaled, x_lo, x_hi), xu.tolist()
+        k = bisect.bisect_right(u, contact_x, key=at)
+        if not 0 < k < len(u) or contact_x < at(u[k - 1]) + f * (at(u[k]) - at(u[k - 1])):
             return None
     if not (y_lo <= y_anchor < y_hi):
         raise DegenerateGridError("anchor outside the region")
@@ -384,8 +394,8 @@ def _draw_anchored(
         w = cell_end - y_anchor
     below = _ppp(rng, lam, y_lo, y_anchor)
     above = _ppp(rng, lam, cell_end, y_hi) if cell_end < y_hi else np.empty(0)
-    heights = rng.rayleigh(sigma, size=(max(len(xp) - 1, 0), len(below) + 1 + len(above)))
-    return xp, below, above, cell_end, min(y_anchor + w, cell_end), heights
+    heights = rng.rayleigh(sigma, size=(max(len(xu) - 1, 0), len(below) + 1 + len(above)))
+    return xu, below, above, cell_end, min(y_anchor + w, cell_end), heights
 
 
 # -- seeding ------------------------------------------------------------------
@@ -467,9 +477,10 @@ def _generator(words: np.ndarray) -> np.random.Generator:
 class _Cities:
     """Several sampled cities as flat arrays, city after city.
 
-    ``west`` and ``east`` hold every city's building columns (as
-    ``UrbanGrid.building_columns`` gives them), ``south`` and ``north`` its
-    building rows, and ``heights`` its height matrix row-major.  ``nx`` and
+    ``x_points`` and ``y_points`` hold every city's axis points, ``west``
+    and ``east`` its building columns (as ``UrbanGrid.building_columns``
+    gives them), ``south`` and ``north`` its building rows, and ``heights``
+    its height matrix row-major.  ``nx`` and
     ``ny`` count the columns and rows of each city, and ``draws`` the city
     draws it took.  Derived from those: ``col_city`` and ``row_city`` give
     the city of each column and row, and ``first_col``, ``first_row`` and
@@ -477,6 +488,8 @@ class _Cities:
     height.  Drawn cities come from ``_join_cities``, which checks them.
     """
 
+    x_points: np.ndarray
+    y_points: np.ndarray
     west: np.ndarray
     east: np.ndarray
     south: np.ndarray
@@ -520,8 +533,8 @@ def _draw_cities(
     round of attempts for every trial not yet drawn.  A trial that rejects
     all of its round's attempts starts the next round, with twice as many
     attempts per trial, up to ``_LAST_ROUND``.  Each draw makes only its
-    RNG calls and the contact test (``_draw_anchored``); the accepted
-    cities' splits and checks are one ``_join_cities`` pass for the chunk.
+    RNG calls and the contact test (``_draw_anchored``); one ``_join_cities``
+    pass maps, splits and checks the accepted cities of the chunk.
 
     Raises DegenerateGeometryError after 1000 rejected draws.
     """
@@ -548,30 +561,37 @@ def _draw_cities(
                 break
             first += 1
         per = min(2 * per, _LAST_ROUND)
-    return _join_cities(cities, draws, y_anchor, params.street_fraction)
+    return _join_cities(cities, draws, y_anchor, law)
 
 
-def _join_cities(pieces: list[tuple], draws: list[int], y_anchor: float, f: float) -> _Cities:
-    """At least one city drawn by ``_draw_anchored`` at y_anchor, as flat
-    arrays, built in one pass: one concatenation per axis, every cell split
-    a street fraction f into it (``_cells``), the anchor cells' splits
-    pinned, and the invariants ``UrbanGrid`` checks checked on the flat
-    arrays.  ``draws[i]`` counts the city draws behind city i."""
-    xp, below, above, cell_end, pin, hs = zip(*pieces)
-    n_points = np.array(list(map(len, xp)))
-    x_lo, east, west = _cells(np.concatenate(xp), n_points, f)
-    _check_cells(x_lo, east, west)
-    # each city's Y points: below, y_anchor, the anchor cell's end, above
-    y = np.concatenate([p for b, a, end in zip(below, above, cell_end)
-                        for p in (b, (y_anchor, end), a)])
-    n_below = np.array(list(map(len, below)))
-    size = n_below + np.array(list(map(len, above))) + 2
-    y_lo, north, south = _cells(y, size, f)
-    cities = _Cities(west, east, south, north, np.concatenate(hs, axis=None),
+def _join_cities(pieces: list[tuple], draws: list[int], y_anchor: float, law: tuple) -> _Cities:
+    """At least one city drawn by ``_draw_anchored`` at y_anchor for law, as
+    flat arrays, built in one pass: one ``_scaled`` map of the unit
+    variates per run of points (X, Y below, Y above), every cell split a
+    street fraction into it (``_cells``), the anchor cells' splits pinned,
+    and the invariants ``UrbanGrid`` checks checked on the flat arrays.
+    ``draws[i]`` counts the city draws behind city i."""
+    _, x_lo, x_hi, y_lo, y_hi, f, _ = law
+    xu, below, above, cell_end, pin, hs = zip(*pieces)
+    n_points = np.array(list(map(len, xu)))
+    xp = _scaled(x_lo, x_hi, np.concatenate(xu))
+    lo, east, west = _cells(xp, n_points, f)
+    _check_cells(lo, east, west)
+    # each city's Y points, placed from its y_anchor: below, y_anchor, the cell's end, above
+    n_below, n_above = np.array(list(map(len, below))), np.array(list(map(len, above)))
+    size = n_below + n_above + 2
+    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size + n_below, size)
+    y = np.empty(len(at))
+    y[at < 0] = _scaled(y_lo, y_anchor, np.concatenate(below))
+    y[at == 0] = y_anchor
+    y[at == 1] = cell_end
+    y[at > 1] = _scaled(np.repeat(cell_end, n_above), y_hi, np.concatenate(above))
+    lo, north, south = _cells(y, size, f)
+    cities = _Cities(xp, y, west, east, south, north, np.concatenate([h.ravel() for h in hs]),
                      np.maximum(n_points - 1, 0), size - 1, np.array(draws))
     south[cities.first_row + n_below] = pin
-    _check_cells(y_lo, north, south)
-    _check_shapes([h.shape for h in hs], cities.nx, cities.ny)
+    _check_cells(lo, north, south)
+    _check_shapes([h.shape for h in hs], cities.nx.tolist(), cities.ny.tolist())
     _check_heights(cities.heights)
     return cities
 

@@ -88,18 +88,16 @@ class _Walks(NamedTuple):
     y_lo: float | np.ndarray
     y_hi: float | np.ndarray
 
-    @classmethod
-    def one(cls, m: UserMotion, u: Uav) -> _Walks:
-        x_end = m.x0 + m.speed * m.duration
-        return cls(m.x0, m.y0, m.speed, m.duration, u.x, u.y, u.height, min(m.x0, x_end, u.x),
-                   max(m.x0, x_end, u.x), min(m.y0, u.y), max(m.y0, u.y))
-
     @property
     def box(self):
         return self.x_lo, self.x_hi, self.y_lo, self.y_hi
 
-    def take(self, rows) -> _Walks:
-        return _Walks(*(f[rows] for f in self))
+
+def _walk_fields(m: UserMotion, u: Uav) -> tuple[float, ...]:
+    """The ``_Walks`` fields of walk m with platform u, as floats."""
+    x_end = m.x0 + m.speed * m.duration
+    return (m.x0, m.y0, m.speed, m.duration, u.x, u.y, u.height, min(m.x0, x_end, u.x),
+            max(m.x0, x_end, u.x), min(m.y0, u.y), max(m.y0, u.y))
 
 
 def _edge_times(edge: np.ndarray, s: np.ndarray, w: _Walks) -> np.ndarray:
@@ -180,7 +178,7 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
     if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
-    w = _Walks.one(motion, u)
+    w = _Walks(*_walk_fields(motion, u))
     start, end, hit = _blocked_spans(*grid.blocks_overlapping(*w.box), w)
     start, end = _merged_spans(start[hit], end[hit], T)
     return [(a, b) for a, b in zip([0.0, *end.tolist()], [*start.tolist(), T]) if b > a]
@@ -397,8 +395,8 @@ def _walk_clear(cities: _Cities, motions: list[UserMotion], uavs: list[Uav]) -> 
 
     Still and moving walks go apart, and each kind is judged in groups of
     walks sharing one gather (``_gathers``): a group's fields are (walk, 1)
-    columns broadcast across its (city, 1, block) arrays.  A lone walk is a
-    group of one on its own box's gather.
+    columns of one array built from the motions, broadcast across its (city,
+    1, block) arrays.  A lone walk is a group of one on its own box's gather.
     """
     n = len(cities.nx)
     clear = np.zeros((n, len(motions)))
@@ -408,11 +406,11 @@ def _walk_clear(cities: _Cities, motions: list[UserMotion], uavs: list[Uav]) -> 
             raise UserInBuildingError(f"walk line y = {y0} lies in a building band")
     for still, judge in ((True, _still_clear), (False, _moving_clear)):
         cols = [k for k in live if (motions[k].speed == 0.0) == still]
-        rows = [_Walks.one(motions[k], uavs[k]) for k in cols]
-        if rows:
-            walks = _Walks(*np.array(rows, dtype=float).T[:, :, None])
-            for part, blocks in _gathers(cities, walks.box):
-                clear[:, cols[part]] = judge([b[:, None, :] for b in blocks], walks.take(part))
+        if cols:
+            walks = np.array([_walk_fields(motions[k], uavs[k]) for k in cols], float).T[:, :, None]
+            for part, blocks in _gathers(cities, _Walks(*walks).box):
+                blocks = [b[:, None, :] for b in blocks]
+                clear[:, cols[part]] = judge(blocks, _Walks(*walks[:, part]))
     return clear
 
 

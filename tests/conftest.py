@@ -46,5 +46,6 @@ def make_single_block_grid(height: float) -> UrbanGrid:
 def grid_cities(grid: UrbanGrid) -> _Cities:
     """One city, built by hand, as the flat arrays the chunk referees judge."""
     nx, ny = grid.block_heights.shape
-    return _Cities(grid.x_splits, grid.x_points[1:], grid.y_splits, grid.y_points[1:],
-                   grid.block_heights.ravel(), np.array([nx]), np.array([ny]), np.array([1]))
+    return _Cities(grid.x_points, grid.y_points, grid.x_splits, grid.x_points[1:], grid.y_splits,
+                   grid.y_points[1:], grid.block_heights.ravel(), np.array([nx]), np.array([ny]),
+                   np.array([1]))

@@ -345,7 +345,7 @@ def test_one_platform_per_group_equals_per_city_reference(urban, monkeypatch):
     trials = _CHUNK + 1
     seeds = [np.random.SeedSequence([3, i]) for i in range(trials)]
     cities = _join_cities([_draw_anchored(np.random.default_rng(q), _law(urban), 0.0, urban.mu_s)
-                           for q in seeds], [1] * trials, 0.0, urban.street_fraction)
+                           for q in seeds], [1] * trials, 0.0, _law(urban))
     grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
     for m in users:
         g = (m.x0, m.y0)

@@ -235,11 +235,13 @@ def test_run_config_errors_exit_two(tmp_path, capsys):
     bogus.write_text(json.dumps(_cfg(values=[5.0])))
     for flag, value in (("--seed", "-4"), ("--trials", "0"), ("--trials", "-3")):
         assert main(["run", "--config", str(bogus), flag, value]) == 2, (flag, value)
-    # a grid dump value that GridParams or the sampler refuses writes no file
+    # a grid dump value that GridParams or the sampler refuses writes no file,
+    # nor does a street width with no anchored street to pin
     capsys.readouterr()
     for flags in (["--seed", "-1"], ["--sigma", "0"], ["--sigma", "nan"], ["--anchor-y", "999"],
                   ["--street-width", "-1", "--anchor-y", "0"],
-                  ["--street-width", "nan", "--anchor-y", "0"]):
+                  ["--street-width", "nan", "--anchor-y", "0"], ["--street-width", "nan"],
+                  ["--street-width", "5"]):
         assert main(["grid", "dump", *flags, "--out", str(tmp_path / "g.json")]) == 2, flags
         assert not (tmp_path / "g.json").exists()
         err = capsys.readouterr().err

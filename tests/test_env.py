@@ -177,6 +177,48 @@ def _set(k, value):
     return corrupt
 
 
+@st.composite
+def _unit_ranges(draw):
+    """(lo, hi) of a Poisson run: negative, wide, sub-metre, and an anchor
+    cell ending a few ulps below the region edge."""
+    kind = draw(st.sampled_from(["negative", "wide", "sub-metre", "edge"]))
+    if kind == "negative":
+        lo = draw(st.floats(-1e4, -1.0))
+        return lo, lo + draw(st.floats(0.5, -lo))
+    if kind == "wide":
+        lo = draw(st.floats(-1e12, 1e12))
+        return lo, lo + draw(st.floats(1e4, 1e13))
+    if kind == "sub-metre":
+        lo = draw(st.floats(-1e4, 1e4))
+        return lo, lo + draw(st.floats(1e-9, 1.0))
+    hi = draw(st.floats(1.0, 1e4))
+    lo = hi
+    for _ in range(draw(st.integers(1, 8))):
+        lo = math.nextafter(lo, -math.inf)
+    return lo, hi
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 64), bounds=_unit_ranges(),
+       mean_count=st.floats(0.0, 20.0))
+def test_unit_variates_map_to_numpys_uniform_bit_for_bit(seed, n, bounds, mean_count):
+    # a city draws sorted unit variates and the join maps them: NumPy's
+    # uniform computes lo + (hi - lo) * u from the same u, rounding the
+    # product and the sum apart.  A NumPy whose C code fuses them into one
+    # multiply-add would shift every stream, and fails here
+    lo, hi = bounds
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = np.sort(rng2.uniform(lo, hi, n))
+    assert (lo + (hi - lo) * np.sort(rng.random(n))).tobytes() == want.tobytes()
+    lam = mean_count / (hi - lo)
+    u = env._ppp(rng, lam, lo, hi)
+    want = np.sort(rng2.uniform(lo, hi, rng2.poisson(lam * (hi - lo))))
+    assert env._scaled(lo, hi, u).tobytes() == want.tobytes()
+    # the contact test maps single points as Python floats
+    assert np.array([env._scaled(lo, hi, v) for v in u.tolist()]).tobytes() == want.tobytes()
+    assert rng.random() == rng2.random()  # both streams consumed alike
+
+
 @pytest.mark.parametrize("field, corrupt, piece, corrupt_piece, message", [
     ("x_points", _set(1, lambda a: a[0]), 0, _set(1, lambda a: a[0]),
      "axis points must be strictly increasing"),

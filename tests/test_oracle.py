@@ -1,6 +1,8 @@
+import json
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -627,6 +629,20 @@ def test_monte_carlo_stream_is_frozen(urban, monkeypatch):
                                    Uav(120.0, 90.0, 100.0), 60, 3)
     assert run.draws.tolist() == FROZEN_DRAWS
     assert run.values.tolist() == FROZEN_VALUES
+
+
+def test_sparse_monte_carlo_stream_across_chunks_is_frozen():
+    # per-trial draws and clear seconds of a 260-trial contact-conditioned run
+    # of the sparse preset (Uav(200, 100, 15), a 15 m/s walk for 10 s, seed
+    # 3): two chunks at their real size, and trials that need up to 57
+    # draws, so later hash rounds.  Frozen from the sampler that drew each
+    # axis with rng.uniform and mapped it per draw
+    frozen = json.loads((Path(__file__).parent / "data" / "mc_stream_sparse.json").read_text())
+    run = monte_carlo_expected_los(GridParams(5.0, 45.0, 8.0), UserMotion(0.0, 0.0, 15.0, 10.0),
+                                   Uav(200.0, 100.0, 15.0), 260, 3)
+    assert run.n > _CHUNK and run.draws.max() > 4 * env._FIRST_ROUND
+    assert run.draws.tolist() == frozen["draws"]
+    assert run.values.tolist() == frozen["values"]
 
 
 def test_mc_contact_outside_region_raises(urban, monkeypatch):
