@@ -19,6 +19,7 @@ import numpy as np
 
 from .env import (
     GridParams,
+    Pairs,
     Uav,
     UrbanGrid,
     UserMotion,
@@ -69,29 +70,27 @@ def pair_score(
     epsilon: float = 1e-3,
 ) -> float:
     """Expected clear seconds for one pair, over the in-range part of the walk."""
-    return _score_pairs([motion], [u], params, epsilon)[0][0]
+    return _score_pairs(_walks([motion], [u]), params, epsilon)[0][0]
 
 
-def _score_pairs(
-    users: list[UserMotion],
-    uavs: list[Uav],
-    params: GridParams,
-    epsilon: float,
-) -> list[list[float]]:
-    """``pair_score`` of every user (row) with every platform (column).
-
-    Each walk is clipped to the time its platform stays in range (a pair
-    never in range gets an empty walk, so 0), and all pairs are priced in
-    one batched pass.
-    """
+def _walks(users: list[UserMotion], uavs: list[Uav]) -> Pairs:
+    """Every user (axis 0) with every platform (axis 1), each walk clipped to
+    the time its platform stays in range (``coverage_time``): a pair never
+    in range gets an empty walk."""
     motions = [m for m in users for _ in uavs]
     platforms = uavs * len(users)
-    geom = EpochGeometry.of(motions, platforms, params.mu_s, params.lam,
-                            RayleighHeights(params.sigma))
-    horizon = [coverage_time(m, u) for m, u in zip(motions, platforms)]
-    geom = replace(geom, duration=np.array(horizon, dtype=float))
+    walks = np.array(tuple(Pairs.of(motions, platforms)))
+    walks[3] = [coverage_time(m, u) for m, u in zip(motions, platforms)]  # the durations
+    return Pairs(*walks.reshape(7, len(users), len(uavs)))
+
+
+def _score_pairs(walks: Pairs, params: GridParams, epsilon: float) -> list[list[float]]:
+    """``pair_score`` of every user (row) with every platform (column) of
+    ``_walks``, all priced in one batched pass."""
+    geom = EpochGeometry(*np.reshape(tuple(walks), (7, -1)), params.mu_s, params.lam,
+                         RayleighHeights(params.sigma))
     expected, _, _ = _expected_los(params, geom, epsilon)
-    return expected.reshape(len(users), len(uavs)).tolist()
+    return expected.reshape(walks.x0.shape).tolist()
 
 
 def _greedy(scores: list[list[float]]) -> Assignment:
@@ -120,7 +119,7 @@ def assign_max_expected_los(
     zero score is never assigned, so an all-blocked or out-of-range user
     stays unassigned.
     """
-    return _greedy(_score_pairs(users, uavs, params, epsilon))
+    return _greedy(_score_pairs(_walks(users, uavs), params, epsilon))
 
 
 def _candidates(users: list[UserMotion], uavs: list[Uav]) -> list[list[int]]:
@@ -233,21 +232,18 @@ class PolicyComparison:
         return TrialStats(self.proposed.values - self.benchmark.values, self.proposed.draws)
 
 
-def _realized(cities: _Cities, users: list[UserMotion], uavs: list[Uav],
-              pairs: np.ndarray) -> np.ndarray:
+def _realized(cities: _Cities, walks: Pairs, pairs: np.ndarray) -> np.ndarray:
     """``realized_value`` of the assignments ``pairs[..., t, :]`` (platform per
-    user, -1 for none) on city t, bit for bit.  Every distinct assigned
-    (user, platform) walk is refereed in one ``_walk_clear`` call for the
-    whole chunk; each trial's walks are then read by one index, a zero column
-    standing for an unassigned user."""
-    code = np.where(pairs >= 0, np.arange(len(users)) * len(uavs) + pairs, -1)
-    walks = np.unique(code[code >= 0])
-    user, uav = np.divmod(walks, len(uavs))
-    motions = [replace(users[j], duration=coverage_time(users[j], uavs[k]))
-               for j, k in zip(user.tolist(), uav.tolist())]
-    clear = np.concatenate([_walk_clear(cities, motions, [uavs[k] for k in uav.tolist()]),
+    user, -1 for none) on city t, bit for bit, from the walks of ``_walks``.
+    Every distinct assigned (user, platform) walk is refereed in one
+    ``_walk_clear`` call for the whole chunk; each trial's walks are then
+    read by one index, a zero column standing for an unassigned user."""
+    n_users, n_uavs = walks.x0.shape
+    code = np.where(pairs >= 0, np.arange(n_users) * n_uavs + pairs, -1)
+    rows = np.unique(code[code >= 0])
+    clear = np.concatenate([_walk_clear(cities, walks.take(np.divmod(rows, n_uavs))),
                             np.zeros((len(cities.nx), 1))], axis=1)
-    column = np.where(code >= 0, np.searchsorted(walks, code), -1)
+    column = np.where(code >= 0, np.searchsorted(rows, code), -1)
     values = clear[np.arange(len(clear))[:, None], column]
     # left to right over the users, as ``realized_value`` adds its pairs
     return np.cumsum(values, axis=-1)[..., -1]
@@ -275,7 +271,8 @@ def compare_policies(
     """
     _check_trials(trials)
     y0 = _shared_street(users)
-    scores = _score_pairs(users, uavs, params, epsilon)
+    walks = _walks(users, uavs)
+    scores = _score_pairs(walks, params, epsilon)
     fixed = _greedy(scores)
     candidates = _candidates(users, uavs)
     fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
@@ -291,7 +288,7 @@ def compare_policies(
                 clear[:, j, candidates[j]] = _point_clear(cities, (m.x0, m.y0),
                                                           [uavs[k] for k in candidates[j]])
         bench = _nearest(candidates, clear)
-        values.append(_realized(cities, users, uavs,
+        values.append(_realized(cities, walks,
                                 np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))
     va, vb = np.concatenate(values, axis=1)
     draws = np.ones(trials, dtype=int)  # association draws are never rejected

@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import operator
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,13 @@ class DegenerateGeometryError(ValueError):
 
 class UserInBuildingError(ValueError):
     """Raised when a ground position sits inside a building footprint."""
+
+
+# most mean cells (lam times side) a region may hold on either axis, and in
+# all ((lam X)(lam Y)): a city draw allocates its axis points and its height
+# matrix at once, so this keeps each to about 2**16 doubles (0.5 MB) in the
+# mean, where an unchecked region can ask for more memory than the host has
+MAX_MEAN_CELLS = 2.0**16
 
 
 def _check_finite(*values: float) -> None:
@@ -60,6 +68,8 @@ class GridParams:
     region: tuple[float, float] = (400.0, 400.0)
 
     def __post_init__(self) -> None:
+        if len(self.region) != 2:
+            raise ValueError(f"region must have two sides, got {len(self.region)}")
         _check_finite(self.mu_b, self.mu_s, self.sigma, *self.region)
         if self.mu_b <= 0 or self.mu_s <= 0:
             raise ValueError("mean widths must be positive")
@@ -67,6 +77,11 @@ class GridParams:
             raise ValueError("height scale must be positive")
         if self.region[0] <= 0 or self.region[1] <= 0:
             raise DegenerateGridError("region too small to contain a cell")
+        nx, ny = self.lam * self.region[0], self.lam * self.region[1]
+        if max(nx, ny, nx * ny) > MAX_MEAN_CELLS:
+            raise ValueError(f"a {self.region[0]:g} x {self.region[1]:g} m region holds "
+                             f"{nx:g} x {ny:g} mean cells, more than {MAX_MEAN_CELLS:g} "
+                             "on an axis or in all")
 
     @property
     def lam(self) -> float:
@@ -119,6 +134,57 @@ class UserMotion:
 
     def position(self, t: float) -> tuple[float, float]:
         return (self.x0 + self.speed * t, self.y0)
+
+
+@dataclass
+class Pairs:
+    """User-platform pairs, one row each: a user walking in +X from (x0, y0)
+    at ``speed`` for ``duration`` seconds, linked to a platform at (ux, uy)
+    ``height`` meters up.  The fields are arrays of one shape, or scalars
+    for one pair that holds for every row.  A record iterates over its seven
+    fields, so it packs into one array and one array unpacks into a record."""
+
+    x0: np.ndarray | float
+    y0: np.ndarray | float
+    speed: np.ndarray | float
+    duration: np.ndarray | float
+    ux: np.ndarray | float
+    uy: np.ndarray | float
+    height: np.ndarray | float
+
+    @classmethod
+    def one(cls, motion: UserMotion, u: Uav, *rest) -> "Pairs":
+        """Walk motion with platform u for every row; ``rest`` fills a subclass's fields."""
+        return cls(motion.x0, motion.y0, motion.speed, motion.duration, u.x, u.y, u.height, *rest)
+
+    @classmethod
+    def of(cls, motions: list[UserMotion], uavs: list[Uav], *rest) -> "Pairs":
+        """Row r pairs motions[r] with uavs[r]; ``rest`` as for ``one``."""
+        walks = np.array([(m.x0, m.y0, m.speed, m.duration) for m in motions], dtype=float)
+        platforms = np.array([(u.x, u.y, u.height) for u in uavs], dtype=float)
+        return cls(*walks.reshape(-1, 4).T.copy(), *platforms.reshape(-1, 3).T.copy(), *rest)
+
+    def __iter__(self):
+        return iter((self.x0, self.y0, self.speed, self.duration, self.ux, self.uy, self.height))
+
+    def take(self, rows) -> "Pairs":
+        """The pairs of the given rows (an index, index array, mask, slice or
+        tuple of them); a record of scalars holds for every row and is its own."""
+        if not isinstance(self.x0, np.ndarray):
+            return self
+        return Pairs(*(f[rows] for f in self))
+
+    @property
+    def dy(self):
+        return self.uy - self.y0
+
+    @property
+    def box(self):
+        """(x_lo, x_hi, y_lo, y_hi) of the box each walk's links lie in; a
+        walk runs east, from x0 to x0 + speed * duration."""
+        x_end = self.x0 + self.speed * self.duration
+        return (np.minimum(self.x0, self.ux), np.maximum(x_end, self.ux),
+                np.minimum(self.y0, self.uy), np.maximum(self.y0, self.uy))
 
 
 FACE = "face"  # first contact slides along a building front line (parallel X)
@@ -260,23 +326,47 @@ class UrbanGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "UrbanGrid":
+        """The grid ``to_json`` wrote.  Raises ValueError, naming the field,
+        for a payload that is not such a grid."""
         payload = json.loads(text)
-        if payload.get("format") != GRID_FORMAT:
-            raise ValueError(f"unknown grid format {payload.get('format')!r}")
-        p = payload["params"]
-        params = GridParams(p["mu_b"], p["mu_s"], p["sigma"], tuple(p["region"]))
-        nx = max(len(payload["x_points"]) - 1, 0)
-        ny = max(len(payload["y_points"]) - 1, 0)
-        heights = np.asarray(payload["block_heights"], dtype=float).reshape(nx, ny)
-        return cls(
-            params=params,
-            seed=int(payload["seed"]),
-            x_points=np.asarray(payload["x_points"], dtype=float),
-            y_points=np.asarray(payload["y_points"], dtype=float),
-            x_splits=np.asarray(payload["x_splits"], dtype=float),
-            y_splits=np.asarray(payload["y_splits"], dtype=float),
-            block_heights=heights,
-        )
+        if not isinstance(payload, dict) or payload.get("format") != GRID_FORMAT:
+            found = payload.get("format") if isinstance(payload, dict) else payload
+            raise ValueError(f"grid format must be {GRID_FORMAT!r}, got {reprlib.repr(found)}")
+        p = payload.get("params")
+        if not isinstance(p, dict):
+            raise ValueError(f"grid params must be an object, got {reprlib.repr(p)}")
+        seed = payload.get("seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"grid seed must be an integer, got {reprlib.repr(seed)}")
+        mu_b, mu_s, sigma = (_json_numbers(p, k) for k in ("mu_b", "mu_s", "sigma"))
+        params = GridParams(mu_b, mu_s, sigma, tuple(_json_numbers(p, "region", 1).tolist()))
+        xp, yp, xs, ys = (_json_numbers(payload, k, 1)
+                          for k in ("x_points", "y_points", "x_splits", "y_splits"))
+        heights = _json_numbers(payload, "block_heights", 2)
+        nx, ny = max(len(xp) - 1, 0), max(len(yp) - 1, 0)
+        if heights.size == nx * ny == 0:  # ``tolist`` keeps no rows of an (0, ny) matrix
+            heights = heights.reshape(nx, ny)
+        return cls(params, seed, xp, yp, xs, ys, heights)
+
+
+def _json_numbers(obj: dict, name: str, depth: int = 0):
+    """Field ``name`` of a JSON object: a finite number, as a float, or at
+    depth d a list of depth d - 1 values, as a float array."""
+    def fits(v, d: int) -> bool:
+        if d:
+            return isinstance(v, list) and all(fits(x, d - 1) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    value = obj.get(name)
+    try:
+        out = np.array(value, dtype=float) if fits(value, depth) else None
+    except (ValueError, OverflowError):  # rows of different lengths, or an int past float
+        out = None
+    if out is None or not np.isfinite(out).all():
+        kind = ("a finite number", "a list of finite numbers",
+                "a list of lists of finite numbers")[depth]
+        raise ValueError(f"grid field {name} must be {kind}, got {reprlib.repr(value)}")
+    return float(out) if depth == 0 else out
 
 
 # -- sampling -----------------------------------------------------------------
@@ -649,8 +739,7 @@ def corner_events(grid: UrbanGrid, motion: UserMotion, u: Uav) -> SegmentTable:
     """
     w = grid.street_width_at_y(motion.y0)
     west, east = grid.building_columns()
-    return segment_table(west[None, :], east[None, :], motion.x0, motion.y0, motion.speed,
-                         motion.duration, u.x, u.y, w)
+    return segment_table(west[None, :], east[None, :], Pairs.one(motion, u), w)
 
 
 KINDS = (FACE, WALL, OPEN)  # SegmentTable.kind indexes this tuple
@@ -684,20 +773,17 @@ class SegmentTable:
     back_wall_x: np.ndarray
 
 
-def segment_table(
-    west: np.ndarray, east: np.ndarray, x0, y0, speed, duration, ux, uy, street_width: float
-) -> SegmentTable:
+def segment_table(west: np.ndarray, east: np.ndarray, pairs: Pairs,
+                  street_width: float) -> SegmentTable:
     """Segment plans of several far-side layouts at once, one per row.
 
     Row r of ``west`` and ``east`` holds the sorted west and east corners of
-    layout r, seen by a user walking in +X from (x0[r], y0[r]) at speed[r]
-    for duration[r] seconds, linked to a platform at (ux[r], uy[r]), across a
-    street ``street_width`` wide; a scalar in place of any of these arrays
-    holds for every row.  Every corner passage inside the epoch is a
-    boundary; each piece between boundaries is classified by the front-line
-    crossing at its midpoint: on a building face, over a gap (wall segment,
-    with the nearest west wall ahead and east wall behind), or past every
-    column (open).  Zero-length pieces are dropped, except the one piece of
+    layout r, seen by the walk of row r of pairs (a record of scalars holds
+    for every row) across a street ``street_width`` wide.  Every corner
+    passage inside the epoch is a boundary; each piece between boundaries
+    is classified by the front-line crossing at its midpoint: on a building
+    face, over a gap (wall segment, with the nearest west wall ahead and
+    east wall behind), or past every column (open).  Zero-length pieces are dropped, except the one piece of
     an epoch of length 0, and neighbours of the same kind merged; two wall
     pieces merge only when they track the same walls.  A layout without
     columns, or a user who passes no corner, gets one piece over [0, T].
@@ -705,20 +791,19 @@ def segment_table(
     street's far line (``corner_position``).
     """
     rows, cols = west.shape
-    v, T = speed, duration
+    T = pairs.duration
     # corners interleave west, east, west, ... and their passages inherit
     # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
     # only zero-length pieces behind, so a user standing still keeps one piece
     corners = np.empty((rows, 2 * cols))
     corners[:, 0::2] = west
     corners[:, 1::2] = east
-    col = (slice(None), None)
-    pos = corner_position(corners, _at(ux, col), _at(uy, col), _at(y0, col), street_width)
-    start, end = _at(x0, col), _at(T, col)
+    c = pairs.take((slice(None), None))
+    pos = corner_position(corners, c.ux, c.uy, c.y0, street_width)
     # a tiny or zero speed overflows or divides only times that get pinned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        times = np.where(pos <= start, 0.0, np.where(pos >= _at(x0 + v * T, col), end,
-                                                     (pos - start) / _at(v, col)))
+        times = np.where(pos <= c.x0, 0.0, np.where(pos >= c.x0 + c.speed * c.duration,
+                                                    c.duration, (pos - c.x0) / c.speed))
     if (times[:, 1:] < times[:, :-1]).any():
         times.sort(axis=1)
     bounds = np.empty((rows, 2 * cols + 2))
@@ -730,8 +815,8 @@ def segment_table(
         keep[:, -1] |= T == 0.0
     row, j = np.nonzero(keep)
     t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
-    xc = _front_cross(_at(x0, row) + _at(v, row) * 0.5 * (t0 + t1), _at(y0, row), _at(ux, row),
-                      _at(uy, row), street_width)
+    p = pairs.take(row)
+    xc = _front_cross(p.x0 + p.speed * 0.5 * (t0 + t1), p.y0, p.ux, p.uy, street_width)
     # columns padded with -inf and +inf: column k of a row sits at k + 1
     padded = np.full((2, rows, cols + 2), math.inf)
     padded[:, :, 0] = -math.inf
@@ -766,12 +851,6 @@ def segment_table(
     first = np.flatnonzero(new)
     last = np.concatenate([first[1:], [len(kind)]]) - 1
     return SegmentTable(row[first], kind[first], t0[first], t1[last], ahead[first], back[first])
-
-
-def _at(a, index):
-    """a[index] for an array with one entry per row, a itself for a scalar
-    that holds for every row."""
-    return a[index] if isinstance(a, np.ndarray) else a
 
 
 def _any(mask) -> bool:

@@ -12,15 +12,16 @@ array pass over the segment cut into pieces.
 The epoch expectation weights per-crossing-count plans by a truncated
 Poisson law over the number of streets the user passes.  Evaluation is
 batched over (user-platform pair x crossing count) rows: ``EpochGeometry``
-holds the walk and platform of each row as arrays, the representative
-layouts of a block of rows (as many as hold about CELL_BLOCK padded
-corners, which bounds the memory of long epochs) are built together as one
-padded (row x corner) array (``env.segment_table``), every segment of every
-row lands in one flat ``SegmentTable``, face and wall segments are
-integrated as arrays that read their row's parameters through
-``SegmentTable.row``, every contact of the table is priced in one
-``void_rate`` call, and ``np.bincount`` sums them per row.  The pass returns arrays (expected times, per-count
-values, Poisson laws); a pair settled without pricing (an empty epoch, or a
+is the ``env.Pairs`` record of the rows with the city's street width and
+height law, the representative layouts of a block of rows (as many as hold
+about CELL_BLOCK padded corners, which bounds the memory of long epochs)
+are built together as one padded (row x corner) array
+(``env.segment_table``), every segment of every row lands in one flat
+``SegmentTable``, face and wall segments are integrated as arrays that read
+their row's parameters through ``SegmentTable.row``, every contact of the
+table is priced in one ``void_rate`` call, and ``np.bincount`` sums them
+per row.  The pass returns arrays (expected times, per-count values,
+Poisson laws); a pair settled without pricing (an empty epoch, or a
 platform over the user's own street) is one count of weight 1.  One pair
 (``expected_los_total``, the only builder of ``ExpectedLosResult``) is a
 pass over its own rows; ``assoc`` prices a whole score matrix in one pass.
@@ -49,6 +50,7 @@ from .env import (
     KINDS,
     _any,
     DegenerateGeometryError,
+    Pairs,
     SegmentTable,
     Uav,
     UserMotion,
@@ -98,55 +100,16 @@ def expected_los_x_segment(base, rate, v, t_len):
 
 
 @dataclass
-class EpochGeometry:
-    """Everything the segment evaluators need about user-platform pairs, one row each.
+class EpochGeometry(Pairs):
+    """User-platform pairs (``env.Pairs``) in a city: every user's street is
+    ``street_width`` wide, and the city has axis density ``lam`` and
+    building heights drawn from ``model``."""
 
-    Row r is a user walking in +X from (x0[r], y0[r]) at speed[r] for
-    duration[r] seconds and a platform at (ux[r], uy[r]) at height[r].  When
-    the fields are scalars instead of arrays, one pair holds for every row.
-    Every user's street is ``street_width`` wide, and the city has axis
-    density ``lam`` and building heights drawn from ``model``.
-    """
-
-    x0: np.ndarray | float
-    y0: np.ndarray | float
-    speed: np.ndarray | float
-    duration: np.ndarray | float
-    ux: np.ndarray | float
-    uy: np.ndarray | float
-    height: np.ndarray | float
     street_width: float
     lam: float
     model: HeightModel
 
-    @classmethod
-    def pair(cls, motion: UserMotion, u: Uav, street_width: float, lam: float,
-             model: HeightModel) -> "EpochGeometry":
-        """One pair, holding for every row."""
-        return cls(motion.x0, motion.y0, motion.speed, motion.duration, u.x, u.y, u.height,
-                   street_width, lam, model)
-
-    @classmethod
-    def of(cls, motions: list[UserMotion], uavs: list[Uav], street_width: float, lam: float,
-           model: HeightModel) -> "EpochGeometry":
-        """Row r pairs motions[r] with uavs[r]."""
-        walks = np.array([(m.x0, m.y0, m.speed, m.duration) for m in motions], dtype=float)
-        platforms = np.array([(u.x, u.y, u.height) for u in uavs], dtype=float)
-        return cls(*walks.reshape(-1, 4).T.copy(), *platforms.reshape(-1, 3).T.copy(),
-                   street_width, lam, model)
-
-    def take(self, rows) -> "EpochGeometry":
-        """The geometry of the given rows (an index, index array, mask or slice);
-        a geometry that holds for every row is its own."""
-        if not isinstance(self.x0, np.ndarray):
-            return self
-        return EpochGeometry(self.x0[rows], self.y0[rows], self.speed[rows], self.duration[rows],
-                             self.ux[rows], self.uy[rows], self.height[rows], self.street_width,
-                             self.lam, self.model)
-
-    @property
-    def dy(self) -> np.ndarray:
-        return self.uy - self.y0
+    pair = classmethod(Pairs.one.__func__)  # (motion, u, street_width, lam, model)
 
 
 def _nudged(node, t_len, t_sing):
@@ -159,7 +122,7 @@ def _nudged(node, t_len, t_sing):
     return np.where(close, shifted, node)[()]
 
 
-def _wall_contacts(g: EpochGeometry, x, ahead, back):
+def _wall_contacts(g: Pairs, x, ahead, back):
     """Where the wall-pinned links with the user at x meet their wall,
     elementwise along the last axis of x, whose entries belong to the rows of
     g: the mask of links that meet it, and their contact fractions, spans
@@ -185,7 +148,7 @@ def _wall_contacts(g: EpochGeometry, x, ahead, back):
     return hit, s[hit], (np.abs(dx) + abs(span_y))[hit], height
 
 
-def _face_integrals(g: EpochGeometry, x_start, t_len, base, rate):
+def _face_integrals(g: Pairs, x_start, t_len, base, rate):
     """Exact clear-time integral of each front-line sliding segment, segment
     i starting at x_start[i] on row i of g.
 
@@ -234,7 +197,7 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
         hit, s, span, height = _wall_contacts(wg, x, table.wall_x[wall], table.back_wall_x[wall])
     # the face fractions first (one per face, or one for all when one pair
     # holds for every row), then the wall nodes'
-    s = np.concatenate([fg.street_width / np.atleast_1d(fg.dy)[:face.size], s])
+    s = np.concatenate([geom.street_width / np.atleast_1d(fg.dy)[:face.size], s])
     if isinstance(height, np.ndarray):
         height = np.concatenate([fg.height, height])
     f = geom.model.cdf(height * s)
@@ -338,9 +301,10 @@ def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> 
     return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
 
 
-def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
+def _canonical_table(mu_b: float, mu_s: float, pairs: Pairs, street_width: float,
                      counts: np.ndarray) -> SegmentTable:
-    """Representative segment plans, row r for counts[r] crossings on row r of geom.
+    """Representative segment plans on a street ``street_width`` wide, row r
+    for counts[r] crossings on row r of pairs.
 
     The columns of a layout are an arithmetic progression with the mean
     period.  Each row takes the column range its own walk needs, and rows
@@ -350,15 +314,14 @@ def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
     its contact never leaves it.  Raises DegenerateGeometryError unless
     every row's platform is beyond the street's far line.
     """
-    w = geom.street_width
-    if _any(geom.dy <= w):
+    w = street_width
+    if _any(pairs.dy <= w):
         raise DegenerateGeometryError("platform not beyond the street's far line")
-    T = geom.duration
     moving = counts > 0
-    still = (geom.speed == 0.0) | (T == 0.0)
+    still = (pairs.speed == 0.0) | (pairs.duration == 0.0)
     if _any(still):
         moving &= np.logical_not(still)
-    g = geom.take(moving)
+    g = pairs.take(moving)
     dy = g.dy
     t_first = g.duration / (counts[moving] + 1.0)
     enter_x = g.x0 + g.speed * t_first
@@ -376,7 +339,7 @@ def _canonical_table(mu_b: float, mu_s: float, geom: EpochGeometry,
     west[moving] = first_west[:, None] + period * (k_lo[:, None] + np.arange(-1, cols - 1))
     east = west + mu_b
     west[~moving, 0] = -math.inf  # no crossings: one face along the whole line
-    return segment_table(west, east, geom.x0, geom.y0, geom.speed, T, geom.ux, geom.uy, w)
+    return segment_table(west, east, pairs, w)
 
 
 def canonical_plan(
@@ -400,8 +363,7 @@ def canonical_plan(
     """
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
-    geom = EpochGeometry.pair(motion, u, street_width, math.nan, None)  # a layout reads no heights
-    return _canonical_table(mu_b, mu_s, geom, np.array([crossings]))
+    return _canonical_table(mu_b, mu_s, Pairs.one(motion, u), street_width, np.array([crossings]))
 
 
 @dataclass
@@ -452,8 +414,9 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> tuple:
     step = max(1, int(CELL_BLOCK // (max(pmfs, default=0.0) + 4.0)))
     for lo in range(0, len(live), step):
         rows = live[lo:lo + step]
-        g, c = geom.take(pair[rows]), rows - starts[pair[rows]]
-        table = _canonical_table(params.mu_b, params.mu_s, g, c)
+        g = EpochGeometry(*geom.take(pair[rows]), geom.street_width, geom.lam, geom.model)
+        c = rows - starts[pair[rows]]
+        table = _canonical_table(params.mu_b, params.mu_s, g, geom.street_width, c)
         per_count[rows] = np.bincount(table.row, weights=_segment_integrals(table, g),
                                       minlength=len(c))
     weights = np.fromiter(itertools.chain.from_iterable(w for w, _ in laws), float, len(pair))

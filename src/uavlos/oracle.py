@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .env import (
     DegenerateGeometryError,
     GridParams,
+    Pairs,
     Uav,
     UrbanGrid,
     UserInBuildingError,
@@ -71,58 +71,29 @@ def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     return not bool(_blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height).any())
 
 
-class _Walks(NamedTuple):
-    """Walks and their platforms, field by field, with the box every link of
-    a walk lies in: floats for the one walk of ``los_intervals``, or (walk, 1)
-    columns that broadcast across a gather's (city, 1, block) arrays."""
-
-    x0: float | np.ndarray
-    y0: float | np.ndarray
-    speed: float | np.ndarray
-    duration: float | np.ndarray
-    ux: float | np.ndarray
-    uy: float | np.ndarray
-    uh: float | np.ndarray
-    x_lo: float | np.ndarray
-    x_hi: float | np.ndarray
-    y_lo: float | np.ndarray
-    y_hi: float | np.ndarray
-
-    @property
-    def box(self):
-        return self.x_lo, self.x_hi, self.y_lo, self.y_hi
-
-
-def _walk_fields(m: UserMotion, u: Uav) -> tuple[float, ...]:
-    """The ``_Walks`` fields of walk m with platform u, as floats."""
-    x_end = m.x0 + m.speed * m.duration
-    return (m.x0, m.y0, m.speed, m.duration, u.x, u.y, u.height, min(m.x0, x_end, u.x),
-            max(m.x0, x_end, u.x), min(m.y0, u.y), max(m.y0, u.y))
-
-
-def _edge_times(edge: np.ndarray, s: np.ndarray, w: _Walks) -> np.ndarray:
+def _edge_times(edge: np.ndarray, s: np.ndarray, p: Pairs) -> np.ndarray:
     """At [i, j], when the link point at fraction s[j] reaches x = edge[i],
-    elementwise over the axes after the first.
+    elementwise over the axes after the first, for the walks of p.
 
     The point sits at (1 - s) x(t) + s ux = ux + (1 - s)(x(t) - ux).  At
     s = 1 it stands still at ux, and the time is the limit from s < 1: the
     walker reaching ux when the edge is at ux, never (+inf) past an edge
     east of ux and always (-inf) past one west of it.
     """
-    d = (edge - w.ux)[:, None]
+    d = (edge - p.ux)[:, None]
     gap = 1.0 - s
     limit = np.where(d == 0.0, 0.0, np.copysign(np.inf, d))
     # in place from here: a fresh (edge x end x city x walk x block)
     # temporary can come on fresh pages, a page fault each
     t = np.divide(d, gap, out=np.repeat(limit, len(s), axis=1), where=gap > 0.0)
-    t += w.ux - w.x0
-    t /= w.speed
+    t += p.ux - p.x0
+    t /= p.speed
     return t
 
 
-def _blocked_spans(west, east, south, north, height, w: _Walks):
-    """(start, end, hit): the instants each block blocks the walk, elementwise,
-    and whether that span reaches into (0, T).
+def _blocked_spans(west, east, south, north, height, p: Pairs, box):
+    """(start, end, hit): the instants each block blocks the walk of p (whose
+    ``box`` is given), elementwise, and whether that span reaches into (0, T).
 
     The walker keeps y = y0, so each block's y-slab and height give a fixed
     window [s_a, s_b] of link fractions where the link can meet it: s_a is
@@ -133,18 +104,19 @@ def _blocked_spans(west, east, south, north, height, w: _Walks):
     last instant either end leaves its east edge.  A block outside the walk's
     box could meet it only at t = 0 or T, up to rounding, so it never hits.
     """
-    sy_lo, sy_hi = _slab_fracs(south, north, w.y0, w.uy - w.y0)
+    x_lo, x_hi = box[0], box[1]
+    sy_lo, sy_hi = _slab_fracs(south, north, p.y0, p.uy - p.y0)
     s_a = np.maximum(sy_lo, 0.0)
-    s_b = np.minimum(np.minimum(sy_hi, 1.0), height / w.uh)
+    s_b = np.minimum(np.minimum(sy_hi, 1.0), height / p.height)
     # the window must be nonempty and the footprint crossed on a stretch of
     # positive length strictly between the walker and the platform
     meet = ((s_a <= s_b) & (s_a < 1.0) & (sy_hi > 0.0) & (sy_lo < sy_hi)
-            & (west < w.x_hi) & (east > w.x_lo) & (west < east))
+            & (west < x_hi) & (east > x_lo) & (west < east))
     (west_a, west_b), (east_a, east_b) = _edge_times(np.array([west, east]),
-                                                     np.array([s_a, s_b]), w)
+                                                     np.array([s_a, s_b]), p)
     start = np.minimum(west_a, west_b)
     end = np.maximum(east_a, east_b)
-    return start, end, meet & (end > 0.0) & (start < w.duration)
+    return start, end, meet & (end > 0.0) & (start < p.duration)
 
 
 def _merged_spans(start: np.ndarray, end: np.ndarray, T) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +150,9 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
         raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
     if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
-    w = _Walks(*_walk_fields(motion, u))
-    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*w.box), w)
+    p = Pairs.one(motion, u)
+    box = p.box
+    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*box), p, box)
     start, end = _merged_spans(start[hit], end[hit], T)
     return [(a, b) for a, b in zip([0.0, *end.tolist()], [*start.tolist(), T]) if b > a]
 
@@ -318,12 +291,13 @@ def _box_runs(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
     then the same for rows, a prefilter as ``UrbanGrid.blocks_overlapping``
     is; bounds given as arrays stand for the box holding them all."""
     n = len(cities.nx)
+    low, high = np.minimum.reduce, np.maximum.reduce  # np.min and np.max, without their dispatch
     # edges ascend within a city, so the bands meeting an open interval form
     # one run, from the first band past the low end to the last below the high
-    i0 = np.bincount(cities.col_city[cities.east <= np.min(x_lo)], minlength=n)
-    i1 = np.bincount(cities.col_city[cities.west < np.max(x_hi)], minlength=n)
-    j0 = np.bincount(cities.row_city[cities.north <= np.min(y_lo)], minlength=n)
-    j1 = np.bincount(cities.row_city[cities.south < np.max(y_hi)], minlength=n)
+    i0 = np.bincount(cities.col_city[cities.east <= low(x_lo, axis=None)], minlength=n)
+    i1 = np.bincount(cities.col_city[cities.west < high(x_hi, axis=None)], minlength=n)
+    j0 = np.bincount(cities.row_city[cities.north <= low(y_lo, axis=None)], minlength=n)
+    j1 = np.bincount(cities.row_city[cities.south < high(y_hi, axis=None)], minlength=n)
     return i0, np.maximum(i1 - i0, 0), j0, np.maximum(j1 - j0, 0)
 
 
@@ -369,18 +343,18 @@ def _chunks(trials: int) -> list[range]:
     return [range(first, min(first + _CHUNK, trials)) for first in range(0, trials, _CHUNK)]
 
 
-def _still_clear(blocks, w: _Walks) -> np.ndarray:
-    """Clear seconds of still walks per (city, walk): all of T or none."""
-    blocked = _blocking(*blocks, w.x0, w.y0, w.ux, w.uy, w.uh).any(axis=-1, keepdims=True)
-    return np.where(blocked, 0.0, w.duration)[..., 0]
+def _still_clear(blocks, p: Pairs) -> np.ndarray:
+    """Clear seconds of the still walks of p per (city, walk): all of T or none."""
+    blocked = _blocking(*blocks, p.x0, p.y0, p.ux, p.uy, p.height).any(axis=-1, keepdims=True)
+    return np.where(blocked, 0.0, p.duration)[..., 0]
 
 
-def _moving_clear(blocks, w: _Walks) -> np.ndarray:
-    """Clear seconds of moving walks per (city, walk): the clear pieces
-    between the merged blocked spans, summed left to right along each row,
-    as ``los_time`` sums its intervals."""
-    T = w.duration
-    start, end, hit = _blocked_spans(*blocks, w)
+def _moving_clear(blocks, p: Pairs, box) -> np.ndarray:
+    """Clear seconds of the moving walks of p per (city, walk): the clear
+    pieces between the merged blocked spans, summed left to right along
+    each row, as ``los_time`` sums its intervals; ``box`` is ``p.box``."""
+    T = p.duration
+    start, end, hit = _blocked_spans(*blocks, p, box)
     start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
     rows = end.shape[:-1] + (1,)
     lo = np.concatenate([np.zeros(rows), end], axis=-1)
@@ -388,29 +362,35 @@ def _moving_clear(blocks, w: _Walks) -> np.ndarray:
     return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[..., -1]
 
 
-def _walk_clear(cities: _Cities, motions: list[UserMotion], uavs: list[Uav]) -> np.ndarray:
-    """Per city (row) and walk (column), the clear seconds of walk w with
-    platform w: ``los_time`` on that city, bit for bit, for a chunk of cities
-    and any number of walks at once.
+def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
+    """Per city (row) and walk (column), the clear seconds of each walk of
+    pairs (a record of scalars is one walk): ``los_time`` on that city, bit
+    for bit, for a chunk of cities and any number of walks at once.
 
     Still and moving walks go apart, and each kind is judged in groups of
-    walks sharing one gather (``_gathers``): a group's fields are (walk, 1)
-    columns of one array built from the motions, broadcast across its (city,
-    1, block) arrays.  A lone walk is a group of one on its own box's gather.
+    walks sharing one gather (``_gathers``): a group's record and box are
+    (walk, 1) columns sliced from the packed record and the kind's box,
+    broadcast across its (city, 1, block) arrays.  A lone walk is a group
+    of one on its own box's gather.
     """
     n = len(cities.nx)
-    clear = np.zeros((n, len(motions)))
-    live = [k for k, m in enumerate(motions) if m.duration > 0.0]
-    for y0 in dict.fromkeys(motions[k].y0 for k in live):
-        if _in_bands(cities.south, cities.north, cities.row_city, n, y0).any():
-            raise UserInBuildingError(f"walk line y = {y0} lies in a building band")
-    for still, judge in ((True, _still_clear), (False, _moving_clear)):
-        cols = [k for k in live if (motions[k].speed == 0.0) == still]
+    walks = np.array(tuple(pairs), dtype=float).reshape(7, -1)
+    _, y0, speed, duration = walks[:4].tolist()
+    clear = np.zeros((n, walks.shape[1]))
+    live = [k for k, T in enumerate(duration) if T > 0.0]
+    for y in dict.fromkeys(y0[k] for k in live):
+        if _in_bands(cities.south, cities.north, cities.row_city, n, y).any():
+            raise UserInBuildingError(f"walk line y = {y} lies in a building band")
+    for still in (True, False):
+        cols = [k for k in live if (speed[k] == 0.0) == still]
         if cols:
-            walks = np.array([_walk_fields(motions[k], uavs[k]) for k in cols], float).T[:, :, None]
-            for part, blocks in _gathers(cities, _Walks(*walks).box):
+            group = walks[:, cols, None]
+            box = np.array(Pairs(*group).box)
+            for part, blocks in _gathers(cities, box):
                 blocks = [b[:, None, :] for b in blocks]
-                clear[:, cols[part]] = judge(blocks, _Walks(*walks[:, part]))
+                p = Pairs(*group[:, part])
+                clear[:, cols[part]] = (_still_clear(blocks, p) if still
+                                        else _moving_clear(blocks, p, box[:, part]))
     return clear
 
 
@@ -467,7 +447,7 @@ def monte_carlo_expected_los(
     _check_trials(trials)
     cx = start_contact_x(params, (motion.x0, motion.y0), u) if require_contact else None
     return _run_chunks(params, seed, trials, motion.y0, cx,
-                       lambda cities: _walk_clear(cities, [motion], [u])[:, 0])
+                       lambda cities: _walk_clear(cities, Pairs.one(motion, u))[:, 0])
 
 
 def monte_carlo_static_los(

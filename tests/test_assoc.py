@@ -13,6 +13,7 @@ from uavlos.assoc import (
     Assignment,
     _realized,
     _score_pairs,
+    _walks,
     assign_max_expected_los,
     assign_nearest_los,
     compare_policies,
@@ -21,6 +22,7 @@ from uavlos.assoc import (
 )
 from uavlos.env import (
     GridParams,
+    Pairs,
     Uav,
     UrbanGrid,
     UserMotion,
@@ -192,9 +194,9 @@ def test_compare_policies_referees_each_chunk_in_one_walk_pass(urban, monkeypatc
     calls = []  # (cities, walks) handed to each walk referee pass
     real = assoc._walk_clear
 
-    def counted(cities, motions, uavs):
-        calls.append((len(cities.nx), len(motions)))
-        return real(cities, motions, uavs)
+    def counted(cities, pairs):
+        calls.append((len(cities.nx), len(pairs.x0)))
+        return real(cities, pairs)
 
     monkeypatch.setattr(assoc, "_walk_clear", counted)
     monkeypatch.setattr(oracle, "_CHUNK", 32)
@@ -232,7 +234,7 @@ def _walks_and_platforms(params, walks, sites, own):
 def test_score_matrix_equals_pair_scores(preset, walks, sites, own, eps):
     params = GridParams(*preset, 8.0)
     users, uavs = _walks_and_platforms(params, walks, sites, own)
-    scores = _score_pairs(users, uavs, params, eps)
+    scores = _score_pairs(_walks(users, uavs), params, eps)
     assert scores == [[pair_score(params, m, u, eps) for u in uavs] for m in users]
     for m, row in zip(users, scores):
         for u, score in zip(uavs, row):
@@ -279,7 +281,7 @@ def test_score_matrix_with_a_long_epoch_across_blocks(urban):
     uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0, link_range=2e4)]
     mu = urban.lam * 30.0 * 450.0  # lam v T, the longest epoch of the matrix
     assert poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1 > CELL_BLOCK // (mu + 4.0)
-    scores = _score_pairs(users, uavs, urban, 1e-3)
+    scores = _score_pairs(_walks(users, uavs), urban, 1e-3)
     assert scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
     clipped = replace(users[1], duration=coverage_time(users[1], uavs[1]))
     r = expected_los_total(urban, clipped, uavs[1])
@@ -381,11 +383,11 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
     assert _point_clear(cities, g, [above, east]).tolist() == [
         [True, is_los(grid, g, east)]]
-    assert _walk_clear(cities, [walk, walk], [above, east]).tolist() == [
+    assert _walk_clear(cities, Pairs.of([walk, walk], [above, east])).tolist() == [
         [walk.duration, los_time(grid, walk, east)]]
     # the user walks to ``above`` in the first row and to ``east`` in the second
     pairs = np.array([[[0]], [[1]]])
-    assert _realized(cities, [walk], [above, east], pairs).tolist() == [
+    assert _realized(cities, _walks([walk], [above, east]), pairs).tolist() == [
         [walk.duration], [los_time(grid, walk, east)]]
 
 

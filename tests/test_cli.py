@@ -273,6 +273,7 @@ def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
     ({"sweep": "building_ratio", "street_widths": []}, 2),
     ({"sigma": "8"}, 2),
     ({"region": [400]}, 2),
+    ({"region": [1e12, 1e12]}, 2),  # about 1.7e10 mean cells a side: refused before a draw
     ({"values": [1, "a"]}, 2),
     ({"values": 5}, 2),
     ({"sigma": 0}, 2),

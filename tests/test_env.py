@@ -14,7 +14,9 @@ from uavlos.env import (
     OPEN,
     WALL,
     DegenerateGeometryError,
+    MAX_MEAN_CELLS,
     GridParams,
+    Pairs,
     SegmentTable,
     Uav,
     UrbanGrid,
@@ -27,10 +29,19 @@ from uavlos.env import (
     _FACE,
     _OPEN,
     _WALL,
+    _draw_cities,
     _front_cross,
+    segment_table,
 )
 from uavlos.analytic import RayleighHeights
-from uavlos.mobility import EpochGeometry, _canonical_table, expected_los_piecewise
+from uavlos.cli import PRESETS
+from uavlos.mobility import (
+    EpochGeometry,
+    _canonical_table,
+    _segment_integrals,
+    expected_los_piecewise,
+)
+from uavlos.oracle import _walk_clear
 
 
 def test_params_derived_quantities(urban):
@@ -46,6 +57,16 @@ def test_params_validation():
         GridParams(45.0, -1.0, 8.0)
     with pytest.raises(ValueError):
         GridParams(45.0, 13.0, 0.0)
+    with pytest.raises(ValueError, match="two sides"):
+        GridParams(45.0, 13.0, 8.0, (400.0, 400.0, 7.0))
+    # a city draw allocates its axis points and height matrix at once, so a
+    # region of about 1.7e10 mean cells a side is refused before any draw
+    for region in [(1e12, 1e12), (5e6, 10.0), (10.0, 5e6), (2e4, 2e4)]:
+        with pytest.raises(ValueError, match="mean cells"):
+            GridParams(45.0, 13.0, 8.0, region)
+    # every preset at the default 400 m region holds far fewer cells
+    for _, mu_b, mu_s in PRESETS.values():
+        assert (GridParams(mu_b, mu_s, 8.0).lam * 400.0) ** 2 < 100.0 < MAX_MEAN_CELLS
 
 
 def test_uav_and_motion_validation():
@@ -156,6 +177,44 @@ def test_grid_json_roundtrip(urban):
 def test_grid_json_rejects_unknown_format():
     with pytest.raises(ValueError):
         UrbanGrid.from_json('{"format": "something-else"}')
+
+
+def _without(payload: dict, key: str) -> dict:
+    return {k: v for k, v in payload.items() if k != key}
+
+
+_BAD_GRIDS = {  # name: (corruption of a dumped grid's payload, field the error names)
+    "no params": (lambda p: _without(p, "params"), "params"),
+    "no x_points": (lambda p: _without(p, "x_points"), "x_points"),
+    "scalar region": (lambda p: {**p, "params": {**p["params"], "region": 400}}, "region"),
+    "string mu_b": (lambda p: {**p, "params": {**p["params"], "mu_b": "45"}}, "mu_b"),
+    "a list": (lambda p: [p], "format"),
+    "three-side region": (lambda p: {**p, "params": {**p["params"], "region": [400, 400, 7]}},
+                          "region"),
+    "fractional seed": (lambda p: {**p, "seed": 1.7}, "seed"),
+    "boolean seed": (lambda p: {**p, "seed": True}, "seed"),
+    "nan point": (lambda p: {**p, "y_points": [math.nan] + p["y_points"][1:]}, "y_points"),
+    "ragged heights": (lambda p: {**p, "block_heights": [[1.0], [1.0, 2.0]]}, "block_heights"),
+    "huge region": (lambda p: {**p, "params": {**p["params"], "region": [1e12, 1e12]}},
+                    "region"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_GRIDS))
+def test_grid_json_refuses_a_malformed_payload_naming_the_field(urban, case):
+    corrupt, name = _BAD_GRIDS[case]
+    payload = corrupt(json.loads(sample_grid_anchored(urban, 9, 0.0, 13.0).to_json()))
+    with pytest.raises(ValueError, match=name):
+        UrbanGrid.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("nx, ny", [(0, 0), (0, 2), (2, 0), (2, 3)])
+def test_grid_json_roundtrips_cities_without_cells(nx, ny):
+    axis = lambda n: (np.arange(n + 1) * 10.0, np.arange(n) * 10.0 + 4.0)
+    (xp, xs), (yp, ys) = axis(nx), axis(ny)
+    g = UrbanGrid(GridParams(4.0, 4.0, 8.0), 3, xp, yp, xs, ys, np.ones((nx, ny)))
+    h = UrbanGrid.from_json(g.to_json())
+    assert h.block_heights.shape == (nx, ny) and h.seed == 3
 
 
 def test_grid_json_rejects_splits_not_matching_cells():
@@ -384,7 +443,7 @@ def test_canonical_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_b, mu_
     m = UserMotion(x0, 0.0, speed, duration)
     geom = EpochGeometry.of([m] * len(counts), [Uav(ux, uy, 100.0)] * len(counts), mu_s,
                             1.0 / (mu_b + mu_s), RayleighHeights(8.0))
-    t = _canonical_table(mu_b, mu_s, geom, np.array(counts))
+    t = _canonical_table(mu_b, mu_s, geom, mu_s, np.array(counts))
     _assert_valid_plans(t, len(counts), duration)
 
 
@@ -402,7 +461,7 @@ def test_still_canonical_tables_keep_one_face_per_row():
           UserMotion(0.0, 0.0, 12.0, 0.0)]
     uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0), Uav(30.0, 40.0, 50.0)]
     geom = EpochGeometry.of(ms, uavs, 13.0, 1.0 / 58.0, RayleighHeights(8.0))
-    t = _canonical_table(45.0, 13.0, geom, np.array([0, 4, 7]))
+    t = _canonical_table(45.0, 13.0, geom, 13.0, np.array([0, 4, 7]))
     assert t.row.tolist() == [0, 1, 2]
     assert t.kind.tolist() == [_FACE] * 3
     assert t.t_start.tolist() == [0.0] * 3
@@ -436,3 +495,58 @@ def test_corner_events_on_realized_grid(urban):
         for end, start in zip(t.t_end[:-1].tolist(), t.t_start[1:].tolist()):
             assert math.isclose(end, start)
         assert set(KINDS[k] for k in t.kind.tolist()) <= {FACE, WALL, OPEN}
+
+
+# one pair: a walk as (x0, its y in street widths, speed, duration), starting
+# anywhere or under its platform or ending under it, and its platform as
+# (x, dy, height), where dy = 0 puts it on the walk line
+def _pairs(dy):
+    return st.tuples(
+        st.floats(-150.0, 150.0), st.sampled_from([0.0, 0.5]),
+        st.one_of(st.just(0.0), st.floats(0.5, 30.0)), st.sampled_from([0.0, 4.0, 10.0]),
+        st.sampled_from(["free", "starts under", "ends under"]),
+        st.tuples(st.floats(-150.0, 150.0), dy, st.floats(20.0, 150.0)))
+
+
+def _motion_and_uav(pair, w: float) -> tuple[UserMotion, Uav]:
+    x0, off, v, T, start, (ux, dy, h) = pair
+    x0 = {"free": x0, "starts under": ux, "ends under": ux - v * T}[start]
+    return UserMotion(x0, off * w, v, T), Uav(ux, off * w + dy, h)
+
+
+@settings(max_examples=100)
+@given(pair=_pairs(st.one_of(st.just(0.0), st.floats(15.0, 150.0))),
+       others=st.lists(_pairs(st.floats(15.0, 150.0)), min_size=1, max_size=3),
+       at=st.integers(0, 3), count=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_a_pair_reads_alike_as_scalars_one_row_or_a_row_of_many(pair, others, at, count, seed):
+    # every reader of the record (plans, their integrals, the referee) gives
+    # one pair the same results, bit for bit, as a record of scalars, a
+    # one-row record and one row of a record of several pairs
+    params = GridParams(45.0, 13.0, 8.0)
+    w = params.mu_s
+    m, u = _motion_and_uav(pair, w)
+    rest = [_motion_and_uav(p, w) for p in others]
+    r = min(at, len(rest))
+    motions, uavs = zip(*rest[:r], (m, u), *rest[r:])
+    cities = _draw_cities(params, seed, range(2), 0.0, None)
+    west, east = sample_grid_anchored(params, seed, 0.0, w).building_columns()
+    results = []
+    for p, row in ((Pairs.one(m, u), 0), (Pairs.of([m], [u]), 0), (Pairs.of(motions, uavs), r)):
+        rows = np.size(p.x0)
+        geom = EpochGeometry(*p, w, params.lam, RayleighHeights(8.0))
+        out = [_walk_clear(cities, p)[:, row].tolist()]
+        layout = np.tile(west, (rows, 1)), np.tile(east, (rows, 1))
+        for plan in (lambda: segment_table(*layout, p, w),
+                     lambda: _canonical_table(45.0, w, p, w, np.full(rows, count))):
+            try:
+                t = plan()
+            except DegenerateGeometryError:
+                assert u.y - m.y0 <= w
+                out.append("beyond the far line")
+                continue
+            mine = t.row == row
+            out.append([getattr(t, f)[mine].tolist() for f in
+                        ("kind", "t_start", "t_end", "wall_x", "back_wall_x")])
+            out.append(_segment_integrals(t, geom)[mine].tolist())
+        results.append(out)
+    assert results[0] == results[1] == results[2]

@@ -293,7 +293,7 @@ def test_canonical_plans_refuse_a_platform_over_the_street(speed, duration, cros
         canonical_plan(45.0, 13.0, m, u, 13.0, crossings)
     geom = EpochGeometry.of([m, m], [Uav(120.0, 90.0, 100.0), u], 13.0, 1.0 / 58.0, RAY)
     with pytest.raises(DegenerateGeometryError, match="far line"):
-        _canonical_table(45.0, 13.0, geom, np.array([crossings, crossings]))
+        _canonical_table(45.0, 13.0, geom, 13.0, np.array([crossings, crossings]))
 
 
 def test_canonical_plan_structure_and_spacing():

@@ -15,6 +15,7 @@ from uavlos.env import (
     DegenerateGeometryError,
     DegenerateGridError,
     GridParams,
+    Pairs,
     Uav,
     UserInBuildingError,
     UrbanGrid,
@@ -276,14 +277,14 @@ def test_verdicts_do_not_depend_on_the_prefilter(case):
     motions = [UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
                for u, (v, T, ends) in zip(uavs, walks)]
     row = [[los_time(grid, m, u) for m, u in zip(motions, uavs)]]
-    assert _walk_clear(cities, motions, uavs).tolist() == row
+    assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_box_runs", lambda cities, *box: runs)
         assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]]
-        assert _walk_clear(cities, motions, uavs).tolist() == row
+        assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
         for u, m in zip(uavs, motions):
             v, T = m.speed, m.duration
-            assert _walk_clear(cities, [m], [u]).tolist() == [[los_time(grid, m, u)]]
+            assert _walk_clear(cities, Pairs.of([m], [u])).tolist() == [[los_time(grid, m, u)]]
             ts = (np.arange(64) + 0.5) * (T / 64)
             blocked = _blocking(*every, (m.x0 + v * ts)[:, None], m.y0, u.x, u.y,
                                 u.height).any(axis=1)
@@ -758,12 +759,12 @@ def test_walk_clear_judges_every_walk_as_los_time(preset, seed, y0, n, walks):
         uavs.append(u)
     cities = _draw_cities(params, seed, range(n), y0, None)
     grids = [g for g, _ in _reference_cities(params, seed, range(n), y0, None)]
-    clear = _walk_clear(cities, motions, uavs)
+    clear = _walk_clear(cities, Pairs.of(motions, uavs))
     assert clear.shape == (n, len(motions))
     assert clear.tolist() == [[los_time(g, m, u) for m, u in zip(motions, uavs)] for g in grids]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_BROADCAST", 1)
-        assert np.array_equal(_walk_clear(cities, motions, uavs), clear)
+        assert np.array_equal(_walk_clear(cities, Pairs.of(motions, uavs)), clear)
 
 
 def test_walk_clear_refuses_a_walk_line_in_a_building_band():
@@ -772,12 +773,12 @@ def test_walk_clear_refuses_a_walk_line_in_a_building_band():
     inside = UserMotion(0.0, 20.0, 1.0, 10.0)  # y = 20 lies in the block's band [16, 24)
     for motions in ([inside], [WALK, inside], [WALK, replace(inside, speed=0.0)]):
         with pytest.raises(UserInBuildingError, match="walk line y = 20.0 "):
-            _walk_clear(cities, motions, [UAV] * len(motions))
+            _walk_clear(cities, Pairs.of(motions, [UAV] * len(motions)))
     with pytest.raises(UserInBuildingError):
         los_time(grid, inside, UAV)
     # an empty walk is not judged, as ``los_time`` does not judge it
     empty = replace(inside, duration=0.0)
-    assert _walk_clear(cities, [WALK, empty], [UAV, UAV]).tolist() == [
+    assert _walk_clear(cities, Pairs.of([WALK, empty], [UAV, UAV])).tolist() == [
         [los_time(grid, WALK, UAV), los_time(grid, empty, UAV)]]
 
 
