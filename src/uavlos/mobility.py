@@ -59,7 +59,6 @@ from .env import (
 )
 
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
-NUDGE = 1e-9  # relative node shift off a removable singular instant
 # (pair x crossing count) rows whose layouts are built and priced together:
 # as many as keep a block's padded layout to about CELL_BLOCK corners
 CELL_BLOCK = 2**11
@@ -112,16 +111,6 @@ class EpochGeometry(Pairs):
     pair = classmethod(Pairs.one.__func__)  # (motion, u, street_width, lam, model)
 
 
-def _nudged(node, t_len, t_sing):
-    """Shift quadrature nodes off the removable singular instant (nan or inf: none)."""
-    eps = NUDGE * t_len
-    close = np.abs(node - t_sing) < eps
-    if not close.any():
-        return node
-    shifted = np.where(node + eps <= t_len, node + eps, node - eps)
-    return np.where(close, shifted, node)[()]
-
-
 def _wall_contacts(g: Pairs, x, ahead, back):
     """Where the wall-pinned links with the user at x meet their wall,
     elementwise along the last axis of x, whose entries belong to the rows of
@@ -161,14 +150,13 @@ def _face_integrals(g: Pairs, x_start, t_len, base, rate):
     v = g.speed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t_star = (g.ux - x_start) / v
-        approach = np.minimum(np.maximum(t_star, 0.0), t_len)  # up to the pass-under instant
+        # a still user has t_star +-inf, or nan right under the platform (taken as 0): base * T
+        approach = np.fmin(np.fmax(t_star, 0.0), t_len)  # up to the pass-under instant
         recede = t_len - approach
         e1 = expected_los_x_segment(base, -rate, v, approach)
         base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, -rate, v)
         e2 = expected_los_x_segment(base_mid, rate, v, recede)
-    out = np.where(base > 0.0, e1 + e2, 0.0)
-    still = v == 0.0
-    return np.where(still, base * t_len, out) if _any(still) else out
+    return np.where(base > 0.0, e1 + e2, 0.0)
 
 
 def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
@@ -190,10 +178,9 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     wall = np.flatnonzero(table.kind == _WALL)
     wg, w_len = geom.take(table.row[wall]), out[wall]
     w_start = wg.x0 + wg.speed * table.t_start[wall]
-    # a speed so small that the pass-under instant overflows never reaches it either
+    # a node right under the platform meets no wall: clear, the limit on both sides
+    x = w_start + wg.speed * (_SIMPSON_NODES * w_len)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_sing = (wg.ux - w_start) / wg.speed  # +-inf or nan standing still: no such instant
-        x = w_start + wg.speed * _nudged(_SIMPSON_NODES * w_len, w_len, t_sing)
         hit, s, span, height = _wall_contacts(wg, x, table.wall_x[wall], table.back_wall_x[wall])
     # the face fractions first (one per face, or one for all when one pair
     # holds for every row), then the wall nodes'
@@ -208,7 +195,7 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     clear = np.ones(x.shape)
     clear[hit] = f[n:] * np.exp(rate[n:] * span)
     p0, p1, p2 = clear
-    out[wall] = np.where(w_len > 0.0, (w_len / 6.0) * (p0 + 4.0 * p1 + p2), 0.0)
+    out[wall] = (w_len / 6.0) * (p0 + 4.0 * p1 + p2)
     return out
 
 

@@ -191,6 +191,13 @@ def test_void_rate_generic_path_matches_closed_form(s, height):
     assert math.isclose(a, b, rel_tol=1e-10, abs_tol=1e-16)
 
 
+@pytest.mark.parametrize("s", [-0.1, 1.5, math.nan])
+def test_generic_void_rate_refuses_a_fraction_outside_the_unit_interval(s):
+    generic = CdfHeights(lambda h: 1.0 - math.exp(-h * h / 128.0))
+    with pytest.raises(ValueError, match=r"contact fractions must lie in \[0, 1\]"):
+        void_rate(np.array([0.5, s]), URBAN_LAM, generic, 60.0)
+
+
 def test_p_static_frozen_values():
     p = p_los_static((0.0, 0.0), Uav(120.0, 90.0, 100.0), 13.0, URBAN_LAM, RAY)
     assert math.isclose(p, 0.7836167010195041, rel_tol=1e-13)

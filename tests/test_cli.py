@@ -158,6 +158,20 @@ def test_run_matches_the_frozen_csv(tmp_path, name):
     assert out.read_bytes() == (Path(__file__).parent / "data" / f"sweep_{name}.csv").read_bytes()
 
 
+def test_run_point_out_of_link_range_writes_a_zero_row(tmp_path, monkeypatch):
+    # the platform at (120, 90, 100) is 180 m from the walk's start, beyond
+    # a 150 m link range: the point covers no time, and nothing is priced
+    priced = []
+    monkeypatch.setattr(cli, "expected_los_total", lambda *a, **k: priced.append(a))
+    monkeypatch.setattr(cli, "monte_carlo_expected_los", lambda *a, **k: priced.append(a))
+    rc, out = _run(tmp_path, _cfg(values=[5.0], link_range=150.0))
+    assert rc == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [(r["value"], r["analytic_s"], r["mc_mean_s"], r["mc_stderr_s"], r["trials"])
+            for r in rows] == [("5", "0", "0", "0", "5")]
+    assert priced == []
+
+
 def test_run_timing_flag_fills_runtime(tmp_path):
     cfg = _cfg(values=[10.0], seed=3)
     rc, out = _run(tmp_path, cfg, "--timing")
@@ -235,17 +249,27 @@ def test_run_config_errors_exit_two(tmp_path, capsys):
     bogus.write_text(json.dumps(_cfg(values=[5.0])))
     for flag, value in (("--seed", "-4"), ("--trials", "0"), ("--trials", "-3")):
         assert main(["run", "--config", str(bogus), flag, value]) == 2, (flag, value)
+    # an epsilon outside (0, 1), a config that is a JSON list, and no config at all
+    bogus.write_text(json.dumps(_cfg(values=[5.0], epsilon=0)))
+    assert main(["run", "--config", str(bogus)]) == 2
+    bogus.write_text(json.dumps([_cfg(values=[5.0])]))
+    assert main(["run", "--config", str(bogus)]) == 2
+    assert main(["run"]) == 2
     # a grid dump value that GridParams or the sampler refuses writes no file,
     # nor does a street width with no anchored street to pin
     capsys.readouterr()
     for flags in (["--seed", "-1"], ["--sigma", "0"], ["--sigma", "nan"], ["--anchor-y", "999"],
                   ["--street-width", "-1", "--anchor-y", "0"],
                   ["--street-width", "nan", "--anchor-y", "0"], ["--street-width", "nan"],
-                  ["--street-width", "5"]):
+                  ["--street-width", "5"], ["--preset", "nope"]):
         assert main(["grid", "dump", *flags, "--out", str(tmp_path / "g.json")]) == 2, flags
         assert not (tmp_path / "g.json").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, (flags, err)
+    # a good city to an output path that cannot be written
+    assert main(["grid", "dump", "--out", str(tmp_path / "no" / "such" / "g.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output") and err.count("\n") == 1
 
 
 def test_run_degenerate_geometry_exits_two(tmp_path, capsys, monkeypatch):
@@ -312,6 +336,12 @@ def test_ratio_criteria_share_one_sweep(monkeypatch):
     finally:
         checks._ratio_curves.cache_clear()
     assert len(built) == 1
+
+
+def test_unimodal_check_refuses_a_peak_at_either_end():
+    assert checks._unimodal_with_interior_peak([1.0, 3.0, 2.0])
+    assert not checks._unimodal_with_interior_peak([3.0, 2.0, 1.0])
+    assert not checks._unimodal_with_interior_peak([1.0, 2.0, 3.0])
 
 
 def test_run_unwritable_output_exits_two(tmp_path):

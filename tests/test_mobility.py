@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import poisson
@@ -30,6 +30,7 @@ from uavlos.env import (
     Uav,
     UserMotion,
     corner_events,
+    corner_position,
     sample_grid_anchored,
 )
 from uavlos.mobility import (
@@ -37,7 +38,6 @@ from uavlos.mobility import (
     MAX_MEAN_CROSSINGS,
     EpochGeometry,
     _canonical_table,
-    _nudged,
     _segment_integrals,
     canonical_plan,
     expected_los_piecewise,
@@ -128,12 +128,6 @@ class WallSweep:
             return 1.0
         return p_los_contact(s, abs(dx) + abs(dy), self.lam, self.model, self.u.height)
 
-    def singular_time(self) -> float:
-        """Instant the user passes under the platform's x; nan when standing still."""
-        if self.v == 0.0:
-            return math.nan
-        return (self.u.x - self.x_start) / self.v
-
 
 def simpson_3(sweep: WallSweep, t_len: float) -> float:
     """The library's three point estimate of the sweep: a one-wall table."""
@@ -149,9 +143,8 @@ def simpson_dense(sweep: WallSweep, t_len: float, nodes: int = 129) -> float:
     """Composite Simpson of ``sweep.p`` on an odd number of nodes."""
     if t_len <= 0.0:
         return 0.0
-    ts = sweep.singular_time()
     xs = np.linspace(0.0, t_len, nodes)
-    ps = np.array([sweep.p(float(_nudged(float(x), t_len, ts))) for x in xs])
+    ps = np.array([sweep.p(float(x)) for x in xs])
     h = t_len / (nodes - 1)
     return float(h / 3.0 * (ps[0] + ps[-1] + 4.0 * ps[1:-1:2].sum() + 2.0 * ps[2:-2:2].sum()))
 
@@ -253,6 +246,12 @@ def test_truncation_count_matches_forward_recurrence(eps):
         assert poisson_truncation_count(1.0, float(mu), 1.0, eps) == _recurrence_count(mu, eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1e-3, math.nan])
+def test_truncation_count_refuses_epsilon_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+        poisson_truncation_count(1.0 / 58.0, 15.0, 10.0, eps)
+
+
 def test_truncation_count_zero_rate():
     assert poisson_truncation_count(1.0 / 58.0, 0.0, 10.0, 1e-3) == 0
     assert poisson_truncation_count(1.0 / 58.0, 15.0, 0.0, 1e-3) == 0
@@ -281,6 +280,12 @@ def test_canonical_plan_zero_crossings_single_face():
     plan = canonical_plan(45.0, 13.0, m, Uav(120.0, 90.0, 100.0), 13.0, 0)
     assert plan.kind.tolist() == [_FACE]
     assert plan.t_end[0] == 10.0
+
+
+def test_canonical_plan_refuses_a_negative_crossing_count():
+    with pytest.raises(ValueError, match="crossing count must be nonnegative"):
+        canonical_plan(45.0, 13.0, UserMotion(0.0, 0.0, 15.0, 10.0), Uav(120.0, 90.0, 100.0),
+                       13.0, -1)
 
 
 @pytest.mark.parametrize("speed, duration", [(15.0, 10.0), (0.0, 10.0), (15.0, 0.0)])
@@ -594,6 +599,64 @@ def test_standing_still_equals_duration_times_point_probability(preset, sigma, u
     r = expected_los_total(params, UserMotion(x0, 0.0, 0.0, T), u)
     p = p_los_static((x0, 0.0), u, params.mu_s, params.lam, RayleighHeights(params.sigma))
     assert r.expected_time == T * p
+
+
+@settings(max_examples=150, deadline=None)
+@example(preset="urban", seed=0, under=True, x0=0.0, ux=480, beyond=77.0, h=100.0, v=60,
+         t_len=16, ahead=0.5, back=0.5, T=10.0)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    seed=st.integers(0, 10_000),
+    under=st.booleans(),
+    x0=st.floats(-150.0, 150.0),
+    ux=st.integers(-600, 600),  # quarter metres, so that a node lands on it exactly
+    beyond=st.floats(0.01, 150.0),
+    h=st.floats(1.0, 150.0),
+    v=st.integers(1, 120),  # quarter metres per second
+    t_len=st.integers(1, 96),  # eighths of a second
+    ahead=st.floats(0.0, 1.0, exclude_max=True) | st.just(math.inf),
+    back=st.floats(0.0, 1.0, exclude_max=True) | st.just(math.inf),
+    T=st.floats(0.01, 20.0),
+)
+def test_degenerate_walks_price_exactly(preset, seed, under, x0, ux, beyond, h, v, t_len, ahead,
+                                        back, T):
+    # the general formulas price a still walk, a Simpson node on the
+    # pass-under instant and a zero-length wall with no branch of their own
+    _, mu_b, mu_s = PRESETS[preset]
+    params = GridParams(mu_b, mu_s, 8.0)
+    u = Uav(ux / 4.0, mu_s + beyond, h)
+    # a still walk, possibly right under the platform: T times the point probability
+    x_still = u.x if under else x0
+    still = expected_los_total(params, UserMotion(x_still, 0.0, 0.0, T), u).expected_time
+    p = p_los_static((x_still, 0.0), u, mu_s, params.lam, RAY)
+    assert math.isclose(still, T * p, rel_tol=1e-12)
+    assert 0.0 <= still <= T
+    # one wall whose middle node is the pass-under instant, its walls (ahead
+    # of the user, between it and the platform, and behind once past) at
+    # fractions of the half sweep or missing
+    speed, t_len = v / 4.0, t_len / 8.0
+    half = speed * 0.5 * t_len
+    sweep = WallSweep(u.x - half, 0.0, speed, u, params.lam, RAY,
+                      u.x - ahead * half if math.isfinite(ahead) else math.inf,
+                      u.x + back * half if math.isfinite(back) else -math.inf)
+    assert sweep.x_start + speed * (0.5 * t_len) == u.x and sweep.p(0.5 * t_len) == 1.0
+    ps = [sweep.p(t) for t in (0.0, 0.5 * t_len, t_len)]
+    wall = simpson_3(sweep, t_len)
+    assert math.isclose(wall, t_len / 6.0 * (ps[0] + 4.0 * ps[1] + ps[2]), rel_tol=1e-12)
+    assert 0.0 <= wall <= t_len
+    # an empty walk whose front-line crossing lies over a realized gap (one
+    # between two columns, or past the first or the last): one wall segment
+    # of length 0
+    grid = sample_grid_anchored(params, seed, 0.0, mu_s)
+    west, east = grid.building_columns()
+    gaps = [west[0] - 1.0, east[-1] + 1.0, *(0.5 * (east[:-1] + west[1:]))] if west.size else []
+    assume(gaps)
+    start = float(corner_position(gaps[seed % len(gaps)], u.x, u.y, 0.0, mu_s))
+    m = UserMotion(start, 0.0, speed, 0.0)
+    table = corner_events(grid, m, u)
+    assert table.kind.tolist() == [_WALL] and table.t_end.tolist() == [0.0]
+    geom = EpochGeometry.pair(m, u, mu_s, params.lam, RAY)
+    assert expected_los_piecewise(table, geom) == 0.0
 
 
 @given(speed=st.floats(0.0, 40.0), duration=st.floats(0.0, 12.0))

@@ -776,10 +776,11 @@ def test_walk_clear_refuses_a_walk_line_in_a_building_band():
             _walk_clear(cities, Pairs.of(motions, [UAV] * len(motions)))
     with pytest.raises(UserInBuildingError):
         los_time(grid, inside, UAV)
-    # an empty walk is not judged, as ``los_time`` does not judge it
+    # an empty walk is not judged, as ``los_time`` and ``los_time_sampled`` do not judge it
     empty = replace(inside, duration=0.0)
     assert _walk_clear(cities, Pairs.of([WALK, empty], [UAV, UAV])).tolist() == [
         [los_time(grid, WALK, UAV), los_time(grid, empty, UAV)]]
+    assert los_time(grid, empty, UAV) == los_time_sampled(grid, empty, UAV, samples=16) == 0.0
 
 
 def test_mc_walk_line_in_building_band_raises():
