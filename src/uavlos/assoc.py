@@ -265,9 +265,9 @@ def compare_policies(
     ``sample_grid_anchored(params, SeedSequence([seed, i]), y0, params.mu_s)``
     does, from the same stream, which one ``_seed_state`` hash seeds for the
     whole chunk; both values are ``realized_value`` of the two assignments
-    on that city, bit for bit, computed for a chunk of cities at once: the
-    start links one user at a time (``_point_clear``), then every walk
-    either policy assigns in the chunk in one ``_walk_clear`` call.
+    on that city, bit for bit, computed for a chunk of cities at once: every
+    user's start links in one ``_point_clear`` call, then every walk either
+    policy assigns in the chunk in one ``_walk_clear`` call.
     """
     _check_trials(trials)
     y0 = _shared_street(users)
@@ -276,6 +276,10 @@ def compare_policies(
     fixed = _greedy(scores)
     candidates = _candidates(users, uavs)
     fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
+    # every (user, candidate) start link, users in id order
+    user, uav = np.array([(j, k) for j, cand in enumerate(candidates) for k in cand],
+                         dtype=int).reshape(-1, 2).T
+    starts = [f[user, uav] for f in (walks.x0, walks.y0, walks.ux, walks.uy, walks.height)]
     values = [np.empty((2, 0))]
     law = _law(params)
     for chunk in _chunks(trials):
@@ -283,10 +287,7 @@ def compare_policies(
         cities = _join_cities([_draw_anchored(_generator(w), law, y0, params.mu_s)
                                for w in state], [1] * len(chunk), y0, law)
         clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
-        for j, m in enumerate(users):
-            if candidates[j]:
-                clear[:, j, candidates[j]] = _point_clear(cities, (m.x0, m.y0),
-                                                          [uavs[k] for k in candidates[j]])
+        clear[:, user, uav] = _point_clear(cities, *starts)
         bench = _nearest(candidates, clear)
         values.append(_realized(cities, walks,
                                 np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))

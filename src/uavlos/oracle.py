@@ -10,12 +10,13 @@ blocks on exactly one interval, bounded by the instants the window's two ends
 cross the block's west and east edges.  All blocks are solved at once as arrays
 and the clear intervals are the complement of their union.  One referee,
 ``_walk_clear``, applies the same algebra to a whole chunk of sampled cities
-and any number of walks at once, walks sharing each block gather
-(``_gathers``): the Monte Carlo runner judges its one walk with it, and the
-policy comparison in ``assoc`` every walk of a chunk in one call.  Touching
-a footprint's face or corner does not block, while reaching exactly the
-link height does, so box queries and gathers are prefilters only: every
-verdict is the same on any superset of a link's blocks.
+and any number of walks at once, each walk judged on the blocks of its own
+box (``_link_blocks``, one flat list for every walk and city): the Monte
+Carlo runner judges its one walk with it, and the policy comparison in
+``assoc`` every walk of a chunk in one call.  Touching a footprint's face or
+corner does not block, while reaching exactly the link height does, so box
+queries are prefilters only: every verdict is the same on any superset of
+a link's blocks.
 None of it reuses the closed-form machinery, so it can referee it.
 """
 
@@ -91,9 +92,9 @@ def _edge_times(edge: np.ndarray, s: np.ndarray, p: Pairs) -> np.ndarray:
     return t
 
 
-def _blocked_spans(west, east, south, north, height, p: Pairs, box):
-    """(start, end, hit): the instants each block blocks the walk of p (whose
-    ``box`` is given), elementwise, and whether that span reaches into (0, T).
+def _blocked_spans(west, east, south, north, height, p: Pairs):
+    """(start, end, hit): the instants each block blocks the walk of p,
+    elementwise, and whether that span reaches into (0, T).
 
     The walker keeps y = y0, so each block's y-slab and height give a fixed
     window [s_a, s_b] of link fractions where the link can meet it: s_a is
@@ -104,7 +105,7 @@ def _blocked_spans(west, east, south, north, height, p: Pairs, box):
     last instant either end leaves its east edge.  A block outside the walk's
     box could meet it only at t = 0 or T, up to rounding, so it never hits.
     """
-    x_lo, x_hi = box[0], box[1]
+    x_lo, x_hi, _, _ = p.box
     sy_lo, sy_hi = _slab_fracs(south, north, p.y0, p.uy - p.y0)
     s_a = np.maximum(sy_lo, 0.0)
     s_b = np.minimum(np.minimum(sy_hi, 1.0), height / p.height)
@@ -151,8 +152,7 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
     if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
     p = Pairs.one(motion, u)
-    box = p.box
-    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*box), p, box)
+    start, end, hit = _blocked_spans(*grid.blocks_overlapping(*p.box), p)
     start, end = _merged_spans(start[hit], end[hit], T)
     return [(a, b) for a, b in zip([0.0, *end.tolist()], [*start.tolist(), T]) if b > a]
 
@@ -273,11 +273,9 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
 
 
 # trials drawn and refereed per array pass: large enough to spread the fixed
-# cost of a pass, small enough that padding every city's row to the busiest
-# one stays cheap
+# cost of a pass, small enough that padding every (city, walk) row of spans
+# to the one with the most stays cheap
 _CHUNK = 256
-
-_BROADCAST = 2**14  # most (city x link x block) elements that links judge on one gather
 
 
 def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float) -> np.ndarray:
@@ -286,51 +284,41 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float
     return np.bincount(city[(lo <= c) & (c < hi)], minlength=n) > 0
 
 
-def _box_runs(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
-    """Per city, the first column meeting the box's inside and how many do,
-    then the same for rows, a prefilter as ``UrbanGrid.blocks_overlapping``
-    is; bounds given as arrays stand for the box holding them all."""
-    n = len(cities.nx)
-    low, high = np.minimum.reduce, np.maximum.reduce  # np.min and np.max, without their dispatch
-    # edges ascend within a city, so the bands meeting an open interval form
-    # one run, from the first band past the low end to the last below the high
-    i0 = np.bincount(cities.col_city[cities.east <= low(x_lo, axis=None)], minlength=n)
-    i1 = np.bincount(cities.col_city[cities.west < high(x_hi, axis=None)], minlength=n)
-    j0 = np.bincount(cities.row_city[cities.north <= low(y_lo, axis=None)], minlength=n)
-    j1 = np.bincount(cities.row_city[cities.south < high(y_hi, axis=None)], minlength=n)
-    return i0, np.maximum(i1 - i0, 0), j0, np.maximum(j1 - j0, 0)
+def _runs(low_edges, high_edges, first, size, lo, hi):
+    """Per (city, link), the flat index of the first of the city's bands
+    meeting the open interval (lo[k], hi[k]) on an axis, and how many do.
 
-
-def _box_blocks(cities: _Cities, i0, cols, j0, rows):
-    """(west, east, south, north, height) of the blocks in the runs of
-    ``_box_runs``, as ``UrbanGrid.blocks_overlapping`` finds them, one row per city.
-
-    Rows are padded to the longest with blocks of height -inf, which block
-    nothing.
+    Edges ascend within a city, so those bands form one run, from the first
+    band whose high edge passes lo to the last whose low edge is below hi;
+    each end is a count of edge tests, read off their cumulative counts
+    along each city's bands.
     """
-    count = cols * rows
-    slot = np.arange(count.max())
-    valid = slot < count[:, None]
-    i, j = np.divmod(slot, np.maximum(rows, 1)[:, None])
-    col = np.where(valid, (cities.first_col + i0)[:, None] + i, 0)
-    row = np.where(valid, (cities.first_row + j0)[:, None] + j, 0)
-    first = cities.first_cell + i0 * cities.ny + j0
-    cell = np.where(valid, first[:, None] + i * cities.ny[:, None] + j, 0)
-    height = np.where(valid, cities.heights[cell], -np.inf)
-    return cities.west[col], cities.east[col], cities.south[row], cities.north[row], height
+    counts = np.zeros((2, len(lo), len(low_edges) + 1), dtype=np.int64)
+    np.cumsum([high_edges <= lo[:, None], low_edges < hi[:, None]], axis=-1, out=counts[..., 1:])
+    past, below = (counts[..., first + size] - counts[..., first]).transpose(0, 2, 1)
+    return first[:, None] + past, np.maximum(below - past, 0)
 
 
-def _gathers(cities: _Cities, boxes):
-    """(part, blocks) per consecutive group of the boxes (arrays of bounds):
-    one ``_box_blocks`` gather for the box holding the group's, a prefilter
-    every link of the group is judged on unmasked.  A group has as many boxes
-    as keep (city x box x block) within ``_BROADCAST`` elements at the width
-    of the gather for all the boxes, so wide-spread boxes gather alone."""
-    runs, n = _box_runs(cities, *boxes), len(boxes[0])
-    step = max(1, _BROADCAST // max(len(cities.nx) * (runs[1] * runs[3]).max(), 1))
-    for k in range(0, n, step):
-        yield slice(k, k + step), _box_blocks(
-            cities, *(runs if step >= n else _box_runs(cities, *(b[k:k + step] for b in boxes))))
+def _link_blocks(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
+    """(link, west, east, south, north, height) of every block meeting each
+    link's own box, for L boxes given as 1-D arrays of bounds: city by city,
+    link k of city c numbered c * L + k, each link's blocks in the order
+    ``UrbanGrid.blocks_overlapping`` finds them on that city, a prefilter as
+    that query is.
+    """
+    col, cols = _runs(cities.west, cities.east, cities.first_col, cities.nx, x_lo, x_hi)
+    row, rows = _runs(cities.south, cities.north, cities.first_row, cities.ny, y_lo, y_hi)
+    count = (cols * rows).ravel()
+    link = np.repeat(np.arange(len(count)), count)
+    slot = np.arange(len(link)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.divmod(slot, rows.ravel()[link])
+    col, row = col.ravel()[link] + i, row.ravel()[link] + j
+    # each city's heights are its (column, row) matrix, row-major
+    city = link // len(x_lo)
+    cell = ((cities.first_cell - cities.first_col * cities.ny - cities.first_row)[city]
+            + col * cities.ny[city] + row)
+    return (link, cities.west[col], cities.east[col], cities.south[row], cities.north[row],
+            cities.heights[cell])
 
 
 def _check_trials(trials: int) -> None:
@@ -343,23 +331,27 @@ def _chunks(trials: int) -> list[range]:
     return [range(first, min(first + _CHUNK, trials)) for first in range(0, trials, _CHUNK)]
 
 
-def _still_clear(blocks, p: Pairs) -> np.ndarray:
-    """Clear seconds of the still walks of p per (city, walk): all of T or none."""
-    blocked = _blocking(*blocks, p.x0, p.y0, p.ux, p.uy, p.height).any(axis=-1, keepdims=True)
-    return np.where(blocked, 0.0, p.duration)[..., 0]
+def _moving_clear(cities: _Cities, p: Pairs) -> np.ndarray:
+    """Clear seconds of the moving walks of p (1-D fields) per (city, walk).
 
-
-def _moving_clear(blocks, p: Pairs, box) -> np.ndarray:
-    """Clear seconds of the moving walks of p per (city, walk): the clear
-    pieces between the merged blocked spans, summed left to right along
-    each row, as ``los_time`` sums its intervals; ``box`` is ``p.box``."""
-    T = p.duration
-    start, end, hit = _blocked_spans(*blocks, p, box)
-    start, end = _merged_spans(np.where(hit, start, T), np.where(hit, end, T), T)
-    rows = end.shape[:-1] + (1,)
-    lo = np.concatenate([np.zeros(rows), end], axis=-1)
-    hi = np.concatenate([start, np.full(rows, T)], axis=-1)
-    return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[..., -1]
+    Each walk's hit spans go into its own row, padded to the row with the
+    most by spans (T, T), which add only empty pieces; the clear pieces
+    between the merged spans are then summed left to right along each row,
+    as ``los_time`` sums its intervals.
+    """
+    n, walks = len(cities.nx), len(p.x0)
+    link, *blocks = _link_blocks(cities, *p.box)
+    start, end, hit = _blocked_spans(*blocks, p.take(link % walks))
+    link = link[hit]
+    count = np.bincount(link, minlength=n * walks)
+    col = np.arange(len(link)) - (np.cumsum(count) - count)[link]
+    T = np.tile(p.duration, n)[:, None]
+    spans = np.tile(T, (2, 1, count.max(initial=0)))
+    spans[:, link, col] = start[hit], end[hit]
+    start, end = _merged_spans(*spans, T)
+    lo = np.concatenate([np.zeros_like(T), end], axis=-1)
+    hi = np.concatenate([start, T], axis=-1)
+    return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[:, -1].reshape(n, walks)
 
 
 def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
@@ -367,11 +359,9 @@ def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
     pairs (a record of scalars is one walk): ``los_time`` on that city, bit
     for bit, for a chunk of cities and any number of walks at once.
 
-    Still and moving walks go apart, and each kind is judged in groups of
-    walks sharing one gather (``_gathers``): a group's record and box are
-    (walk, 1) columns sliced from the packed record and the kind's box,
-    broadcast across its (city, 1, block) arrays.  A lone walk is a group
-    of one on its own box's gather.
+    Each walk is judged on the blocks of its own box (``_link_blocks``):
+    the still walks all at once as links (``_point_clear``), clear for all
+    of T or none, and the moving ones all at once by their spans.
     """
     n = len(cities.nx)
     walks = np.array(tuple(pairs), dtype=float).reshape(7, -1)
@@ -381,36 +371,32 @@ def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
     for y in dict.fromkeys(y0[k] for k in live):
         if _in_bands(cities.south, cities.north, cities.row_city, n, y).any():
             raise UserInBuildingError(f"walk line y = {y} lies in a building band")
-    for still in (True, False):
-        cols = [k for k in live if (speed[k] == 0.0) == still]
-        if cols:
-            group = walks[:, cols, None]
-            box = np.array(Pairs(*group).box)
-            for part, blocks in _gathers(cities, box):
-                blocks = [b[:, None, :] for b in blocks]
-                p = Pairs(*group[:, part])
-                clear[:, cols[part]] = (_still_clear(blocks, p) if still
-                                        else _moving_clear(blocks, p, box[:, part]))
+    still = [k for k in live if speed[k] == 0.0]
+    moving = [k for k in live if speed[k] != 0.0]
+    if still:
+        x0, y, _, T, ux, uy, h = walks[:, still]
+        clear[:, still] = np.where(_point_clear(cities, x0, y, ux, uy, h), T, 0.0)
+    if moving:
+        clear[:, moving] = _moving_clear(cities, Pairs(*walks[:, moving]))
     return clear
 
 
-def _point_clear(cities: _Cities, g: tuple[float, float], uavs: list[Uav]) -> np.ndarray:
-    """Per city (row) and platform (column), whether the link from g is clear:
-    ``is_los`` on that city, for a chunk of cities and several platforms at
-    once, from one gather per group of platforms (``_gathers``)."""
-    gx, gy = g
-    n = len(cities.nx)
-    inside = (_in_bands(cities.west, cities.east, cities.col_city, n, gx)
-              & _in_bands(cities.south, cities.north, cities.row_city, n, gy))
-    if inside.any():
-        raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
-    ux, uy, uh = np.array([(u.x, u.y, u.height) for u in uavs]).T[:, :, None]
-    boxes = np.minimum(gx, ux), np.maximum(gx, ux), np.minimum(gy, uy), np.maximum(gy, uy)
-    clear = np.empty((n, len(uavs)), dtype=bool)
-    for part, blocks in _gathers(cities, boxes):
-        blocks = [b[:, None, :] for b in blocks]
-        clear[:, part] = ~_blocking(*blocks, gx, gy, ux[part], uy[part], uh[part]).any(axis=2)
-    return clear
+def _point_clear(cities: _Cities, gx, gy, ux, uy, uh) -> np.ndarray:
+    """Per city (row) and link (column), whether the link from ground point
+    (gx[k], gy[k]) to the platform at (ux[k], uy[k]) ``uh[k]`` meters up is
+    clear: ``is_los`` on that city, for a chunk of cities and any number of
+    links at once, each judged on the blocks of its own box and blocked when
+    any of them blocks it."""
+    n, links = len(cities.nx), len(gx)
+    for x, y in dict.fromkeys(zip(gx.tolist(), gy.tolist())):
+        if (_in_bands(cities.west, cities.east, cities.col_city, n, x)
+                & _in_bands(cities.south, cities.north, cities.row_city, n, y)).any():
+            raise UserInBuildingError(f"ground point ({x}, {y}) is inside a building")
+    link, *blocks = _link_blocks(cities, np.minimum(gx, ux), np.maximum(gx, ux),
+                                 np.minimum(gy, uy), np.maximum(gy, uy))
+    k = link % links
+    hit = _blocking(*blocks, gx[k], gy[k], ux[k], uy[k], uh[k])
+    return np.bincount(link[hit], minlength=n * links).reshape(n, links) == 0
 
 
 def _run_chunks(params: GridParams, seed: int, trials: int, y_anchor: float,
@@ -467,5 +453,6 @@ def monte_carlo_static_los(
     """
     _check_trials(trials)
     cx = start_contact_x(params, g, u) if require_contact else None
+    link = np.array([[g[0]], [g[1]], [u.x], [u.y], [u.height]], dtype=float)
     return _run_chunks(params, seed, trials, g[1], cx,
-                       lambda cities: np.where(_point_clear(cities, g, [u])[:, 0], 1.0, 0.0))
+                       lambda cities: np.where(_point_clear(cities, *link)[:, 0], 1.0, 0.0))

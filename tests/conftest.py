@@ -9,6 +9,9 @@ settings.register_profile(
     deadline=None,
     max_examples=50,
     suppress_health_check=[HealthCheck.too_slow],
+    # a failing property prints its ``@reproduce_failure`` line, so a failure
+    # seen only in CI can be replayed
+    print_blob=True,
 )
 settings.load_profile("suite")
 
@@ -43,9 +46,21 @@ def make_single_block_grid(height: float) -> UrbanGrid:
     )
 
 
-def grid_cities(grid: UrbanGrid) -> _Cities:
-    """One city, built by hand, as the flat arrays the chunk referees judge."""
-    nx, ny = grid.block_heights.shape
-    return _Cities(grid.x_points, grid.y_points, grid.x_splits, grid.x_points[1:], grid.y_splits,
-                   grid.y_points[1:], grid.block_heights.ravel(), np.array([nx]), np.array([ny]),
-                   np.array([1]))
+def grid_cities(*grids: UrbanGrid) -> _Cities:
+    """Cities built by hand, one per grid, as the flat arrays the chunk referees judge."""
+    def cat(parts):
+        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+
+    nx, ny = np.array([g.block_heights.shape for g in grids], dtype=int).reshape(-1, 2).T
+    return _Cities(cat(g.x_points for g in grids), cat(g.y_points for g in grids),
+                   cat(g.x_splits for g in grids), cat(g.x_points[1:] for g in grids),
+                   cat(g.y_splits for g in grids), cat(g.y_points[1:] for g in grids),
+                   cat(g.block_heights.ravel() for g in grids), nx, ny,
+                   np.ones(len(grids), dtype=int))
+
+
+def point_links(g: tuple[float, float], uavs) -> list[np.ndarray]:
+    """(gx, gy, ux, uy, uh): the links from ground point g to each platform,
+    as the arrays ``oracle._point_clear`` takes."""
+    return [np.array([g[0]] * len(uavs)), np.array([g[1]] * len(uavs)),
+            *np.array([(u.x, u.y, u.height) for u in uavs], dtype=float).reshape(-1, 3).T]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_cities, make_single_block_grid
+from conftest import grid_cities, make_single_block_grid, point_links
 from uavlos.analytic import CdfHeights, RayleighHeights
 from uavlos import oracle
 from uavlos.assoc import (
@@ -38,7 +38,15 @@ from uavlos.mobility import (
     expected_los_total,
     poisson_truncation_count,
 )
-from uavlos.oracle import _CHUNK, _point_clear, _walk_clear, coverage_time, is_los, los_time
+from uavlos.oracle import (
+    _CHUNK,
+    _chunks,
+    _point_clear,
+    _walk_clear,
+    coverage_time,
+    is_los,
+    los_time,
+)
 
 
 def test_assignment_rejects_shared_platform():
@@ -338,9 +346,8 @@ def test_compare_policies_trials_equal_per_city_reference(
     assert cmp.benchmark.values.tolist() == [b for _, b in ref]
 
 
-def test_one_platform_per_group_equals_per_city_reference(urban, monkeypatch):
-    # an element budget of 1 puts every platform in a group of its own
-    monkeypatch.setattr(oracle, "_BROADCAST", 1)
+def test_one_platform_per_group_equals_per_city_reference(urban):
+    # every link is judged on the blocks of its own box
     users = [UserMotion(x, 0.0, 12.0, 10.0) for x in (-120.0, -20.0)]
     uavs = [Uav(-150.0, 45.0, 60.0), Uav(-60.0, -40.0, 90.0, 140.0), Uav(10.0, 80.0, 40.0),
             Uav(90.0, 30.0, 120.0)]
@@ -351,26 +358,24 @@ def test_one_platform_per_group_equals_per_city_reference(urban, monkeypatch):
     grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
     for m in users:
         g = (m.x0, m.y0)
-        assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]
-                                                         for grid in grids]
+        assert _point_clear(cities, *point_links(g, uavs)).tolist() == [
+            [is_los(grid, g, u) for u in uavs] for grid in grids]
     cmp = compare_policies(urban, users, uavs, trials, 3)
     ref = _per_city_reference(urban, users, uavs, trials, 3, cmp.assignment)
     assert cmp.proposed.values.tolist() == [a for a, _ in ref]
     assert cmp.benchmark.values.tolist() == [b for _, b in ref]
 
 
-@pytest.mark.parametrize("budget", [oracle._BROADCAST, 1])
 @pytest.mark.parametrize("speed", [0.0, 2.9])
-def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
+def test_shared_gather_is_masked_to_each_link_box(speed):
     # the walk from x = -7.3 at 2.9 m/s for 7.7 s ends at x_end, and its
     # platform ``above`` hovers over x_end; a tall block's west face lies on
     # the line x = x_end, just outside the box of every link to ``above``,
-    # but inside the gather shared with ``east``.  The gather is a prefilter
-    # only and applies no mask: the link at x_end runs along that face, which
-    # does not block, and the walk's spans leave out the block its box misses
-    # (at speed 2.9 the last instant would round to 8.9e-16 s before the end
-    # of the walk).  With a budget of 1 each link gathers only its own box
-    monkeypatch.setattr(oracle, "_BROADCAST", budget)
+    # but inside the box of ``east``.  Each link gathers only its own box,
+    # and the gather is a prefilter only: the link at x_end runs along that
+    # face, which does not block, and the walk's spans leave out the block
+    # its box misses (at speed 2.9 the last instant would round to 8.9e-16 s
+    # before the end of the walk)
     walk = UserMotion(-7.3, 0.0, 2.9, 7.7)
     x_end = walk.x0 + walk.speed * walk.duration
     walk = replace(walk, x0=x_end, speed=0.0) if speed == 0.0 else walk
@@ -381,7 +386,7 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     above, east = Uav(x_end, 30.0, 50.0), Uav(x_end + 30.0, 30.0, 50.0)
     g = (x_end, 0.0)
     assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
-    assert _point_clear(cities, g, [above, east]).tolist() == [
+    assert _point_clear(cities, *point_links(g, [above, east])).tolist() == [
         [True, is_los(grid, g, east)]]
     assert _walk_clear(cities, Pairs.of([walk, walk], [above, east])).tolist() == [
         [walk.duration, los_time(grid, walk, east)]]
@@ -389,6 +394,41 @@ def test_shared_gather_is_masked_to_each_link_box(speed, budget, monkeypatch):
     pairs = np.array([[[0]], [[1]]])
     assert _realized(cities, _walks([walk], [above, east]), pairs).tolist() == [
         [walk.duration], [los_time(grid, walk, east)]]
+
+
+_EDGE_PLATFORMS = {
+    # 60 m up with a 50 m range: no user is ever in range, so no chunk has a start link
+    "no candidates": [Uav(x, 45.0, 60.0, 50.0) for x in (-150.0, 10.0)],
+    "no platforms": [],
+    "still and moving": [Uav(-150.0, 45.0, 60.0), Uav(-60.0, -40.0, 90.0, 140.0),
+                         Uav(10.0, 80.0, 40.0)],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_EDGE_PLATFORMS))
+def test_empty_and_mixed_chunks_equal_per_city_reference(urban, case):
+    # the flat gathers' empty paths (a chunk without start links or walks,
+    # no platforms at all) and, across the chunk boundary, still and moving
+    # walks judged in one call; every warning is an error
+    users = [UserMotion(x, 0.0, v, 10.0) for x, v in ((-120.0, 0.0), (-20.0, 12.0), (60.0, 0.0))]
+    uavs = _EDGE_PLATFORMS[case]
+    trials = _CHUNK + 1
+    cmp = compare_policies(urban, users, uavs, trials, 3)
+    ref = _per_city_reference(urban, users, uavs, trials, 3, cmp.assignment)
+    assert cmp.proposed.values.tolist() == [a for a, _ in ref]
+    assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+    # every user with every platform, each walk clipped to its coverage time
+    motions = [replace(m, duration=coverage_time(m, u)) for m in users for u in uavs]
+    platforms = uavs * len(users)
+    law = _law(urban)
+    for chunk in _chunks(trials):
+        seeds = [np.random.SeedSequence([3, i]) for i in chunk]
+        cities = _join_cities([_draw_anchored(np.random.default_rng(q), law, 0.0, urban.mu_s)
+                               for q in seeds], [1] * len(chunk), 0.0, law)
+        grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
+        assert _walk_clear(cities, Pairs.of(motions, platforms)).tolist() == [
+            [los_time(grid, m, u) for m, u in zip(motions, platforms)] for grid in grids]
 
 
 def test_compare_policies_prefix_stable_across_chunk_boundary(urban):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_cities, make_single_block_grid
+from conftest import grid_cities, make_single_block_grid, point_links
 from uavlos import env, oracle
 from uavlos.env import (
     DegenerateGeometryError,
@@ -26,8 +26,7 @@ from uavlos.env import (
 from uavlos.oracle import (
     _CHUNK,
     _blocking,
-    _box_blocks,
-    _box_runs,
+    _link_blocks,
     _point_clear,
     _walk_clear,
     TrialStats,
@@ -77,7 +76,7 @@ def test_subnormal_run_along_x_is_judged_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert is_los(grid, (0.0, 0.0), u) is False
-        assert _point_clear(cities, (0.0, 0.0), [u, UAV]).tolist() == [
+        assert _point_clear(cities, *point_links((0.0, 0.0), [u, UAV])).tolist() == [
             [False, is_los(grid, (0.0, 0.0), UAV)]]
 
 
@@ -268,19 +267,21 @@ def _edge_cities(draw):
 def test_verdicts_do_not_depend_on_the_prefilter(case):
     # every referee judges a link on all blocks of the city exactly as on the
     # blocks its box query returns, for links on block edges and walks that
-    # start or end under their platform; all the walks judged at once, on
-    # the gather for all their boxes, read the same
+    # start or end under their platform; all the walks judged at once read
+    # the same
     grid, g, uavs, walks = case
     cities = grid_cities(grid)
-    runs = _box_runs(cities, -np.inf, np.inf, -np.inf, np.inf)
-    every = _box_blocks(cities, *runs)
+    _, *every = _link_blocks(cities, *np.array([[-np.inf], [np.inf]] * 2))
     motions = [UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
                for u, (v, T, ends) in zip(uavs, walks)]
     row = [[los_time(grid, m, u) for m, u in zip(motions, uavs)]]
     assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_box_runs", lambda cities, *box: runs)
-        assert _point_clear(cities, g, uavs).tolist() == [[is_los(grid, g, u) for u in uavs]]
+        # every link's box is the whole plane
+        mp.setattr(oracle, "_link_blocks", lambda cities, *box: _link_blocks(
+            cities, *(np.full_like(b, bound) for b, bound in zip(box, [-np.inf, np.inf] * 2))))
+        assert _point_clear(cities, *point_links(g, uavs)).tolist() == [
+            [is_los(grid, g, u) for u in uavs]]
         assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
         for u, m in zip(uavs, motions):
             v, T = m.speed, m.duration
@@ -565,6 +566,70 @@ def test_chunk_cities_match_the_per_draw_reference(preset, side, seed, at, conta
         assert got.dtype == value.dtype and np.array_equal(got, value), name
 
 
+@st.composite
+def _hand_grid(draw):
+    """A small hand-built city with integer edges, possibly with no columns
+    or no rows (an axis of fewer than two points)."""
+    axes = []
+    for _ in range(2):
+        points = sorted(draw(st.lists(st.integers(-20, 20), max_size=4, unique=True)))
+        splits = [draw(st.integers(lo, hi)) for lo, hi in zip(points, points[1:])]
+        axes.append((np.array(points, dtype=float), np.array(splits, dtype=float)))
+    (xp, xs), (yp, ys) = axes
+    shape = (len(xs), len(ys))
+    heights = draw(st.lists(st.sampled_from([0.0, 10.0, 1000.0]), min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    return UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, xp, yp, xs, ys,
+                     np.array(heights).reshape(shape))
+
+
+@st.composite
+def _box_cases(draw):
+    """(cities, grids, boxes): a drawn chunk of a preset (on a 30 m region
+    some cities have no columns) or a few hand cities, as flat arrays and as
+    grids, and boxes with bounds on block edges (zero-width bands included),
+    outside the region, unbounded or anywhere, of zero width or inverted."""
+    if draw(st.booleans()):
+        side = draw(st.sampled_from([30.0, 400.0]))
+        params = GridParams(*draw(st.sampled_from(PRESET_WIDTHS)), 8.0, (side, side))
+        seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4))
+        cities = _draw_cities(params, seed, range(n), 0.0, None)
+        grids = [g for g, _ in _reference_cities(params, seed, range(n), 0.0, None)]
+    else:
+        grids = draw(st.lists(_hand_grid(), min_size=1, max_size=3))
+        cities = grid_cities(*grids)
+    far = [-math.inf, -1e4, 1e4, math.inf]
+    x_edges = sorted({x for g in grids for x in (*g.x_points.tolist(), *g.x_splits.tolist())})
+    y_edges = sorted({y for g in grids for y in (*g.y_points.tolist(), *g.y_splits.tolist())})
+
+    def interval(edges):
+        bound = st.one_of(st.sampled_from(edges + far), st.floats(-250.0, 250.0))
+        on_edge = st.sampled_from(edges or far).map(lambda e: (e, e))
+        return st.one_of(st.tuples(bound, bound).map(sorted), on_edge, st.tuples(bound, bound))
+
+    boxes = draw(st.lists(st.tuples(interval(x_edges), interval(y_edges)), max_size=5))
+    return cities, grids, [(*x, *y) for x, y in boxes]
+
+
+@settings(max_examples=150)
+@given(_box_cases())
+def test_link_blocks_are_each_links_box_query(case):
+    # each (city, link) gathers the blocks ``blocks_overlapping`` returns on
+    # that city for the link's box, in the same order, city by city and link
+    # by link; no links gather nothing
+    cities, grids, boxes = case
+    bounds = np.array(boxes, dtype=float).reshape(-1, 4).T
+    link, *blocks = _link_blocks(cities, *bounds)
+    assert np.all(np.diff(link) >= 0)
+    assert link.dtype.kind == "i" and all(len(b) == len(link) for b in blocks)
+    for c, grid in enumerate(grids):
+        for k, box in enumerate(boxes):
+            mine = link == c * len(boxes) + k
+            assert [b[mine].tolist() for b in blocks] == [
+                b.tolist() for b in grid.blocks_overlapping(*box)]
+    assert np.all(link < len(grids) * len(boxes))
+
+
 def test_trial_grid_matches_full_draw_rejection(urban):
     # the chunk's flat arrays hold the reference cities bit for bit; with a
     # building fraction of 0.1 and a two-word seed, trials need up to 51
@@ -746,8 +811,8 @@ _STREET_WALK = st.tuples(
        y0=st.floats(-150.0, 150.0), n=st.integers(1, 4), walks=st.lists(_STREET_WALK, max_size=6))
 def test_walk_clear_judges_every_walk_as_los_time(preset, seed, y0, n, walks):
     # many walks in one call, still, moving and empty ones mixed, each walk
-    # on each city equal to ``los_time`` there; a budget of one element per
-    # gather, one walk per group, gives the same array
+    # on each city equal to ``los_time`` there; each walk judged alone gives
+    # the same column
     params = GridParams(*preset, 8.0)
     motions, uavs = [], []
     for off, x0, start, v, T, (ux, dy, north, h, reach) in walks:
@@ -762,9 +827,8 @@ def test_walk_clear_judges_every_walk_as_los_time(preset, seed, y0, n, walks):
     clear = _walk_clear(cities, Pairs.of(motions, uavs))
     assert clear.shape == (n, len(motions))
     assert clear.tolist() == [[los_time(g, m, u) for m, u in zip(motions, uavs)] for g in grids]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_BROADCAST", 1)
-        assert np.array_equal(_walk_clear(cities, Pairs.of(motions, uavs)), clear)
+    for k, (m, u) in enumerate(zip(motions, uavs)):
+        assert np.array_equal(_walk_clear(cities, Pairs.of([m], [u])), clear[:, [k]])
 
 
 def test_walk_clear_refuses_a_walk_line_in_a_building_band():
