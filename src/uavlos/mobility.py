@@ -13,18 +13,22 @@ The epoch expectation weights per-crossing-count plans by a truncated
 Poisson law over the number of streets the user passes.  Evaluation is
 batched over (user-platform pair x crossing count) rows: ``EpochGeometry``
 is the ``env.Pairs`` record of the rows with the city's street width and
-height law, the representative layouts of a block of rows (as many as hold
-about CELL_BLOCK padded corners, which bounds the memory of long epochs)
-are built together as one padded (row x corner) array
-(``env.segment_table``), every segment of every row lands in one flat
-``SegmentTable``, face and wall segments are integrated as arrays that read
-their row's parameters through ``SegmentTable.row``, every contact of the
-table is priced in one ``void_rate`` call, and ``np.bincount`` sums them
-per row.  The pass returns arrays (expected times, per-count values,
-Poisson laws); a pair settled without pricing (an empty epoch, or a
-platform over the user's own street) is one count of weight 1.  One pair
-(``expected_los_total``, the only builder of ``ExpectedLosResult``) is a
-pass over its own rows; ``assoc`` prices a whole score matrix in one pass.
+height law.  The pairs are cut into the fewest blocks of whole pairs whose
+padded layouts hold about CELL_BLOCK corners, near-equal in rows
+(``_blocks``); a pair with more rows than a block holds is priced alone,
+in equal parts.  The representative layouts of a block are built together
+as one padded (row x corner) array (``env.segment_table``), every segment
+of every row lands in one flat ``SegmentTable``, face and wall segments are
+integrated as arrays that read their row's parameters through
+``SegmentTable.row``, every contact of the table is priced in one
+``void_rate`` call, and ``np.bincount`` sums them per row and then weights
+the block's pairs before the next block is built, so no array but the
+returned per-count values spans every row.  The pass returns arrays
+(expected times, per-count values, Poisson laws); a pair settled without
+pricing (an empty epoch, or a platform over the user's own street) is one
+count of weight 1.  One pair (``expected_los_total``, the only builder of
+``ExpectedLosResult``) is one block; ``assoc`` prices a whole score matrix
+in one block when its layouts fit the budget.
 ``SegmentTable`` is the only plan type: a single plan, canonical
 (``canonical_plan``) or realized (``env.corner_events``), is a table of one
 row and goes through the same evaluator.  The Poisson weights start from
@@ -33,6 +37,7 @@ the mode, so no factor of exp(-lam v T) can underflow.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,9 +64,12 @@ from .env import (
 )
 
 SERIES_SWITCH = 1e-8  # |rate * v * t| below this takes the series form
-# (pair x crossing count) rows whose layouts are built and priced together:
-# as many as keep a block's padded layout to about CELL_BLOCK corners
-CELL_BLOCK = 2**11
+# padded layout corners a block of whole pairs may hold, at (lam v T + 4) per
+# row for the largest lam v T.  At 2**11..2**14 a 1000 x 200 urban score
+# matrix took 2.60, 1.88, 1.55 and 1.36 s and closed_form's peak RSS rose 0.0,
+# 0.55, 1.2 and 2.1 MB (BENCH_pr27.json); 2**12 is the least that prices the
+# crowded-street matrix in one block
+CELL_BLOCK = 2**12
 _SIMPSON_NODES = np.array([[0.0], [0.5], [1.0]])  # fractions of a wall segment
 _RESIDUAL_PIECES = 64  # pieces of a wall segment in its dense Simpson reference
 _SETTLED = ([1.0], 0.0)  # the law of a pair settled directly: one count, nothing dropped
@@ -250,10 +258,8 @@ def _truncated_pmf(mu: float, epsilon: float) -> tuple[list[float], float]:
     outwards (until they fall far below epsilon above the mode) and are
     normalized by their sum, so no factor exp(-mu) can underflow however
     large mu is.  Tail masses are summed from the far end, free of the
-    cancellation in 1 - (mass up to N).
+    cancellation in 1 - (mass up to N).  The callers check 0 < epsilon < 1.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError("epsilon must be in (0, 1)")
     if not 0.0 <= mu <= MAX_EVENT_RATE:  # NaN fails here too
         raise ValueError(f"event rate must be finite and nonnegative, at most "
                          f"{MAX_EVENT_RATE:.0f}, got {mu!r}")
@@ -285,6 +291,8 @@ def poisson_truncation_count(lam: float, v: float, T: float, epsilon: float) -> 
 
     Raises ValueError unless 0 < epsilon < 1 and 0 <= lam v T <= MAX_EVENT_RATE.
     """
+    if not 0.0 < epsilon < 1.0:  # NaN fails here too
+        raise ValueError("epsilon must be in (0, 1)")
     return len(_truncated_pmf(lam * v * T, epsilon)[0]) - 1
 
 
@@ -379,38 +387,76 @@ def _expected_los(params, geom: EpochGeometry, epsilon: float) -> tuple:
 
     An empty epoch or a platform over the user's own street is settled
     directly: one count of weight 1, worth its whole epoch.  The other pairs
-    expand into one row per crossing count, priced a block at a time on
-    their canonical layouts; the weights are computed once per distinct lam v T.
-    Raises ValueError when a pair to price has lam v T above MAX_MEAN_CROSSINGS.
+    expand into one row per crossing count, priced on their canonical
+    layouts in blocks of whole pairs (``_blocks``, where a settled pair's
+    one row counts too); each block is weighted before the next, and the
+    weights are computed once per distinct lam v T.
+    Raises ValueError unless 0 < epsilon < 1, and when a pair to price has
+    lam v T above MAX_MEAN_CROSSINGS.
     """
+    if not 0.0 < epsilon < 1.0:  # NaN fails here too
+        raise ValueError("epsilon must be in (0, 1)")
     T = np.asarray(geom.duration, dtype=float).reshape(-1)
     mu = geom.lam * geom.speed * T
     settled = (T == 0.0) | (geom.dy <= geom.street_width)
-    rates = set(mu[~settled].tolist())
-    if max(rates, default=0.0) > MAX_MEAN_CROSSINGS:
-        raise ValueError(f"an epoch expects {max(rates):g} street crossings (lam v T), "
+    priced = ~settled
+    rates = set(mu[priced].tolist())
+    top = max(rates, default=0.0)
+    if top > MAX_MEAN_CROSSINGS:
+        raise ValueError(f"an epoch expects {top:g} street crossings (lam v T), "
                          f"more than the {MAX_MEAN_CROSSINGS:g} priced")
     pmfs = {m: _truncated_pmf(m, epsilon) for m in rates}
     laws = [_SETTLED if s else pmfs[m] for m, s in zip(mu.tolist(), settled.tolist())]
-    sizes = np.array([len(w) for w, _ in laws], dtype=int)
-    starts = sizes.cumsum() - sizes
-    pair = np.arange(len(T)).repeat(sizes)
-    per_count = T[pair]  # a settled pair's one count: its whole epoch
-    live = (~settled)[pair].nonzero()[0]
-    # a layout spans about lam v T (the keys of pmfs) mean periods of its walk, plus margins
-    step = max(1, int(CELL_BLOCK // (max(pmfs, default=0.0) + 4.0)))
-    for lo in range(0, len(live), step):
-        rows = live[lo:lo + step]
-        g = EpochGeometry(*geom.take(pair[rows]), geom.street_width, geom.lam, geom.model)
-        c = rows - starts[pair[rows]]
-        table = _canonical_table(params.mu_b, params.mu_s, g, geom.street_width, c)
-        per_count[rows] = np.bincount(table.row, weights=_segment_integrals(table, g),
-                                      minlength=len(c))
-    weights = np.fromiter(itertools.chain.from_iterable(w for w, _ in laws), float, len(pair))
-    # bincount adds each pair's terms in count order, from 0, as ``sum`` does
-    expected = (np.bincount(pair, weights=weights * per_count, minlength=len(T))
-                / np.bincount(pair, weights=weights, minlength=len(T)))
+    sizes = [len(w) for w, _ in laws]
+    ends = list(itertools.accumulate(sizes, initial=0))  # pair k's counts: ends[k]:ends[k + 1]
+    starts = np.array(ends[:-1], dtype=int)
+    per_count = np.empty(ends[-1])
+    expected = np.empty(len(T))
+    # a layout spans about lam v T mean periods of its walk, plus margins
+    cap = max(1, int(CELL_BLOCK // (top + 4.0)))
+    for lo, hi, step in _blocks(ends, max(sizes, default=0), cap):
+        pair = np.arange(lo, hi).repeat(sizes[lo:hi])
+        values = T[pair]  # a settled pair's one count: its whole epoch
+        live = priced[pair].nonzero()[0]
+        for k in range(0, len(live), step):
+            rows = live[k:k + step]
+            p = pair[rows]
+            g = EpochGeometry(*geom.take(p), geom.street_width, geom.lam, geom.model)
+            table = _canonical_table(params.mu_b, params.mu_s, g, geom.street_width,
+                                     rows - (starts[p] - ends[lo]))
+            values[rows] = np.bincount(table.row, weights=_segment_integrals(table, g),
+                                       minlength=len(rows))
+        weights = np.fromiter(itertools.chain.from_iterable(w for w, _ in laws[lo:hi]), float,
+                              len(pair))
+        # bincount adds each pair's terms in count order, from 0, as ``sum`` does
+        pair -= lo
+        expected[lo:hi] = (np.bincount(pair, weights=weights * values, minlength=hi - lo)
+                           / np.bincount(pair, weights=weights, minlength=hi - lo))
+        per_count[ends[lo]:ends[hi]] = values
     return expected, per_count, laws
+
+
+def _blocks(ends: list[int], largest: int, cap: int) -> list[tuple[int, int, int]]:
+    """(first pair, pair past the last, rows per part) of the fewest blocks
+    of consecutive pairs with at most ``cap`` rows, near-equal in rows; pair
+    k has rows ends[k]:ends[k + 1], at most ``largest``.  A pair with more
+    rows than ``cap`` is a block of its own, priced in equal parts.
+
+    For R rows, n = ceil(R / cap): a greedy cut at ceil(R / n) + largest - 1
+    rows leaves every block but the last at least ceil(R / n) rows, so at most n
+    blocks; where that cut passes ``cap``, greedy at ``cap`` is the fewest.
+    """
+    n = -(-ends[-1] // cap)
+    if n <= 1:
+        return [(0, len(ends) - 1, cap)]
+    cut = min(cap, -(-ends[-1] // n) + min(largest, cap) - 1)
+    out, lo = [], 0
+    while lo < len(ends) - 1:
+        hi = max(lo + 1, bisect.bisect_right(ends, ends[lo] + cut) - 1)
+        rows = ends[hi] - ends[lo]
+        out.append((lo, hi, -(-rows // -(-rows // cap))))
+        lo = hi
+    return out
 
 
 def expected_los_total(

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import grid_cities, make_single_block_grid, point_links
 from uavlos.analytic import CdfHeights, RayleighHeights
-from uavlos import oracle
+from uavlos import mobility, oracle
 from uavlos.assoc import (
     Assignment,
     _realized,
@@ -284,11 +285,12 @@ def test_batched_pass_equals_single_pairs(preset, walks, sites, own, cdf):
 
 def test_score_matrix_with_a_long_epoch_across_blocks(urban):
     # 7.5 min at 30 m/s: one pair alone has more crossing counts than a block
-    # holds, and its rows start at a block offset inside the matrix
+    # holds, so it is a block of its own, priced in parts after the short pairs
     users = [UserMotion(-100.0, 0.0, 5.0, 10.0), UserMotion(0.0, 0.0, 30.0, 450.0)]
     uavs = [Uav(120.0, 90.0, 100.0), Uav(-60.0, 60.0, 80.0, link_range=2e4)]
     mu = urban.lam * 30.0 * 450.0  # lam v T, the longest epoch of the matrix
-    assert poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1 > CELL_BLOCK // (mu + 4.0)
+    rows = poisson_truncation_count(urban.lam, 30.0, 450.0, 1e-3) + 1
+    assert rows > max(1, int(CELL_BLOCK // (mu + 4.0)))  # the rows a block holds
     scores = _score_pairs(_walks(users, uavs), urban, 1e-3)
     assert scores == [[pair_score(urban, m, u) for u in uavs] for m in users]
     clipped = replace(users[1], duration=coverage_time(users[1], uavs[1]))
@@ -296,6 +298,85 @@ def test_score_matrix_with_a_long_epoch_across_blocks(urban):
     assert scores[1][1] == r.expected_time
     # hundreds of counts, weighted in count order as Python's ``sum`` adds
     assert r.expected_time == sum(w * e for w, e in zip(r.weights, r.per_count)) / sum(r.weights)
+
+
+@contextmanager
+def _cell_block(cells):
+    """mobility.CELL_BLOCK set to ``cells`` inside the block."""
+    saved = mobility.CELL_BLOCK
+    mobility.CELL_BLOCK = cells
+    try:
+        yield
+    finally:
+        mobility.CELL_BLOCK = saved
+
+
+@settings(max_examples=40)
+@given(preset=st.sampled_from(_PRESETS), walks=st.lists(_WALK, min_size=1, max_size=3),
+       sites=st.lists(_SITE, max_size=2), own=_OWN, cdf=st.booleans(),
+       long=st.one_of(st.none(), st.floats(90.0, 150.0)))
+@example(preset=(45.0, 13.0), walks=[(-100.0, 0.0, 15.0, 10.0)],
+         sites=[(-60.0, 60.0, True, 80.0, math.inf)], own=(0.0, 0.5, 60.0, 100.0), cdf=False,
+         long=120.0)
+def test_expected_los_does_not_depend_on_the_block_budget(preset, walks, sites, own, cdf, long):
+    # one row per block, a few rows per block (a pair of several counts is
+    # priced alone, in parts of several rows, at 2**6 for short walks and at
+    # 2**9 for a long one), the default budget and one block for everything
+    # give the same arrays and laws, bit for bit; a long 30 m/s walk has more
+    # rows than a default block
+    params = GridParams(*preset, 8.0)
+    users, uavs = _walks_and_platforms(params, walks, sites, own)
+    uavs.append(Uav(120.0, 90.0, 100.0))  # priced for every moving walk on the first street
+    if long is not None and not cdf:
+        users.append(UserMotion(-100.0, 0.0, 30.0, long))
+    geom = EpochGeometry.of([m for m in users for _ in uavs], uavs * len(users), params.mu_s,
+                            params.lam, _CDF if cdf else RayleighHeights(params.sigma))
+    out = []
+    for cells in (1, 2**6, 2**9, mobility.CELL_BLOCK, 2**30):
+        with _cell_block(cells):
+            expected, per_count, laws = _expected_los(params, geom, 1e-3)
+        out.append((expected.tolist(), per_count.tolist(), laws))
+    for o in out[1:]:
+        assert o == out[0]
+
+
+def test_crowded_street_matrix_is_one_table(monkeypatch):
+    # the 5 x 10 matrix of the association sweep's crowded street at 10 m/s
+    # fits one block: one canonical table, one pricing pass
+    from uavlos.cli import ExperimentConfig, _points
+
+    calls = []  # rows handed to each canonical table
+    real = mobility._canonical_table
+
+    def counted(*args):
+        calls.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(mobility, "_canonical_table", counted)
+    cfg = ExperimentConfig.from_dict(
+        {"sweep": "association", "preset": "urban", "values": [10.0], "trials": 1,
+         "user_xs": [-180.0 + 50.0 * i for i in range(5)]})
+    ((_, _, params, users, uavs),) = _points(cfg)
+    assert (len(users), len(uavs)) == (5, 10)
+    assert [(u.x - m.x0, u.y, u.height) for m, pair in zip(users, zip(uavs[::2], uavs[1::2]))
+            for u in pair] == [(-25.0, 90.0, 100.0), (60.0, 90.0, 100.0)] * 5
+    _score_pairs(_walks(users, uavs), params, 1e-3)
+    assert calls == [400]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -1.0, 5.0, math.nan])
+@pytest.mark.parametrize("motion, u", [
+    (UserMotion(0.0, 0.0, 10.0, 0.0), Uav(120.0, 90.0, 100.0)),
+    (UserMotion(0.0, 0.0, 10.0, 10.0), Uav(30.0, 8.0, 60.0)),
+], ids=["empty-epoch", "over-the-street"])
+def test_settled_pairs_refuse_a_bad_epsilon(urban, motion, u, eps):
+    # a pair settled without pricing checks epsilon as a priced pair does
+    calls = [lambda: expected_los_total(urban, motion, u, epsilon=eps),
+             lambda: pair_score(urban, motion, u, eps),
+             lambda: compare_policies(urban, [motion], [u], 2, 0, eps)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            call()
 
 
 def _per_city_reference(params, users, uavs, trials, seed, fixed):
