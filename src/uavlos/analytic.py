@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 from scipy.special import erf
 
-from .env import Uav
+from .env import Uav, _check_finite
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -218,8 +218,9 @@ def p_los_static(
     link meets the building front line across the street at fraction
     ``street_width / dy``.  A platform over the user's own street
     (dy <= street_width) leaves no contact at all: probability 1.
-    Raises ValueError unless street_width > 0.
+    Raises ValueError unless g is finite and street_width > 0.
     """
+    _check_finite(*g)
     if not street_width > 0:
         raise ValueError("street width must be positive")
     dy = u.y - g[1]

@@ -13,7 +13,7 @@ so their difference is a paired statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .oracle import (
     _point_clear,
     _walk_clear,
     coverage_time,
-    is_los,
-    los_time,
 )
 
 
@@ -133,18 +131,20 @@ def _candidates(users: list[UserMotion], uavs: list[Uav]) -> list[list[int]]:
     return out
 
 
-def _nearest(candidates: list[list[int]], clear: np.ndarray) -> np.ndarray:
-    """The nearest-in-sight platform of each (trial, user), -1 for none.
-
-    ``clear[t, j, k]`` says whether user j sees platform k at the start of
-    the walk in trial t; it is read only for the user's candidates.  Users
-    go in id order and each takes, per trial, its first candidate that is
-    clear and not yet taken in that trial.
-    """
-    trials, n_users, n_uavs = clear.shape
-    pairs = np.full((trials, n_users), -1)
-    taken = np.zeros((trials, n_uavs), dtype=bool)
-    rows = np.arange(trials)
+def _nearest(cities: _Cities, walks: Pairs, candidates: list[list[int]]) -> np.ndarray:
+    """The nearest-in-sight platform of each (city, user) of ``_walks``, -1
+    for none.  Every start link to a user's ``_candidates`` is judged on every
+    city in one ``_point_clear`` call; users go in id order and each takes,
+    per city, its first candidate that is clear and not yet taken there."""
+    n, (n_users, n_uavs) = len(cities.nx), walks.x0.shape
+    user, uav = np.array([(j, k) for j, cand in enumerate(candidates) for k in cand],
+                         dtype=int).reshape(-1, 2).T
+    x0, y0, _, _, ux, uy, h = walks.take((user, uav))
+    clear = np.zeros((n, n_users, n_uavs), dtype=bool)
+    clear[:, user, uav] = _point_clear(cities, x0, y0, ux, uy, h)
+    pairs = np.full((n, n_users), -1)
+    taken = np.zeros((n, n_uavs), dtype=bool)
+    rows = np.arange(n)
     for j, cand in enumerate(candidates):
         if not cand:
             continue
@@ -164,14 +164,11 @@ def assign_nearest_los(
 
     Each user takes the nearest free platform by 3D distance among those
     within range and clear on the realized city at the start of the walk;
-    distance ties take the lower platform id.
+    distance ties take the lower platform id.  This is ``_nearest`` on the
+    grid's one city.
     """
-    candidates = _candidates(users, uavs)
-    clear = np.zeros((1, len(users), len(uavs)), dtype=bool)
-    for j, m in enumerate(users):
-        for k in candidates[j]:
-            clear[0, j, k] = is_los(grid, (m.x0, m.y0), uavs[k])
-    return Assignment([None if k < 0 else int(k) for k in _nearest(candidates, clear)[0]])
+    pairs = _nearest(grid.cities, _walks(users, uavs), _candidates(users, uavs))[0]
+    return Assignment([None if k < 0 else k for k in pairs.tolist()])
 
 
 def realized_value(
@@ -183,16 +180,16 @@ def realized_value(
     """Total realized clear seconds of an assignment on one city.
 
     Each served user contributes the clear time of its walk, truncated to the
-    stretch the platform stays in range.
+    stretch the platform stays in range.  This is ``_realized`` on the grid's
+    one city.  Raises ValueError unless the assignment holds one entry per
+    user, each None or a platform index.
     """
-    total = 0.0
-    for j, k in assignment.assigned():
-        u = uavs[k]
-        horizon = coverage_time(users[j], u)
-        if horizon <= 0.0:
-            continue
-        total += los_time(grid, replace(users[j], duration=horizon), u)
-    return total
+    if (len(assignment.pairs) != len(users)
+            or not {*assignment.pairs} <= {None, *range(len(uavs))}):
+        raise ValueError(f"assignment {assignment.pairs} does not fit "
+                         f"{len(users)} users and {len(uavs)} platforms")
+    pairs = np.array([-1 if k is None else k for k in assignment.pairs], dtype=int)
+    return float(_realized(grid.cities, _walks(users, uavs), pairs[None])[0])
 
 
 def _shared_street(users: list[UserMotion]) -> float:
@@ -245,8 +242,8 @@ def _realized(cities: _Cities, walks: Pairs, pairs: np.ndarray) -> np.ndarray:
                             np.zeros((len(cities.nx), 1))], axis=1)
     column = np.where(code >= 0, np.searchsorted(rows, code), -1)
     values = clear[np.arange(len(clear))[:, None], column]
-    # left to right over the users, as ``realized_value`` adds its pairs
-    return np.cumsum(values, axis=-1)[..., -1]
+    # left to right over the users from 0.0, as a running total adds them
+    return sum(np.moveaxis(values, -1, 0), np.zeros(values.shape[:-1]))
 
 
 def compare_policies(
@@ -266,8 +263,8 @@ def compare_policies(
     does, from the same stream, which one ``_seed_state`` hash seeds for the
     whole chunk; both values are ``realized_value`` of the two assignments
     on that city, bit for bit, computed for a chunk of cities at once: every
-    user's start links in one ``_point_clear`` call, then every walk either
-    policy assigns in the chunk in one ``_walk_clear`` call.
+    user's start links in one ``_point_clear`` call (``_nearest``), then
+    every walk either policy assigns in the chunk in one ``_walk_clear`` call.
     """
     _check_trials(trials)
     y0 = _shared_street(users)
@@ -275,20 +272,14 @@ def compare_policies(
     scores = _score_pairs(walks, params, epsilon)
     fixed = _greedy(scores)
     candidates = _candidates(users, uavs)
-    fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs])
-    # every (user, candidate) start link, users in id order
-    user, uav = np.array([(j, k) for j, cand in enumerate(candidates) for k in cand],
-                         dtype=int).reshape(-1, 2).T
-    starts = [f[user, uav] for f in (walks.x0, walks.y0, walks.ux, walks.uy, walks.height)]
+    fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs], dtype=int)
     values = [np.empty((2, 0))]
     law = _law(params)
     for chunk in _chunks(trials):
         state = _seed_state(seed, np.arange(chunk.start, chunk.stop))
         cities = _join_cities([_draw_anchored(_generator(w), law, y0, params.mu_s)
                                for w in state], [1] * len(chunk), y0, law)
-        clear = np.zeros((len(chunk), len(users), len(uavs)), dtype=bool)
-        clear[:, user, uav] = _point_clear(cities, *starts)
-        bench = _nearest(candidates, clear)
+        bench = _nearest(cities, walks, candidates)
         values.append(_realized(cities, walks,
                                 np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))
     va, vb = np.concatenate(values, axis=1)

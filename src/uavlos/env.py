@@ -231,6 +231,7 @@ class UrbanGrid:
     band inside the cell [x_points[k], x_points[k+1]); same for Y.  Block
     (k, j) is the rectangle x in [x_splits[k], x_points[k+1]) crossed with
     y in [y_splits[j], y_points[j+1]) and has height block_heights[k, j].
+    ``cities`` holds the grid as a chunk of one city, derived from the rest.
     """
 
     params: GridParams
@@ -240,13 +241,18 @@ class UrbanGrid:
     x_splits: np.ndarray
     y_splits: np.ndarray
     block_heights: np.ndarray
+    cities: _Cities = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for pts, spl in ((self.x_points, self.x_splits), (self.y_points, self.y_splits)):
             _check_cells(pts[:-1], pts[1:], spl)
-        _check_shapes([self.block_heights.shape], [max(len(self.x_points) - 1, 0)],
-                      [max(len(self.y_points) - 1, 0)])
+        nx, ny = max(len(self.x_points) - 1, 0), max(len(self.y_points) - 1, 0)
+        _check_shapes([self.block_heights.shape], [nx], [ny])
         _check_heights(self.block_heights)
+        # the grid as a chunk of one city, as the chunk passes judge cities
+        self.cities = _Cities(self.x_points, self.y_points, *self.building_columns(),
+                              *self.building_rows(), self.block_heights.ravel(),
+                              np.array([nx]), np.array([ny]), np.ones(1, dtype=int))
 
     # -- band queries ---------------------------------------------------------
 
@@ -283,25 +289,13 @@ class UrbanGrid:
     def blocks_overlapping(
         self, x_lo: float, x_hi: float, y_lo: float, y_hi: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Blocks whose footprints share more than an edge with the axis-aligned box.
+        """Blocks whose footprints share more than an edge with the axis-aligned
+        box: ``_link_blocks`` on the grid's one city for one link's box.
 
         Returns (west, east, south, north, height) arrays, one entry per block.
-        A prefilter only: a block left out at most touches the box, and the
-        slab test finds that a touch blocks no link in the box.
         """
-        cw, ce = self.building_columns()
-        rs, rn = self.building_rows()
-        # edges ascend, so the bands meeting an open interval form one run
-        i0, i1 = ce.searchsorted(x_lo, "right"), cw.searchsorted(x_hi)
-        j0, j1 = rn.searchsorted(y_lo, "right"), rs.searchsorted(y_hi)
-        n, m = i1 - i0, j1 - j0
-        if n <= 0 or m <= 0:
-            e = np.empty(0)
-            return e, e, e, e, e
-        return (cw[i0:i1].repeat(m), ce[i0:i1].repeat(m),
-                rs[None, j0:j1].repeat(n, axis=0).ravel(),
-                rn[None, j0:j1].repeat(n, axis=0).ravel(),
-                self.block_heights[i0:i1, j0:j1].ravel())
+        box = np.array([[x_lo], [x_hi], [y_lo], [y_hi]], dtype=float)
+        return _link_blocks(self.cities, *box)[1:]
 
     # -- serialization --------------------------------------------------------
 
@@ -600,6 +594,46 @@ class _Cities:
         self.first_col = np.cumsum(self.nx) - self.nx
         self.first_row = np.cumsum(self.ny) - self.ny
         self.first_cell = np.cumsum(self.nx * self.ny) - self.nx * self.ny
+
+
+def _runs(low_edges, high_edges, first, size, lo, hi):
+    """Per (city, link), the flat index of the first of the city's bands
+    meeting the open interval (lo[k], hi[k]) on an axis, and how many do.
+
+    Edges ascend within a city, so those bands form one run, from the first
+    band whose high edge passes lo to the last whose low edge is below hi;
+    each end is a count of edge tests, read off their cumulative counts
+    along each city's bands.
+    """
+    counts = np.zeros((2, len(lo), len(low_edges) + 1), dtype=np.int64)
+    np.cumsum([high_edges <= lo[:, None], low_edges < hi[:, None]], axis=-1, out=counts[..., 1:])
+    past, below = (counts[..., first + size] - counts[..., first]).transpose(0, 2, 1)
+    return first[:, None] + past, np.maximum(below - past, 0)
+
+
+def _link_blocks(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
+    """(link, west, east, south, north, height) of every block meeting each
+    link's own box, for L boxes given as 1-D arrays of bounds: city by city,
+    link k of city c numbered c * L + k, each link's blocks column by column
+    and row by row within a column.  The one box query of the package.
+
+    A block meets a box when their footprints share more than an edge.  It
+    is a prefilter only: a block left out at most touches the box, and the
+    slab test finds that a touch blocks no link in the box.
+    """
+    col, cols = _runs(cities.west, cities.east, cities.first_col, cities.nx, x_lo, x_hi)
+    row, rows = _runs(cities.south, cities.north, cities.first_row, cities.ny, y_lo, y_hi)
+    count = (cols * rows).ravel()
+    link = np.repeat(np.arange(len(count)), count)
+    slot = np.arange(len(link)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = np.divmod(slot, rows.ravel()[link])
+    col, row = col.ravel()[link] + i, row.ravel()[link] + j
+    # each city's heights are its (column, row) matrix, row-major
+    city = link // len(x_lo)
+    cell = ((cities.first_cell - cities.first_col * cities.ny - cities.first_row)[city]
+            + col * cities.ny[city] + row)
+    return (link, cities.west[col], cities.east[col], cities.south[row], cities.north[row],
+            cities.heights[cell])
 
 
 # attempts hashed per trial in a chunk's first round, and at most in any round

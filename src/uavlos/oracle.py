@@ -10,12 +10,13 @@ blocks on exactly one interval, bounded by the instants the window's two ends
 cross the block's west and east edges.  All blocks are solved at once as arrays
 and the clear intervals are the complement of their union.  One referee,
 ``_walk_clear``, applies the same algebra to a whole chunk of sampled cities
-and any number of walks at once, each walk judged on the blocks of its own
-box (``_link_blocks``, one flat list for every walk and city): the Monte
-Carlo runner judges its one walk with it, and the policy comparison in
-``assoc`` every walk of a chunk in one call.  Touching a footprint's face or
-corner does not block, while reaching exactly the link height does, so box
-queries are prefilters only: every verdict is the same on any superset of
+and any number of walks at once, and ``_point_clear`` any number of links at
+an instant, each on the blocks of its own box (``env._link_blocks``, the one
+box query): the Monte Carlo runners judge their one walk or link with them,
+``assoc`` every walk and start link of a chunk, and ``is_los`` is
+``_point_clear`` on the grid's one city.  Touching a footprint's face or
+corner does not block, while reaching exactly the link height does, so the
+box query is a prefilter only: every verdict is the same on any superset of
 a link's blocks.
 None of it reuses the closed-form machinery, so it can referee it.
 """
@@ -35,9 +36,11 @@ from .env import (
     UrbanGrid,
     UserInBuildingError,
     UserMotion,
+    _check_finite,
     _Cities,
     _draw_cities,
     _front_cross,
+    _link_blocks,
     _slab_fracs,
 )
 
@@ -58,18 +61,13 @@ def is_los(grid: UrbanGrid, g: tuple[float, float], u: Uav) -> bool:
     A building blocks the link when the ground-projected segment crosses its
     footprint and the building height reaches the link height at the entry
     point; a graze at exactly the link height counts as blocked, while a
-    segment touching only a face or a corner of the footprint does not.  The
-    box query only narrows the blocks tested; it changes no verdict.
+    segment touching only a face or a corner of the footprint does not.  This
+    is ``_point_clear`` on the grid's one city.  Raises ValueError unless g
+    is finite.
     """
-    gx, gy = g
-    if grid.is_inside_building(gx, gy):
-        raise UserInBuildingError(f"ground point ({gx}, {gy}) is inside a building")
-    west, east, south, north, height = grid.blocks_overlapping(
-        min(gx, u.x), max(gx, u.x), min(gy, u.y), max(gy, u.y)
-    )
-    if len(west) == 0:
-        return True
-    return not bool(_blocking(west, east, south, north, height, gx, gy, u.x, u.y, u.height).any())
+    _check_finite(*g)
+    link = np.array([[g[0]], [g[1]], [u.x], [u.y], [u.height]], dtype=float)
+    return bool(_point_clear(grid.cities, *link)[0, 0])
 
 
 def _edge_times(edge: np.ndarray, s: np.ndarray, p: Pairs) -> np.ndarray:
@@ -258,8 +256,10 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
     on, None when the link never leaves that street.
 
     Raises DegenerateGeometryError when the contact lies outside the region's
-    [x_lo, x_hi), where no building band can reach.
+    [x_lo, x_hi), where no building band can reach, and ValueError unless g
+    is finite.
     """
+    _check_finite(*g)
     gx, gy = g
     if u.y - gy <= params.mu_s:
         return None
@@ -282,43 +282,6 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float
     """Per city, whether one of its building bands [lo, hi) on an axis holds c;
     ``city`` gives the city of each band, and there are n cities."""
     return np.bincount(city[(lo <= c) & (c < hi)], minlength=n) > 0
-
-
-def _runs(low_edges, high_edges, first, size, lo, hi):
-    """Per (city, link), the flat index of the first of the city's bands
-    meeting the open interval (lo[k], hi[k]) on an axis, and how many do.
-
-    Edges ascend within a city, so those bands form one run, from the first
-    band whose high edge passes lo to the last whose low edge is below hi;
-    each end is a count of edge tests, read off their cumulative counts
-    along each city's bands.
-    """
-    counts = np.zeros((2, len(lo), len(low_edges) + 1), dtype=np.int64)
-    np.cumsum([high_edges <= lo[:, None], low_edges < hi[:, None]], axis=-1, out=counts[..., 1:])
-    past, below = (counts[..., first + size] - counts[..., first]).transpose(0, 2, 1)
-    return first[:, None] + past, np.maximum(below - past, 0)
-
-
-def _link_blocks(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
-    """(link, west, east, south, north, height) of every block meeting each
-    link's own box, for L boxes given as 1-D arrays of bounds: city by city,
-    link k of city c numbered c * L + k, each link's blocks in the order
-    ``UrbanGrid.blocks_overlapping`` finds them on that city, a prefilter as
-    that query is.
-    """
-    col, cols = _runs(cities.west, cities.east, cities.first_col, cities.nx, x_lo, x_hi)
-    row, rows = _runs(cities.south, cities.north, cities.first_row, cities.ny, y_lo, y_hi)
-    count = (cols * rows).ravel()
-    link = np.repeat(np.arange(len(count)), count)
-    slot = np.arange(len(link)) - np.repeat(np.cumsum(count) - count, count)
-    i, j = np.divmod(slot, rows.ravel()[link])
-    col, row = col.ravel()[link] + i, row.ravel()[link] + j
-    # each city's heights are its (column, row) matrix, row-major
-    city = link // len(x_lo)
-    cell = ((cities.first_cell - cities.first_col * cities.ny - cities.first_row)[city]
-            + col * cities.ny[city] + row)
-    return (link, cities.west[col], cities.east[col], cities.south[row], cities.north[row],
-            cities.heights[cell])
 
 
 def _check_trials(trials: int) -> None:
@@ -449,9 +412,11 @@ def monte_carlo_static_los(
     Same ensemble as the epoch runner: street edge anchored at the ground
     point, width pinned to the mean street width, and draws conditioned on
     the contact building existing unless ``require_contact`` is off.  Each
-    trial's value is ``is_los`` on its city.
+    trial's value is ``is_los`` on its city.  Raises ValueError unless g is
+    finite.
     """
     _check_trials(trials)
+    _check_finite(*g)
     cx = start_contact_x(params, g, u) if require_contact else None
     link = np.array([[g[0]], [g[1]], [u.x], [u.y], [u.height]], dtype=float)
     return _run_chunks(params, seed, trials, g[1], cx,

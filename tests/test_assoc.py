@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_city
 from conftest import grid_cities, make_single_block_grid, point_links
 from uavlos.analytic import CdfHeights, RayleighHeights
 from uavlos import mobility, oracle
@@ -385,9 +386,9 @@ def _per_city_reference(params, users, uavs, trials, seed, fixed):
     for i in range(trials):
         grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), users[0].y0,
                                     params.mu_s)
-        bench = assign_nearest_los(users, uavs, grid)
-        out.append((realized_value(fixed, grid, users, uavs),
-                    realized_value(bench, grid, users, uavs)))
+        bench = per_city.assign_nearest_los(users, uavs, grid)
+        out.append((per_city.realized_value(fixed, grid, users, uavs),
+                    per_city.realized_value(bench, grid, users, uavs)))
     return out
 
 
@@ -440,7 +441,7 @@ def test_one_platform_per_group_equals_per_city_reference(urban):
     for m in users:
         g = (m.x0, m.y0)
         assert _point_clear(cities, *point_links(g, uavs)).tolist() == [
-            [is_los(grid, g, u) for u in uavs] for grid in grids]
+            [per_city.is_los(grid, g, u) for u in uavs] for grid in grids]
     cmp = compare_policies(urban, users, uavs, trials, 3)
     ref = _per_city_reference(urban, users, uavs, trials, 3, cmp.assignment)
     assert cmp.proposed.values.tolist() == [a for a, _ in ref]
@@ -468,13 +469,13 @@ def test_shared_gather_is_masked_to_each_link_box(speed):
     g = (x_end, 0.0)
     assert is_los(grid, g, above) and los_time(grid, walk, above) == walk.duration
     assert _point_clear(cities, *point_links(g, [above, east])).tolist() == [
-        [True, is_los(grid, g, east)]]
+        [True, per_city.is_los(grid, g, east)]]
     assert _walk_clear(cities, Pairs.of([walk, walk], [above, east])).tolist() == [
-        [walk.duration, los_time(grid, walk, east)]]
+        [walk.duration, per_city.los_time(grid, walk, east)]]
     # the user walks to ``above`` in the first row and to ``east`` in the second
     pairs = np.array([[[0]], [[1]]])
     assert _realized(cities, _walks([walk], [above, east]), pairs).tolist() == [
-        [walk.duration], [los_time(grid, walk, east)]]
+        [walk.duration], [per_city.los_time(grid, walk, east)]]
 
 
 _EDGE_PLATFORMS = {
@@ -509,7 +510,7 @@ def test_empty_and_mixed_chunks_equal_per_city_reference(urban, case):
                                for q in seeds], [1] * len(chunk), 0.0, law)
         grids = [sample_grid_anchored(urban, q, 0.0, urban.mu_s) for q in seeds]
         assert _walk_clear(cities, Pairs.of(motions, platforms)).tolist() == [
-            [los_time(grid, m, u) for m, u in zip(motions, platforms)] for grid in grids]
+            [per_city.los_time(grid, m, u) for m, u in zip(motions, platforms)] for grid in grids]
 
 
 def test_compare_policies_prefix_stable_across_chunk_boundary(urban):
@@ -546,6 +547,19 @@ def test_compare_policies_sums_each_trial_left_to_right(urban):
     ref = _per_city_reference(urban, users, uavs, 20, 2, cmp.assignment)
     assert cmp.proposed.values.tolist() == [a for a, _ in ref]
     assert cmp.benchmark.values.tolist() == [b for _, b in ref]
+
+
+def test_one_city_calls_keep_their_empty_and_refused_cases(urban):
+    # no users: no walks to referee and no start links to judge
+    grid = sample_grid_anchored(urban, 0, 0.0, urban.mu_s)
+    uavs = [Uav(x, 45.0, 100.0) for x in (-20.0, 60.0)]
+    assert realized_value(Assignment([]), grid, [], uavs) == 0.0
+    assert assign_nearest_los([], uavs, grid).pairs == []
+    # an assignment that does not give each user None or a platform index
+    users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-40.0, 10.0)]
+    for bad in ([0], [0, None, None], [2, None], [None, -1]):
+        with pytest.raises(ValueError, match="does not fit 2 users and 2 platforms"):
+            realized_value(Assignment(bad), grid, users, uavs)
 
 
 def test_compare_policies_edge_cases(urban):

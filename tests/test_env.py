@@ -1,12 +1,13 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_cities
 from uavlos import env
 from uavlos.env import (
     FACE,
@@ -215,6 +216,40 @@ def test_grid_json_roundtrips_cities_without_cells(nx, ny):
     g = UrbanGrid(GridParams(4.0, 4.0, 8.0), 3, xp, yp, xs, ys, np.ones((nx, ny)))
     h = UrbanGrid.from_json(g.to_json())
     assert h.block_heights.shape == (nx, ny) and h.seed == 3
+
+
+def _cells_grid(nx: int, ny: int) -> UrbanGrid:
+    """nx by ny cells 10 m wide, each split 4 m in; -1 cells is an axis without points."""
+    def axis(n):
+        return np.arange(n + 1) * 10.0, np.arange(max(n, 0)) * 10.0 + 4.0
+
+    (xp, xs), (yp, ys) = axis(nx), axis(ny)
+    shape = (max(nx, 0), max(ny, 0))
+    return UrbanGrid(GridParams(4.0, 4.0, 8.0), 0, xp, yp, xs, ys,
+                     np.arange(float(shape[0] * shape[1])).reshape(shape))
+
+
+_GRIDS = {
+    "hand": lambda urban: _cells_grid(2, 3),
+    "sample_grid": lambda urban: sample_grid(urban, 42),
+    "from_json": lambda urban: UrbanGrid.from_json(
+        sample_grid_anchored(urban, 9, 0.0, 13.0).to_json()),
+    "no x points": lambda urban: _cells_grid(-1, 2),
+    "one y point": lambda urban: UrbanGrid.from_json(_cells_grid(3, 0).to_json()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRIDS))
+def test_grid_holds_itself_as_a_one_city_chunk(urban, case):
+    # however a grid is built, its ``cities`` is the one-city chunk the
+    # passes judge, field by field as ``grid_cities`` flattens it
+    grid = _GRIDS[case](urban)
+    want = grid_cities(grid)
+    for f in fields(want):
+        got, expected = getattr(grid.cities, f.name), getattr(want, f.name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), f.name
+    box = grid.blocks_overlapping(-math.inf, math.inf, -math.inf, math.inf)
+    assert len(box[0]) == grid.block_heights.size
 
 
 def test_grid_json_rejects_splits_not_matching_cells():

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_city
 from conftest import grid_cities, make_single_block_grid, point_links
 from uavlos import env, oracle
+from uavlos.analytic import RayleighHeights, p_los_static
 from uavlos.env import (
     DegenerateGeometryError,
     DegenerateGridError,
@@ -21,12 +23,12 @@ from uavlos.env import (
     UrbanGrid,
     UserMotion,
     _draw_cities,
+    _link_blocks,
     sample_grid_anchored,
 )
 from uavlos.oracle import (
     _CHUNK,
     _blocking,
-    _link_blocks,
     _point_clear,
     _walk_clear,
     TrialStats,
@@ -77,7 +79,7 @@ def test_subnormal_run_along_x_is_judged_without_warnings():
         warnings.simplefilter("error")
         assert is_los(grid, (0.0, 0.0), u) is False
         assert _point_clear(cities, *point_links((0.0, 0.0), [u, UAV])).tolist() == [
-            [False, is_los(grid, (0.0, 0.0), UAV)]]
+            [False, per_city.is_los(grid, (0.0, 0.0), UAV)]]
 
 
 def test_intervals_tall_block():
@@ -264,6 +266,10 @@ def _edge_cities(draw):
 
 @settings(max_examples=200)
 @given(_edge_cities())
+# a graze at exactly the link height (20 = 50 * 0.4) blocks, both the link
+# from g and the still walk under the second platform
+@example(case=(make_single_block_grid(20.0), (0.0, 0.0), [UAV, Uav(10.0, 40.0, 50.0)],
+               [(2.5, 4.0, True), (0.0, 4.0, False)]))
 def test_verdicts_do_not_depend_on_the_prefilter(case):
     # every referee judges a link on all blocks of the city exactly as on the
     # blocks its box query returns, for links on block edges and walks that
@@ -271,21 +277,22 @@ def test_verdicts_do_not_depend_on_the_prefilter(case):
     # the same
     grid, g, uavs, walks = case
     cities = grid_cities(grid)
-    _, *every = _link_blocks(cities, *np.array([[-np.inf], [np.inf]] * 2))
+    every = per_city.blocks_overlapping(grid, -np.inf, np.inf, -np.inf, np.inf)
     motions = [UserMotion(u.x - v * T if ends else u.x, g[1], v, T)
                for u, (v, T, ends) in zip(uavs, walks)]
-    row = [[los_time(grid, m, u) for m, u in zip(motions, uavs)]]
+    row = [[per_city.los_time(grid, m, u) for m, u in zip(motions, uavs)]]
     assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
     with pytest.MonkeyPatch.context() as mp:
         # every link's box is the whole plane
         mp.setattr(oracle, "_link_blocks", lambda cities, *box: _link_blocks(
             cities, *(np.full_like(b, bound) for b, bound in zip(box, [-np.inf, np.inf] * 2))))
         assert _point_clear(cities, *point_links(g, uavs)).tolist() == [
-            [is_los(grid, g, u) for u in uavs]]
+            [per_city.is_los(grid, g, u) for u in uavs]]
         assert _walk_clear(cities, Pairs.of(motions, uavs)).tolist() == row
         for u, m in zip(uavs, motions):
             v, T = m.speed, m.duration
-            assert _walk_clear(cities, Pairs.of([m], [u])).tolist() == [[los_time(grid, m, u)]]
+            assert _walk_clear(cities, Pairs.of([m], [u])).tolist() == [
+                [per_city.los_time(grid, m, u)]]
             ts = (np.arange(64) + 0.5) * (T / 64)
             blocked = _blocking(*every, (m.x0 + v * ts)[:, None], m.y0, u.x, u.y,
                                 u.height).any(axis=1)
@@ -626,7 +633,7 @@ def test_link_blocks_are_each_links_box_query(case):
         for k, box in enumerate(boxes):
             mine = link == c * len(boxes) + k
             assert [b[mine].tolist() for b in blocks] == [
-                b.tolist() for b in grid.blocks_overlapping(*box)]
+                b.tolist() for b in per_city.blocks_overlapping(grid, *box)]
     assert np.all(link < len(grids) * len(boxes))
 
 
@@ -753,7 +760,7 @@ def test_mc_trials_equal_los_time_on_reference_cities(
     contact = start_contact_x(params, (x0, y0), u) if require_contact else None
     run = monte_carlo_expected_los(params, motion, u, trials, seed, require_contact)
     ref = list(_reference_cities(params, seed, range(trials), y0, contact))
-    assert run.values.tolist() == [los_time(g, motion, u) for g, _ in ref]
+    assert run.values.tolist() == [per_city.los_time(g, motion, u) for g, _ in ref]
     assert run.draws.tolist() == [d for _, d in ref]
 
 
@@ -767,7 +774,7 @@ def test_mc_static_trials_equal_is_los_on_reference_cities(
     contact = start_contact_x(params, (x0, y0), u) if require_contact else None
     run = monte_carlo_static_los(params, (x0, y0), u, trials, seed, require_contact)
     ref = list(_reference_cities(params, seed, range(trials), y0, contact))
-    assert run.values.tolist() == [float(is_los(g, (x0, y0), u)) for g, _ in ref]
+    assert run.values.tolist() == [float(per_city.is_los(g, (x0, y0), u)) for g, _ in ref]
     assert run.draws.tolist() == [d for _, d in ref]
 
 
@@ -826,7 +833,8 @@ def test_walk_clear_judges_every_walk_as_los_time(preset, seed, y0, n, walks):
     grids = [g for g, _ in _reference_cities(params, seed, range(n), y0, None)]
     clear = _walk_clear(cities, Pairs.of(motions, uavs))
     assert clear.shape == (n, len(motions))
-    assert clear.tolist() == [[los_time(g, m, u) for m, u in zip(motions, uavs)] for g in grids]
+    assert clear.tolist() == [[per_city.los_time(g, m, u) for m, u in zip(motions, uavs)]
+                              for g in grids]
     for k, (m, u) in enumerate(zip(motions, uavs)):
         assert np.array_equal(_walk_clear(cities, Pairs.of([m], [u])), clear[:, [k]])
 
@@ -845,6 +853,24 @@ def test_walk_clear_refuses_a_walk_line_in_a_building_band():
     assert _walk_clear(cities, Pairs.of([WALK, empty], [UAV, UAV])).tolist() == [
         [los_time(grid, WALK, UAV), los_time(grid, empty, UAV)]]
     assert los_time(grid, empty, UAV) == los_time_sampled(grid, empty, UAV, samples=16) == 0.0
+
+
+@pytest.mark.parametrize("g", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                               (0.0, -math.inf)], ids=["nan-x", "nan-y", "inf-x", "-inf-y"])
+def test_non_finite_ground_point_is_refused(urban, g):
+    # every entry point that takes a ground point refuses a non-finite one,
+    # rather than indexing a band with it, reading its link as clear or
+    # blaming a start contact at x = nan
+    grid = sample_grid_anchored(urban, 0, 0.0, urban.mu_s)
+    u = Uav(70.0, 45.0, 100.0)
+    calls = [lambda: is_los(grid, g, u),
+             lambda: p_los_static(g, u, urban.mu_s, urban.lam, RayleighHeights(urban.sigma)),
+             lambda: start_contact_x(urban, g, u),
+             lambda: monte_carlo_static_los(urban, g, u, 3, 0),
+             lambda: monte_carlo_static_los(urban, g, u, 3, 0, require_contact=False)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_mc_walk_line_in_building_band_raises():
