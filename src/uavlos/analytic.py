@@ -55,7 +55,7 @@ class RayleighHeights:
     def cdf(self, h):
         """CDF at a height or an array of heights (0 at and below the ground)."""
         h = np.asarray(h, dtype=float)
-        f = -np.expm1(-(h * h) / (2.0 * self.sigma * self.sigma))
+        f = -np.expm1((h * h) / (-2.0 * self.sigma * self.sigma))
         return np.where(h > 0, f, 0.0)[()]
 
     @property
@@ -99,7 +99,7 @@ def erf_diff(a, b):
     h = a - b
     out = erf(a) - erf(b)
     near = np.abs(h) < 1e-5
-    if near.any():  # the series only where it is needed
+    if np.count_nonzero(near):  # the series only where it is needed
         out = np.asarray(out)
         a, b, h = np.broadcast_to(a, h.shape)[near], np.broadcast_to(b, h.shape)[near], h[near]
         m = 0.5 * (a + b)

@@ -794,8 +794,9 @@ class SegmentTable:
     the platform), ``back_wall_x`` the east corner behind it (met once the
     user has passed under the platform's x).  A missing candidate is +inf
     ahead and -inf behind: a link aimed at it never reaches a wall.  Plans
-    from ``segment_table``, canonical or realized, put every face segment's
-    platform beyond the street's far line; a hand-built table need not, and
+    from ``segment_table``, canonical or realized, give every face and open
+    segment both candidates missing, and put every face segment's platform
+    beyond the street's far line; a hand-built table need not, and
     ``mobility.expected_los_piecewise`` refuses one whose face does not.
     """
 
@@ -826,70 +827,73 @@ def segment_table(west: np.ndarray, east: np.ndarray, pairs: Pairs,
     """
     rows, cols = west.shape
     T = pairs.duration
-    # corners interleave west, east, west, ... and their passages inherit
-    # that order; a passage outside (x0, x_end) pins to 0 or T and leaves
-    # only zero-length pieces behind, so a user standing still keeps one piece
-    corners = np.empty((rows, 2 * cols))
-    corners[:, 0::2] = west
-    corners[:, 1::2] = east
+    # corners interleave west, east, west, ... between a (-inf, -inf) and an
+    # (inf, inf) pad; passages inherit that order, and one outside (x0, x_end)
+    # pins to 0 or T and leaves only zero-length pieces behind, so a user
+    # standing still keeps one piece
+    padded = np.empty((rows, 2 * cols + 4))
+    padded[:, :2] = -math.inf
+    padded[:, -2:] = math.inf
+    padded[:, 2:-2:2] = west
+    padded[:, 3:-2:2] = east
     c = pairs.take((slice(None), None))
-    pos = corner_position(corners, c.ux, c.uy, c.y0, street_width)
+    pos = corner_position(padded[:, 2:-2], c.ux, c.uy, c.y0, street_width)
     # a tiny or zero speed overflows or divides only times that get pinned
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        times = np.where(pos <= c.x0, 0.0, np.where(pos >= c.x0 + c.speed * c.duration,
-                                                    c.duration, (pos - c.x0) / c.speed))
-    if (times[:, 1:] < times[:, :-1]).any():
+        times = np.where(pos >= c.x0 + c.speed * c.duration, c.duration, (pos - c.x0) / c.speed)
+    times[pos <= c.x0] = 0.0
+    if np.count_nonzero(times[:, 1:] < times[:, :-1]):
         times.sort(axis=1)
-    bounds = np.empty((rows, 2 * cols + 2))
-    bounds[:, 0] = 0.0
+    bounds = np.zeros((rows, 2 * cols + 2))
     bounds[:, 1:-1] = times
     bounds[:, -1] = T
-    keep = bounds[:, 1:] > bounds[:, :-1]
+    # flat piece i runs from b[i] to b[i + 1]; from one row's T to the next
+    # row's 0 is never kept, as T >= 0
+    b = bounds.reshape(-1)
+    keep = b[1:] > b[:-1]
     if _any(T == 0.0):
-        keep[:, -1] |= T == 0.0
-    row, j = np.nonzero(keep)
-    t0, t1 = bounds[:, :-1][keep], bounds[:, 1:][keep]
+        keep[2 * cols::2 * cols + 2] |= T == 0.0
+    i = keep.nonzero()[0]
+    t0, t1 = b[i], b[i + 1]
+    row = i // (2 * cols + 2)
     p = pairs.take(row)
     xc = _front_cross(p.x0 + p.speed * 0.5 * (t0 + t1), p.y0, p.ux, p.uy, street_width)
-    # columns padded with -inf and +inf: column k of a row sits at k + 1
-    padded = np.full((2, rows, cols + 2), math.inf)
-    padded[:, :, 0] = -math.inf
-    padded[0, :, 1:-1] = west
-    padded[1, :, 1:-1] = east
-    wp, ep = padded.reshape(2, -1)
-    # piece j runs between passages j - 1 and j, so its crossing lies in
-    # column (j - 1) // 2 up to rounding; k is that column's flat index
-    k = row * (cols + 2) + 1 + (j - 1) // 2
+    wp, ep = padded.reshape(-1)[0::2], padded.reshape(-1)[1::2]  # column k of a row at k + 1
+    # piece j of a row runs between passages j - 1 and j, so its crossing lies
+    # in column (j - 1) // 2 up to rounding, at flat index row * (cols + 2) + (j + 1) // 2
+    k = (i + 1) // 2 + row
     while True:  # step to the last west corner at or below the crossing
         up = wp[k + 1] <= xc
-        if not up.any():
+        if not np.count_nonzero(up):
             break
         k += up
     while True:
-        down = wp[k] > xc
-        if not down.any():
+        west_k = wp[k]
+        down = west_k > xc
+        if not np.count_nonzero(down):
             break
         k -= down
-    west_k, east_k = wp[k], ep[k]
+    east_k = ep[k]
     face = xc < east_k
-    ahead = np.where(face, math.inf, wp[k + 1 - (west_k == xc)])  # first west not below
+    ahead = np.where(face, math.inf, wp[k + (west_k != xc)])  # first west not below
     back = np.where(face, -math.inf, east_k)
     kind = np.where(face, _FACE, np.where(np.isinf(ahead) & np.isinf(back), _OPEN, _WALL))
 
-    new = np.ones(len(kind), dtype=bool)
-    new[1:] = (
-        (row[1:] != row[:-1])
-        | (kind[1:] != kind[:-1])
-        | ((kind[1:] == _WALL) & ((ahead[1:] != ahead[:-1]) | (back[1:] != back[:-1])))
-    )
-    first = np.flatnonzero(new)
-    last = np.concatenate([first[1:], [len(kind)]]) - 1
-    return SegmentTable(row[first], kind[first], t0[first], t1[last], ahead[first], back[first])
+    # neighbours merge when row, kind and both walls agree (faces and open
+    # pieces all track inf, -inf); edges[m] starts segment m and ends m - 1
+    new = np.empty(len(kind) + 1, dtype=bool)
+    new[0] = new[-1] = True
+    new[1:-1] = ((row[1:] != row[:-1]) | (kind[1:] != kind[:-1])
+                 | (ahead[1:] != ahead[:-1]) | (back[1:] != back[:-1]))
+    edges = new.nonzero()[0]
+    first = edges[:-1]
+    return SegmentTable(row[first], kind[first], t0[first], t1[edges[1:] - 1], ahead[first],
+                        back[first])
 
 
 def _any(mask) -> bool:
     """Whether a per-row mask, or one truth value for every row, holds anywhere."""
-    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+    return bool(np.count_nonzero(mask)) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _front_cross(x_user, y0, ux, uy, street_width: float):

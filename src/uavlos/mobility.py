@@ -127,27 +127,27 @@ def _wall_contacts(g: Pairs, x, ahead, back):
 
     The link meets the wall ahead while the user is west of the platform
     and the wall behind once past it; a missing or unreachable wall, or the
-    user under the platform, means no contact.  The contact fraction is
-    taken along the better conditioned axis (y when the link runs more
-    across the street than along it).  The caller ignores division and
+    user under the platform (an infinite or nan fraction), means no contact.
+    The contact fraction is taken along the better conditioned axis (y when
+    the link runs more across the street than along it).  The caller ignores division and
     overflow warnings: a user under the platform or a link along the street
     divides by zero, a user all but under it overflows.
     """
     dx = g.ux - x
-    span_y = g.uy - g.y0
-    wall = np.where(dx > 0, ahead, np.where(dx < 0, back, math.nan))
-    s_wall = (wall - x) / dx  # where the link meets the wall
-    s = np.where(np.abs(dx) < abs(span_y), ((g.y0 + span_y * s_wall) - g.y0) / span_y, s_wall)
-    hit = (s_wall > 0.0) & (s_wall <= 1.0) & (s > 0.0) & (s <= 1.0)
+    adx, span_y = np.abs(dx), g.uy - g.y0
+    s_wall = (np.where(dx > 0, ahead, back) - x) / dx  # where the link meets the wall
+    s = np.where(adx < abs(span_y), ((g.y0 + span_y * s_wall) - g.y0) / span_y, s_wall)
+    # both fractions in (0, 1]; a nan fails either comparison
+    hit = (np.minimum(s_wall, s) > 0.0) & (np.maximum(s_wall, s) <= 1.0)
     height = g.height
     if isinstance(height, np.ndarray):
         height = np.broadcast_to(height, x.shape)[hit]
-    return hit, s[hit], (np.abs(dx) + abs(span_y))[hit], height
+    return hit, s[hit], (adx + abs(span_y))[hit], height
 
 
-def _face_integrals(g: Pairs, x_start, t_len, base, rate):
+def _face_integrals(g: Pairs, dx, t_len, base, rate):
     """Exact clear-time integral of each front-line sliding segment, segment
-    i starting at x_start[i] on row i of g.
+    i starting dx[i] west of the platform of row i of g.
 
     The contact fraction of a pair is the constant w/dy, so a segment's
     clear probability starts at ``base`` and its void rate ``rate`` holds
@@ -157,12 +157,13 @@ def _face_integrals(g: Pairs, x_start, t_len, base, rate):
     """
     v = g.speed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        t_star = (g.ux - x_start) / v
+        t_star = dx / v
         # a still user has t_star +-inf, or nan right under the platform (taken as 0): base * T
         approach = np.fmin(np.fmax(t_star, 0.0), t_len)  # up to the pass-under instant
         recede = t_len - approach
-        e1 = expected_los_x_segment(base, -rate, v, approach)
-        base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, -rate, v)
+        toward = -rate
+        e1 = expected_los_x_segment(base, toward, v, approach)
+        base_mid = p_los_x_segment(np.where(recede > 0.0, approach, 0.0), base, toward, v)
         e2 = expected_los_x_segment(base_mid, rate, v, recede)
     return np.where(base > 0.0, e1 + e2, 0.0)
 
@@ -180,10 +181,10 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     each distinct height's panels once per table.
     """
     out = table.t_end - table.t_start
-    face = np.flatnonzero(table.kind == _FACE)
+    face = (table.kind == _FACE).nonzero()[0]
     fg = geom.take(table.row[face])
-    f_start = fg.x0 + fg.speed * table.t_start[face]
-    wall = np.flatnonzero(table.kind == _WALL)
+    f_dx = fg.ux - (fg.x0 + fg.speed * table.t_start[face])  # face starts west of the platform
+    wall = (table.kind == _WALL).nonzero()[0]
     wg, w_len = geom.take(table.row[wall]), out[wall]
     w_start = wg.x0 + wg.speed * table.t_start[wall]
     # a node right under the platform meets no wall: clear, the limit on both sides
@@ -192,18 +193,18 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
         hit, s, span, height = _wall_contacts(wg, x, table.wall_x[wall], table.back_wall_x[wall])
     # the face fractions first (one per face, or one for all when one pair
     # holds for every row), then the wall nodes'
-    s = np.concatenate([geom.street_width / np.atleast_1d(fg.dy)[:face.size], s])
+    s = np.concatenate([np.atleast_1d(geom.street_width / fg.dy)[:face.size], s])
     if isinstance(height, np.ndarray):
         height = np.concatenate([fg.height, height])
     f = geom.model.cdf(height * s)
     rate = void_rate(s, geom.lam, geom.model, height)
     n = s.size - span.size
-    base = f[:n] * np.exp(rate[:n] * (np.abs(fg.ux - f_start) + abs(fg.dy)))
-    out[face] = _face_integrals(fg, f_start, out[face], base, rate[:n])
-    clear = np.ones(x.shape)
+    base = f[:n] * np.exp(rate[:n] * (np.abs(f_dx) + abs(fg.dy)))
+    out[face] = _face_integrals(fg, f_dx, out[face], base, rate[:n])
+    clear = np.empty(x.shape)
+    clear.fill(1.0)
     clear[hit] = f[n:] * np.exp(rate[n:] * span)
-    p0, p1, p2 = clear
-    out[wall] = (w_len / 6.0) * (p0 + 4.0 * p1 + p2)
+    out[wall] = (w_len / 6.0) * (clear[0] + 4.0 * clear[1] + clear[2])
     return out
 
 
@@ -330,10 +331,11 @@ def _canonical_table(mu_b: float, mu_s: float, pairs: Pairs, street_width: float
     k_lo = np.floor((xc0 - first_west) / period)
     k_hi = np.ceil((xc1 - first_west) / period)
     cols = int((k_hi - k_lo).max(initial=0.0)) + 3
-    west = np.full((len(counts), cols), math.inf)
+    west = np.empty((len(counts), cols))
+    west.fill(math.inf)
     west[moving] = first_west[:, None] + period * (k_lo[:, None] + np.arange(-1, cols - 1))
     east = west + mu_b
-    west[~moving, 0] = -math.inf  # no crossings: one face along the whole line
+    west[:, 0][~moving] = -math.inf  # no crossings: one face along the whole line
     return segment_table(west, east, pairs, w)
 
 

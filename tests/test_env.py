@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_cities
@@ -23,6 +23,7 @@ from uavlos.env import (
     UrbanGrid,
     UserInBuildingError,
     UserMotion,
+    _any,
     corner_events,
     corner_position,
     sample_grid,
@@ -488,6 +489,47 @@ def test_corner_event_tables_are_valid_plans(x0, speed, duration, ux, uy, mu_s, 
     g = sample_grid_anchored(GridParams(45.0, mu_s, 8.0), seed, 0.0, 13.0)
     m = UserMotion(x0, 0.0, speed, duration)
     _assert_valid_plans(corner_events(g, m, Uav(ux, uy, 100.0)), 1, duration)
+
+
+@settings(max_examples=200)
+@given(**_WALKS, mu_b=st.floats(20.0, 80.0), mu_s=_STREETS,
+       counts=st.lists(st.integers(0, 40), min_size=1, max_size=6), seed=st.integers(0, 10_000),
+       layout=st.sampled_from(["canonical", "realized", "no columns"]))
+@example(x0=0.0, speed=0.0, duration=10.0, ux=120.0, uy=90.0, mu_b=45.0, mu_s=13.0, counts=[0, 3],
+         seed=0, layout="canonical")  # a still walk
+@example(x0=0.0, speed=15.0, duration=0.0, ux=120.0, uy=90.0, mu_b=45.0, mu_s=13.0, counts=[0, 3],
+         seed=0, layout="realized")  # an empty epoch
+@example(x0=-1.0, speed=15.0, duration=10.0, ux=120.0, uy=90.0, mu_b=45.0, mu_s=13.0, counts=[0],
+         seed=0, layout="no columns")
+def test_faces_and_open_segments_track_no_wall(x0, speed, duration, ux, uy, mu_b, mu_s, counts,
+                                               seed, layout):
+    # segment_table merges neighbours by comparing both walls whatever their
+    # kind, which relies on every face and open segment carrying (inf, -inf)
+    m, u = UserMotion(x0, 0.0, speed, duration), Uav(ux, uy, 100.0)
+    if layout == "canonical":
+        pairs = Pairs.of([m] * len(counts), [u] * len(counts))
+        t = _canonical_table(mu_b, mu_s, pairs, mu_s, np.array(counts))
+    else:
+        # a 2 m wide region is too narrow for a building column
+        region = (2.0, 60.0) if layout == "no columns" else (400.0, 400.0)
+        g = sample_grid_anchored(GridParams(mu_b, mu_s, 8.0, region), seed, 0.0, 13.0)
+        assert layout == "realized" or g.building_columns()[0].size == 0
+        t = corner_events(g, m, u)
+    off = t.kind != _WALL
+    assert np.all(t.wall_x[off] == math.inf) and np.all(t.back_wall_x[off] == -math.inf)
+
+
+@pytest.mark.parametrize("mask, holds", [
+    (True, True), (False, False), (np.True_, True), (np.False_, False),
+    (np.array(True), True), (np.array(False), False),
+    (np.array([], dtype=bool), False), (np.zeros((0, 3), dtype=bool), False),
+    (np.array([False, True]), True), (np.array([False, False]), False),
+    (np.array([[False, False], [False, True]]), True), (np.zeros((2, 2), dtype=bool), False),
+])
+def test_any_truth_table(mask, holds):
+    # a per-row mask, or one truth value for every row, as a Python bool
+    got = _any(mask)
+    assert type(got) is bool and got is holds
 
 
 def test_still_canonical_tables_keep_one_face_per_row():
