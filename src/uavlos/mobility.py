@@ -129,9 +129,10 @@ def _wall_contacts(g: Pairs, x, ahead, back):
     and the wall behind once past it; a missing or unreachable wall, or the
     user under the platform (an infinite or nan fraction), means no contact.
     The contact fraction is taken along the better conditioned axis (y when
-    the link runs more across the street than along it).  The caller ignores division and
-    overflow warnings: a user under the platform or a link along the street
-    divides by zero, a user all but under it overflows.
+    the link runs more across the street than along it).  The caller
+    ignores division and overflow warnings: a user under the platform or a
+    link along the street divides by zero, a user all but under it
+    overflows.
     """
     dx = g.ux - x
     adx, span_y = np.abs(dx), g.uy - g.y0
@@ -183,7 +184,7 @@ def _segment_integrals(table: SegmentTable, geom: EpochGeometry) -> np.ndarray:
     out = table.t_end - table.t_start
     face = (table.kind == _FACE).nonzero()[0]
     fg = geom.take(table.row[face])
-    f_dx = fg.ux - (fg.x0 + fg.speed * table.t_start[face])  # face starts west of the platform
+    f_dx = fg.ux - (fg.x0 + fg.speed * table.t_start[face])
     wall = (table.kind == _WALL).nonzero()[0]
     wg, w_len = geom.take(table.row[wall]), out[wall]
     w_start = wg.x0 + wg.speed * table.t_start[wall]
