@@ -196,9 +196,9 @@ def _check_cells(lo: np.ndarray, hi: np.ndarray, splits: np.ndarray) -> None:
     """Axis invariants of ``UrbanGrid`` on cells [lo, hi) and their band splits."""
     if len(splits) != len(lo):
         raise ValueError(f"{len(splits)} band splits for {len(lo)} cells")
-    if (hi - lo <= 0.0).any():
+    if np.count_nonzero(hi - lo <= 0.0):
         raise ValueError("axis points must be strictly increasing")
-    if (splits < lo).any() or (splits > hi).any():
+    if np.count_nonzero(splits < lo) or np.count_nonzero(splits > hi):
         raise ValueError("band split outside its cell")
 
 
@@ -209,7 +209,7 @@ def _check_shapes(shapes: list[tuple], nx: list[int], ny: list[int]) -> None:
 
 
 def _check_heights(heights: np.ndarray) -> None:
-    if (heights < 0).any():
+    if np.count_nonzero(heights < 0):
         raise ValueError("negative building height")
 
 
@@ -383,10 +383,10 @@ def _cells(points: np.ndarray, sizes, f: float) -> tuple[np.ndarray, np.ndarray,
     laid end to end, ``sizes[i]`` of them city i's: the pair that crosses from
     one city to the next bounds no cell, and each split lies a street
     fraction f into its cell."""
-    keep = np.ones(len(points), dtype=bool)
-    ends = np.cumsum(sizes)
-    keep[ends[ends > 0] - 1] = False  # a city's last point starts no cell
-    lo, hi = points[:-1][keep[:-1]], points[1:][keep[:-1]]
+    keep = np.ones(len(points) + 1, dtype=bool)
+    keep[np.cumsum(sizes) - 1] = False  # a city's last point starts no cell
+    keep = keep[:-2]  # a city of no points marks the pad at -1
+    lo, hi = points[:-1][keep], points[1:][keep]
     return lo, hi, lo + f * (hi - lo)
 
 
@@ -456,10 +456,19 @@ def _draw_anchored(
     xu = _ppp(rng, lam, x_lo, x_hi)
     if contact_x is not None:
         # ``UrbanGrid.band_at`` on the one cell holding contact_x, split as
-        # ``_cells`` splits it; only the cell's two ends are mapped
-        at, u = functools.partial(_scaled, x_lo, x_hi), xu.tolist()
-        k = bisect.bisect_right(u, contact_x, key=at)
-        if not 0 < k < len(u) or contact_x < at(u[k - 1]) + f * (at(u[k]) - at(u[k - 1])):
+        # ``_cells`` splits it.  The cell is found in unit space, then
+        # stepped to where the mapped points (monotone in u) put it, so only
+        # the points next to contact_x are mapped
+        span, u = x_hi - x_lo, xu.tolist()
+        k = bisect.bisect_right(u, (contact_x - x_lo) / span)
+        while k and x_lo + span * u[k - 1] > contact_x:
+            k -= 1
+        while k < len(u) and x_lo + span * u[k] <= contact_x:
+            k += 1
+        if not 0 < k < len(u):
+            return None
+        lo, hi = x_lo + span * u[k - 1], x_lo + span * u[k]
+        if contact_x < lo + f * (hi - lo):
             return None
     if not (y_lo <= y_anchor < y_hi):
         raise DegenerateGridError("anchor outside the region")
@@ -472,8 +481,8 @@ def _draw_anchored(
             raise ValueError("street width must be positive")
         w = street_width
         cell_end = y_anchor + w + (1.0 - f) * gap
-    # clip the anchor cell at the region edge so the street stays well defined
-    cell_end = min(cell_end, y_hi)
+    if cell_end > y_hi:  # clip the anchor cell at the region edge so the street stays well defined
+        cell_end = y_hi
     if cell_end - y_anchor <= w:
         w = cell_end - y_anchor
     below = _ppp(rng, lam, y_lo, y_anchor)
@@ -490,29 +499,39 @@ def _draw_anchored(
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-_OTHERS = [[d for d in range(4) if d != s] for s in range(4)]
 
 
 @functools.cache
 def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
-    """The n hash constants init * mult**k mod 2**32, k = 0 .. n - 1, as a column."""
+    """The n hash constants init * mult**k mod 2**32, k = 0 .. n - 1."""
     out = [init]
     for _ in range(n - 1):
         out.append(out[-1] * mult & _M32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    return np.array(out, dtype=np.uint32)
 
 
-def _hashmix(v: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix, one call per row of consts[:-1] (broadcasting)."""
-    v = v ^ consts[:-1]
-    v *= consts[1:]
+# word s hashes into the three others in index order, with A constants 4 + 3s,
+# 5 + 3s and 6 + 3s.  ``_seed_state`` keeps those three as rows s + 1 .. s + 3
+# of a 7-row pool, in cyclic order; _CYCLE[s] holds the constants (xor,
+# multiply) of their hashes in that order
+_CYCLE = [_hash_consts(_INIT_A, _MULT_A, 17)[
+    [[4 + 3 * s + d - (d > s) + m for d in ((s + 1) % 4, (s + 2) % 4, (s + 3) % 4)] for m in (0, 1)]
+][..., None] for s in range(4)]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one call per pair of constants (broadcasting)."""
+    v = v ^ xor
+    v *= mult
     v ^= v >> _SHIFT
     return v
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = x * _MIX_L
-    x -= y * _MIX_R
+    """SeedSequence's mix of y into x, in place in both."""
+    x *= _MIX_L
+    y *= _MIX_R
+    x -= y
     x ^= x >> _SHIFT
     return x
 
@@ -532,13 +551,20 @@ def _seed_state(seed: int, *columns: np.ndarray) -> np.ndarray:
     entropy = np.zeros((max(n, 4), len(columns[0])), dtype=np.uint32)
     entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
     entropy[len(words):n] = columns
-    a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * (len(entropy) - 4))
-    pool = _hashmix(entropy[:4], a[:5])
-    for s in range(4):  # each word's hash into the three others, in order
-        pool[_OTHERS[s]] = _mix(pool[_OTHERS[s]], _hashmix(pool[s], a[4 + 3 * s:8 + 3 * s]))
+    a = _hash_consts(_INIT_A, _MULT_A, 17 + 4 * (len(entropy) - 4))[:, None]
+    # row r holds word r % 4; before word s hashes, row s + 3 takes the
+    # latest word s - 1, so rows s + 1 .. s + 3 hold the three others
+    pool = np.empty((7, entropy.shape[1]), dtype=np.uint32)
+    pool[:4] = _hashmix(entropy[:4], a[:4], a[1:5])
+    for s in range(4):
+        if s:
+            pool[s + 3] = pool[s - 1]
+        _mix(pool[s + 1:s + 4], _hashmix(pool[s], *_CYCLE[s]))
+    pool = pool[[4, 5, 6, 3]]  # words 0 .. 3 once all four have hashed
     for s in range(4, len(entropy)):  # entropy past the pool, into every word
-        pool = _mix(pool, _hashmix(entropy[s], a[4 * s:4 * s + 5]))
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 9))
+        _mix(pool, _hashmix(entropy[s], a[4 * s:4 * s + 4], a[4 * s + 1:4 * s + 5]))
+    b = _hash_consts(_INIT_B, _MULT_B, 9)[:, None]
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], b[:-1], b[1:])
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
@@ -590,10 +616,11 @@ class _Cities:
 
     def __post_init__(self) -> None:
         city = np.arange(len(self.nx))
-        self.col_city, self.row_city = np.repeat(city, self.nx), np.repeat(city, self.ny)
-        self.first_col = np.cumsum(self.nx) - self.nx
-        self.first_row = np.cumsum(self.ny) - self.ny
-        self.first_cell = np.cumsum(self.nx * self.ny) - self.nx * self.ny
+        self.col_city, self.row_city = city.repeat(self.nx), city.repeat(self.ny)
+        self.first_col = self.nx.cumsum() - self.nx
+        self.first_row = self.ny.cumsum() - self.ny
+        cells = self.nx * self.ny
+        self.first_cell = cells.cumsum() - cells
 
 
 def _runs(low_edges, high_edges, first, size, lo, hi):
@@ -607,7 +634,7 @@ def _runs(low_edges, high_edges, first, size, lo, hi):
     """
     counts = np.zeros((2, len(lo), len(low_edges) + 1), dtype=np.int64)
     np.cumsum([high_edges <= lo[:, None], low_edges < hi[:, None]], axis=-1, out=counts[..., 1:])
-    past, below = (counts[..., first + size] - counts[..., first]).transpose(0, 2, 1)
+    past, below = (counts.take(first + size, axis=-1) - counts.take(first, axis=-1)).transpose(0, 2, 1)
     return first[:, None] + past, np.maximum(below - past, 0)
 
 
@@ -624,8 +651,8 @@ def _link_blocks(cities: _Cities, x_lo, x_hi, y_lo, y_hi):
     col, cols = _runs(cities.west, cities.east, cities.first_col, cities.nx, x_lo, x_hi)
     row, rows = _runs(cities.south, cities.north, cities.first_row, cities.ny, y_lo, y_hi)
     count = (cols * rows).ravel()
-    link = np.repeat(np.arange(len(count)), count)
-    slot = np.arange(len(link)) - np.repeat(np.cumsum(count) - count, count)
+    link = np.arange(len(count)).repeat(count)
+    slot = np.arange(len(link)) - (count.cumsum() - count).repeat(count)
     i, j = np.divmod(slot, rows.ravel()[link])
     col, row = col.ravel()[link] + i, row.ravel()[link] + j
     # each city's heights are its (column, row) matrix, row-major
@@ -691,31 +718,38 @@ def _draw_cities(
 def _join_cities(pieces: list[tuple], draws: list[int], y_anchor: float, law: tuple) -> _Cities:
     """At least one city drawn by ``_draw_anchored`` at y_anchor for law, as
     flat arrays, built in one pass: one ``_scaled`` map of the unit
-    variates per run of points (X, Y below, Y above), every cell split a
-    street fraction into it (``_cells``), the anchor cells' splits pinned,
-    and the invariants ``UrbanGrid`` checks checked on the flat arrays.
-    ``draws[i]`` counts the city draws behind city i."""
+    variates per run of points (X, Y below, Y above), every cell of both
+    axes split a street fraction into it (one ``_cells`` call), the anchor
+    cells' splits pinned, and the invariants ``UrbanGrid`` checks checked on
+    the flat arrays.  ``draws[i]`` counts the city draws behind city i."""
     _, x_lo, x_hi, y_lo, y_hi, f, _ = law
     xu, below, above, cell_end, pin, hs = zip(*pieces)
-    n_points = np.array(list(map(len, xu)))
-    xp = _scaled(x_lo, x_hi, np.concatenate(xu))
-    lo, east, west = _cells(xp, n_points, f)
-    _check_cells(lo, east, west)
-    # each city's Y points, placed from its y_anchor: below, y_anchor, the cell's end, above
-    n_below, n_above = np.array(list(map(len, below))), np.array(list(map(len, above)))
+    n = len(pieces)
+    n_points = np.fromiter(map(len, xu), int, n)
+    n_below, n_above = np.fromiter(map(len, below), int, n), np.fromiter(map(len, above), int, n)
     size = n_below + n_above + 2
-    at = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size + n_below, size)
-    y = np.empty(len(at))
+    # every city's X points, then every city's Y points: below, y_anchor,
+    # the cell's end, above; at counts from each city's y_anchor
+    first_y = n_points.sum()
+    anchor = size.cumsum() - size + n_below
+    at = np.arange(anchor[-1] + n_above[-1] + 2) - anchor.repeat(size)
+    ends = np.fromiter(cell_end, float, n)
+    points = np.empty(first_y + len(at))
+    points[:first_y] = _scaled(x_lo, x_hi, np.concatenate(xu))
+    y = points[first_y:]
     y[at < 0] = _scaled(y_lo, y_anchor, np.concatenate(below))
-    y[at == 0] = y_anchor
-    y[at == 1] = cell_end
-    y[at > 1] = _scaled(np.repeat(cell_end, n_above), y_hi, np.concatenate(above))
-    lo, north, south = _cells(y, size, f)
-    cities = _Cities(xp, y, west, east, south, north, np.concatenate([h.ravel() for h in hs]),
-                     np.maximum(n_points - 1, 0), size - 1, np.array(draws))
-    south[cities.first_row + n_below] = pin
-    _check_cells(lo, north, south)
-    _check_shapes([h.shape for h in hs], cities.nx.tolist(), cities.ny.tolist())
+    y[anchor] = y_anchor
+    y[anchor + 1] = ends
+    y[at > 1] = _scaled(ends.repeat(n_above), y_hi, np.concatenate(above))
+    lo, hi, split = _cells(points, np.concatenate([n_points, size]), f)
+    nx = np.maximum(n_points - 1, 0)
+    first_row = nx.sum()
+    cities = _Cities(points[:first_y], y, split[:first_row], hi[:first_row], split[first_row:],
+                     hi[first_row:], np.concatenate([h.ravel() for h in hs]), nx, size - 1,
+                     np.array(draws))
+    cities.south[cities.first_row + n_below] = pin
+    _check_cells(lo, hi, split)
+    _check_shapes([h.shape for h in hs], nx.tolist(), cities.ny.tolist())
     _check_heights(cities.heights)
     return cities
 
@@ -730,7 +764,7 @@ def _slab_fracs(lo, hi, start, delta):
     between its faces: lying along a face is clear, as grazing a corner is.
     A run so small that a fraction overflows gives it as +-inf, its limit.
     """
-    if np.all(delta != 0.0):
+    if not np.count_nonzero(delta == 0.0):
         with np.errstate(over="ignore"):
             a = (lo - start) / delta
             b = (hi - start) / delta

@@ -278,10 +278,12 @@ def start_contact_x(params: GridParams, g: tuple[float, float], u: Uav) -> float
 _CHUNK = 256
 
 
-def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: float) -> np.ndarray:
-    """Per city, whether one of its building bands [lo, hi) on an axis holds c;
-    ``city`` gives the city of each band, and there are n cities."""
-    return np.bincount(city[(lo <= c) & (c < hi)], minlength=n) > 0
+def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: np.ndarray) -> np.ndarray:
+    """(coordinate, city) pairs, as ``i * n + city``, where a building band
+    [lo, hi) of the city holds coordinate c[i] on an axis; ``city`` gives the
+    city of each band, and there are n cities."""
+    i, band = ((lo <= c[:, None]) & (c[:, None] < hi)).nonzero()
+    return i * n + city[band]
 
 
 def _check_trials(trials: int) -> None:
@@ -297,23 +299,27 @@ def _chunks(trials: int) -> list[range]:
 def _moving_clear(cities: _Cities, p: Pairs) -> np.ndarray:
     """Clear seconds of the moving walks of p (1-D fields) per (city, walk).
 
-    Each walk's hit spans go into its own row, padded to the row with the
-    most by spans (T, T), which add only empty pieces; the clear pieces
-    between the merged spans are then summed left to right along each row,
-    as ``los_time`` sums its intervals.
+    Each walk's hit spans go into its own row, padded by spans (T, T) to
+    one more than the row with the most, which add only empty pieces; the
+    clear pieces between the merged spans, the last one ending at a pad's
+    T, are then summed left to right along each row, as ``los_time`` sums
+    its intervals.
     """
     n, walks = len(cities.nx), len(p.x0)
     link, *blocks = _link_blocks(cities, *p.box)
     start, end, hit = _blocked_spans(*blocks, p.take(link % walks))
     link = link[hit]
     count = np.bincount(link, minlength=n * walks)
-    col = np.arange(len(link)) - (np.cumsum(count) - count)[link]
-    T = np.tile(p.duration, n)[:, None]
-    spans = np.tile(T, (2, 1, count.max(initial=0)))
-    spans[:, link, col] = start[hit], end[hit]
-    start, end = _merged_spans(*spans, T)
-    lo = np.concatenate([np.zeros_like(T), end], axis=-1)
-    hi = np.concatenate([start, T], axis=-1)
+    col = np.arange(len(link)) - (count.cumsum() - count)[link]
+    T = p.duration[None].repeat(n, 0).reshape(-1, 1)
+    spans = np.empty((2, len(T), count.max(initial=0) + 1))
+    spans[...] = T
+    spans[0, link, col] = start[hit]
+    spans[1, link, col] = end[hit]
+    hi, end = _merged_spans(*spans, T)
+    lo = np.empty_like(hi)
+    lo[:, 0] = 0.0
+    lo[:, 1:] = end[:, :-1]
     return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[:, -1].reshape(n, walks)
 
 
@@ -332,7 +338,7 @@ def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
     clear = np.zeros((n, walks.shape[1]))
     live = [k for k, T in enumerate(duration) if T > 0.0]
     for y in dict.fromkeys(y0[k] for k in live):
-        if _in_bands(cities.south, cities.north, cities.row_city, n, y).any():
+        if np.count_nonzero((cities.south <= y) & (y < cities.north)):
             raise UserInBuildingError(f"walk line y = {y} lies in a building band")
     still = [k for k in live if speed[k] == 0.0]
     moving = [k for k in live if speed[k] != 0.0]
@@ -351,10 +357,15 @@ def _point_clear(cities: _Cities, gx, gy, ux, uy, uh) -> np.ndarray:
     links at once, each judged on the blocks of its own box and blocked when
     any of them blocks it."""
     n, links = len(cities.nx), len(gx)
-    for x, y in dict.fromkeys(zip(gx.tolist(), gy.tolist())):
-        if (_in_bands(cities.west, cities.east, cities.col_city, n, x)
-                & _in_bands(cities.south, cities.north, cities.row_city, n, y)).any():
-            raise UserInBuildingError(f"ground point ({x}, {y}) is inside a building")
+    # a point is inside a building of a city holding both its x and its y
+    x, y = np.array(list(dict.fromkeys(zip(gx.tolist(), gy.tolist())))).reshape(-1, 2).T
+    held = np.zeros(len(x) * n, dtype=bool)
+    held[_in_bands(cities.west, cities.east, cities.col_city, n, x)] = True
+    both = _in_bands(cities.south, cities.north, cities.row_city, n, y)
+    both = both[held[both]]
+    if len(both):
+        x, y = x[both[0] // n].tolist(), y[both[0] // n].tolist()
+        raise UserInBuildingError(f"ground point ({x}, {y}) is inside a building")
     link, *blocks = _link_blocks(cities, np.minimum(gx, ux), np.maximum(gx, ux),
                                  np.minimum(gy, uy), np.maximum(gy, uy))
     k = link % links

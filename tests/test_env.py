@@ -352,6 +352,34 @@ def test_city_invariants_checked_on_every_draw(urban, monkeypatch, field, corrup
         env._draw_cities(urban, 0, range(3), 0.0, None)
 
 
+@pytest.mark.parametrize("params", [GridParams(mu_b, mu_s, 8.0) for _, mu_b, mu_s in PRESETS.values()]
+                         + [GridParams(45.0, 13.0, 8.0, (30.0, 30.0))],
+                         ids=[*PRESETS, "30m-region"])
+def test_contact_test_matches_the_band_at_its_edges(params):
+    # a contact-conditioned draw is accepted exactly when the city drawn from
+    # the same stream has a building band at contact_x: on each X point and
+    # each split, one float either side of them, below the first point and
+    # at or past the last, where the 30 m region often has no cell at all
+    law = env._law(params)
+    seen = set()
+    for seed in range(12):
+        grid = sample_grid_anchored(params, seed, 0.0, params.mu_s)
+        xp = grid.x_points
+        edges = [*xp.tolist(), *grid.x_splits.tolist()]
+        contacts = [c for e in edges for c in (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))]
+        if len(xp):
+            contacts += [xp[0] - 1.0, xp[-1] + 1.0, law[2]]
+        contacts.append(0.0)
+        for c in contacts:
+            drawn = env._draw_anchored(np.random.default_rng(seed), law, 0.0, params.mu_s, float(c))
+            building = grid.band_at("x", float(c))[0] == "building"
+            assert (drawn is not None) == building, (seed, c)
+            seen.add(building)
+            if building:
+                assert np.array_equal(drawn[-1], grid.block_heights)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("width", [3, 2], ids=["seed-trial-attempt", "seed-trial"])
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 10**99 + 7],
                          ids=["0", "1", "2^32-1", "2^32", "2^64+5", "100-digit"])

@@ -855,6 +855,41 @@ def test_walk_clear_refuses_a_walk_line_in_a_building_band():
     assert los_time(grid, empty, UAV) == los_time_sampled(grid, empty, UAV, samples=16) == 0.0
 
 
+def test_ground_checks_find_the_one_city_that_holds_the_band():
+    # the block [8, 12] x [16, 24] of ``make_single_block_grid`` is the only
+    # band holding y = 16 in a chunk; another city has a column at x = 10 and
+    # a row below, a third a row at y = 16 and a column elsewhere.  A line on
+    # the band's low edge lies inside it, one on its high edge outside, for a
+    # walk and for a start link; x and y held by two different cities are
+    # not inside a building
+    params = GridParams(4.0, 4.0, 8.0)
+    column = UrbanGrid(params, 0, np.array([6.0, 12.0]), np.array([0.0, 10.0]),
+                       np.array([8.0]), np.array([4.0]), np.array([[5.0]]))
+    row = UrbanGrid(params, 0, np.array([20.0, 30.0]), np.array([10.0, 24.0]),
+                    np.array([25.0]), np.array([16.0]), np.array([[5.0]]))
+    block = make_single_block_grid(5.0)
+    one = grid_cities(column, block, column)
+    for y, inside in ((16.0, True), (24.0, False)):
+        walk = UserMotion(0.0, y, 1.0, 10.0)
+        if inside:
+            with pytest.raises(UserInBuildingError, match=f"walk line y = {y} "):
+                _walk_clear(one, Pairs.of([walk], [UAV]))
+            with pytest.raises(UserInBuildingError, match=rf"ground point \(10.0, {y}\)"):
+                _point_clear(one, *point_links((10.0, y), [UAV]))
+        else:
+            assert _walk_clear(one, Pairs.of([walk], [UAV])).tolist() == [
+                [per_city.los_time(g, walk, UAV)] for g in (column, block, column)]
+            assert _point_clear(one, *point_links((10.0, y), [UAV])).tolist() == [
+                [per_city.is_los(g, (10.0, y), UAV)] for g in (column, block, column)]
+    assert _point_clear(grid_cities(column, row), *point_links((10.0, 16.0), [UAV])).tolist() == [
+        [per_city.is_los(g, (10.0, 16.0), UAV)] for g in (column, row)]
+    # the first ground point inside, in link order, is named
+    links = point_links((0.0, 16.0), [UAV, UAV])
+    links[0][1] = 10.0
+    with pytest.raises(UserInBuildingError, match=r"ground point \(10.0, 16.0\)"):
+        _point_clear(grid_cities(row, block), *links)
+
+
 @pytest.mark.parametrize("g", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
                                (0.0, -math.inf)], ids=["nan-x", "nan-y", "inf-x", "-inf-y"])
 def test_non_finite_ground_point_is_refused(urban, g):
