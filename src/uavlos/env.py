@@ -743,10 +743,9 @@ def _join_cities(pieces: list[tuple], draws: list[int], y_anchor: float, law: tu
     y[at > 1] = _scaled(ends.repeat(n_above), y_hi, np.concatenate(above))
     lo, hi, split = _cells(points, np.concatenate([n_points, size]), f)
     nx = np.maximum(n_points - 1, 0)
-    first_row = nx.sum()
-    cities = _Cities(points[:first_y], y, split[:first_row], hi[:first_row], split[first_row:],
-                     hi[first_row:], np.concatenate([h.ravel() for h in hs]), nx, size - 1,
-                     np.array(draws))
+    cols = nx.sum()  # the X cells come first
+    cities = _Cities(points[:first_y], y, split[:cols], hi[:cols], split[cols:], hi[cols:],
+                     np.concatenate([h.ravel() for h in hs]), nx, size - 1, np.array(draws))
     cities.south[cities.first_row + n_below] = pin
     _check_cells(lo, hi, split)
     _check_shapes([h.shape for h in hs], nx.tolist(), cities.ny.tolist())
