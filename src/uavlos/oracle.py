@@ -299,11 +299,10 @@ def _chunks(trials: int) -> list[range]:
 def _moving_clear(cities: _Cities, p: Pairs) -> np.ndarray:
     """Clear seconds of the moving walks of p (1-D fields) per (city, walk).
 
-    Each walk's hit spans go into its own row, padded by spans (T, T) to
-    one more than the row with the most, which add only empty pieces; the
-    clear pieces between the merged spans, the last one ending at a pad's
-    T, are then summed left to right along each row, as ``los_time`` sums
-    its intervals.
+    Each walk's hit spans go into its own row, padded to the row with the
+    most by spans (T, T), which add only empty pieces; the clear pieces
+    between the merged spans are then summed left to right along each row,
+    as ``los_time`` sums its intervals.
     """
     n, walks = len(cities.nx), len(p.x0)
     link, *blocks = _link_blocks(cities, *p.box)
@@ -312,14 +311,13 @@ def _moving_clear(cities: _Cities, p: Pairs) -> np.ndarray:
     count = np.bincount(link, minlength=n * walks)
     col = np.arange(len(link)) - (count.cumsum() - count)[link]
     T = p.duration[None].repeat(n, 0).reshape(-1, 1)
-    spans = np.empty((2, len(T), count.max(initial=0) + 1))
+    spans = np.empty((2, len(T), count.max(initial=0)))
     spans[...] = T
     spans[0, link, col] = start[hit]
     spans[1, link, col] = end[hit]
-    hi, end = _merged_spans(*spans, T)
-    lo = np.empty_like(hi)
-    lo[:, 0] = 0.0
-    lo[:, 1:] = end[:, :-1]
+    start, end = _merged_spans(*spans, T)
+    lo = np.concatenate([np.zeros(T.shape), end], axis=-1)
+    hi = np.concatenate([start, T], axis=-1)
     return np.cumsum(np.where(hi > lo, hi - lo, 0.0), axis=-1)[:, -1].reshape(n, walks)
 
 
