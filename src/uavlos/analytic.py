@@ -21,6 +21,11 @@ The per-instant pieces (height CDF, void rate, ``erf_diff`` and
 price every contact of every segment in one call.  The error function is
 ``scipy.special.erf``, within 2 ulp of the correctly rounded value over the
 real line; the test suite pins it against high precision reference values.
+It is read from the compiled extension that defines it, loaded on its own:
+importing ``scipy.special`` whole would load its array-API shim with
+``numpy.testing`` and ``numpy.f2py``, about half the import time of this
+package and 15 MB of its start-up memory, for this one ufunc.  The ufunc is
+the same object ``scipy.special.erf`` names, so every value keeps its bits.
 The difference of two nearly equal erf values is the one cancellation-prone
 spot, so ``erf_diff`` switches to a midpoint series there.  A ``CdfHeights``
 law calls its Python CDF once per height, on arrays too.
@@ -28,15 +33,38 @@ law calls its Python CDF once per height, on arrays too.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import erf
 
 from .env import Uav, _check_finite
+
+
+def _load_erf():
+    """``scipy.special.erf`` without running ``scipy/__init__`` or
+    ``scipy/special/__init__``: only the extension module that defines it
+    runs.  An older SciPy, without that module or without ``erf`` in it,
+    gets the plain import."""
+    package = importlib.util.find_spec("scipy")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        "scipy.special._special_ufuncs",
+        [os.path.join(d, "special") for d in package.submodule_search_locations])
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if hasattr(module, "erf"):
+            return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)

@@ -287,6 +287,8 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: np.nd
 
 
 def _check_trials(trials: int) -> None:
+    if not isinstance(trials, (int, np.integer)):
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
 

@@ -1,3 +1,5 @@
+import importlib.machinery
+import json
 import math
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from uavlos import analytic
 from uavlos.analytic import (
     CdfHeights,
     RayleighHeights,
@@ -265,18 +268,49 @@ def test_p_static_decays_with_span(dist):
 def test_import_leaves_quadrature_unloaded():
     # scipy.integrate is most of the package's import time and start-up
     # memory; only the acceptance checks use it, as their own reference, so
-    # neither the import nor pricing an epoch on a generic height law loads it
+    # neither the import nor pricing an epoch on a generic height law loads it.
+    # erf comes from its own extension module, so pricing a Rayleigh epoch
+    # does not load scipy.special's package either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import math, sys, uavlos\n"
+        "import json, math, sys, uavlos\n"
+        "from uavlos.analytic import erf\n"
+        "args = (uavlos.GridParams(45.0, 13.0, 8.0), uavlos.UserMotion(0.0, 0.0, 15.0, 10.0),\n"
+        "        uavlos.Uav(120.0, 90.0, 100.0))\n"
         "law = uavlos.CdfHeights(lambda h: -math.expm1(-h * h / 128.0) if h > 0.0 else 0.0)\n"
-        "r = uavlos.expected_los_total(uavlos.GridParams(45.0, 13.0, 8.0),\n"
-        "                              uavlos.UserMotion(0.0, 0.0, 15.0, 10.0),\n"
-        "                              uavlos.Uav(120.0, 90.0, 100.0), model=law)\n"
-        "assert 0.0 < r.expected_time < 10.0\n"
-        "print('scipy.integrate' in sys.modules)"
+        "for model in (law, None):\n"
+        "    assert 0.0 < uavlos.expected_los_total(*args, model=model).expected_time < 10.0\n"
+        "ufuncs = sys.modules.get('scipy.special._special_ufuncs')\n"
+        "print(json.dumps(['scipy.integrate' in sys.modules, 'scipy.special' in sys.modules,\n"
+        "                  getattr(ufuncs, 'erf', None) is erf]))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    integrate, special, own_module = json.loads(done.stdout)
+    assert not integrate
+    if not own_module:
+        pytest.skip("this SciPy defines erf outside scipy.special._special_ufuncs, "
+                    "so the import falls back to scipy.special")
+    assert not special
+
+
+# erf's special values: signed zeros and infinities, nan, and the smallest
+# and largest subnormals of either sign
+_ERF_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, -2.2250738585072009e-308]
+
+
+def test_loaded_erf_is_scipy_special_erf_bit_for_bit():
+    from scipy.special import erf as scipy_erf
+
+    x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), _ERF_SPECIAL])
+    assert np.array_equal(analytic.erf(x).view(np.int64), scipy_erf(x).view(np.int64))
+
+
+def test_erf_loader_falls_back_to_scipy_special(monkeypatch):
+    from scipy.special import erf as scipy_erf
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, *args, **kwargs: None))
+    assert analytic._load_erf() is scipy_erf

@@ -575,4 +575,7 @@ def test_compare_policies_edge_cases(urban):
         compare_policies(urban, [], uavs, 3, seed=0)
     with pytest.raises(ValueError, match="^trials must be nonnegative, got -1$"):
         compare_policies(urban, users, uavs, -1, seed=0)
+    for bad in (2.5, math.nan):
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {bad!r}$"):
+            compare_policies(urban, users, uavs, bad, seed=0)
 

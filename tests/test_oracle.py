@@ -797,6 +797,12 @@ def test_mc_runners_reject_negative_trials(urban):
         monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, -2, 0)
     with pytest.raises(ValueError, match="^trials must be nonnegative, got -2$"):
         monte_carlo_static_los(urban, (0.0, 0.0), u, -2, 0)
+    # a trial count that is not an int is refused at the boundary, not by range()
+    for bad in (2.5, math.nan):
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {bad!r}$"):
+            monte_carlo_expected_los(urban, UserMotion(0.0, 0.0, 15.0, 10.0), u, bad, 0)
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {bad!r}$"):
+            monte_carlo_static_los(urban, (0.0, 0.0), u, bad, 0)
 
 
 # a walk on the anchored street: its line's offset into the street as a
