@@ -23,8 +23,8 @@ price every contact of every segment in one call.  The error function is
 real line; the test suite pins it against high precision reference values.
 It is read from the compiled extension that defines it, loaded on its own:
 importing ``scipy.special`` whole would load its array-API shim with
-``numpy.testing`` and ``numpy.f2py``, about half the import time of this
-package and 15 MB of its start-up memory, for this one ufunc.  The ufunc is
+``numpy.testing`` and ``numpy.f2py``, more than half the import time of
+this package and about 17 MB of its start-up memory, for this one ufunc.  The ufunc is
 the same object ``scipy.special.erf`` names, so every value keeps its bits.
 The difference of two nearly equal erf values is the one cancellation-prone
 spot, so ``erf_diff`` switches to a midpoint series there.  A ``CdfHeights``
