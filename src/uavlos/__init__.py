@@ -12,7 +12,6 @@ from .env import (
     UserInBuildingError,
     UserMotion,
     corner_events,
-    sample_grid,
     sample_grid_anchored,
 )
 from .analytic import (

@@ -71,7 +71,8 @@ def c1_segment_expectation_vs_quadrature() -> Verdict:
         "1/8 segment expectation vs quadrature",
         worst <= 1e-9 and elapsed < 5.0,
         worst, 1e-9, 1000,
-        f"1000 random segments, max rel err {worst:.2e} (tol 1e-9), {elapsed:.2f} s",
+        # no wall time here: two runs of ``validate`` print the same bytes
+        f"1000 random segments, max rel err {worst:.2e} (tol 1e-9), time limit 5 s",
     )
 
 

@@ -30,7 +30,6 @@ from .env import (
     GridParams,
     Uav,
     UserMotion,
-    sample_grid,
     sample_grid_anchored,
 )
 from .mobility import MAX_MEAN_CROSSINGS, expected_los_total
@@ -389,10 +388,9 @@ def _cmd_grid_dump(args: argparse.Namespace) -> int:
         raise ConfigError("--street-width pins the anchored street, so it needs --anchor-y")
     try:
         params = GridParams(mu_b, mu_s, args.sigma)
-        if args.anchor_y is None:
-            grid = sample_grid(params, args.seed)
-        else:
-            grid = sample_grid_anchored(params, args.seed, args.anchor_y, args.street_width)
+        # unanchored, a street edge is pinned at the region's low edge
+        y = params.box[2] if args.anchor_y is None else args.anchor_y
+        grid = sample_grid_anchored(params, args.seed, y, args.street_width)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     text = grid.to_json()

@@ -8,8 +8,10 @@ region in both directions and buildings occupy the rectangular blocks where two
 building bands overlap.  Each block carries one building with a Rayleigh
 distributed height.
 
-A city draw makes only its RNG calls, each run of axis points as sorted unit
-variates, and ``_join_cities`` maps a whole chunk's points to meters at once.
+There is one sampler: every city, one or a Monte Carlo chunk of them, is a
+``_draw_anchored`` draw, with a street edge pinned at an anchor y.  A draw
+makes only its RNG calls, each run of axis points as sorted unit variates,
+and ``_join_cities`` maps a whole chunk's points to meters at once.
 
 Distances are meters, times are seconds throughout.
 """
@@ -388,22 +390,6 @@ def _cells(points: np.ndarray, sizes, f: float) -> tuple[np.ndarray, np.ndarray,
     keep = keep[:-2]  # a city of no points marks the pad at -1
     lo, hi = points[:-1][keep], points[1:][keep]
     return lo, hi, lo + f * (hi - lo)
-
-
-def sample_grid(params: GridParams, seed: int | np.random.SeedSequence) -> UrbanGrid:
-    """Draw one city.  Identical (params, seed) gives a bit-identical grid.
-
-    Draw order is fixed: X count and points, Y count and points, then the
-    height matrix row-major over (x cell, y cell).
-    """
-    rng = np.random.default_rng(seed)
-    x_lo, x_hi, y_lo, y_hi = params.box
-    xp = _scaled(x_lo, x_hi, _ppp(rng, params.lam, x_lo, x_hi))
-    yp = _scaled(y_lo, y_hi, _ppp(rng, params.lam, y_lo, y_hi))
-    heights = rng.rayleigh(params.sigma, size=(max(len(xp) - 1, 0), max(len(yp) - 1, 0)))
-    f = params.street_fraction
-    return UrbanGrid(params, seed, xp, yp, _cells(xp, [len(xp)], f)[2],
-                     _cells(yp, [len(yp)], f)[2], heights)
 
 
 def sample_grid_anchored(

@@ -14,10 +14,11 @@ and any number of walks at once, and ``_point_clear`` any number of links at
 an instant, each on the blocks of its own box (``env._link_blocks``, the one
 box query): the Monte Carlo runners judge their one walk or link with them,
 ``assoc`` every walk and start link of a chunk, and ``is_los`` is
-``_point_clear`` on the grid's one city.  Touching a footprint's face or
-corner does not block, while reaching exactly the link height does, so the
-box query is a prefilter only: every verdict is the same on any superset of
-a link's blocks.
+``_point_clear`` on the grid's one city; ``los_intervals`` and
+``los_time_sampled`` judge walk lines and ground points with the passes' band
+checks on that city.  Touching a footprint's face or corner does not block,
+while reaching exactly the link height does, so the box query is a prefilter
+only: every verdict is the same on any superset of a link's blocks.
 None of it reuses the closed-form machinery, so it can referee it.
 """
 
@@ -144,9 +145,7 @@ def los_intervals(grid: UrbanGrid, motion: UserMotion, u: Uav) -> list[tuple[flo
     T = motion.duration
     if T <= 0.0:
         return []
-    kind, _, _, _ = grid.band_at("y", motion.y0)
-    if kind != "street":
-        raise UserInBuildingError(f"walk line y = {motion.y0} lies in a building band")
+    _check_walk_lines(grid.cities, [motion.y0])
     if motion.speed == 0.0:
         return [(0.0, T)] if is_los(grid, (motion.x0, motion.y0), u) else []
     p = Pairs.one(motion, u)
@@ -165,10 +164,10 @@ def los_time_sampled(
 ) -> float:
     """Midpoint-sampled clear seconds; slow cross-check for the interval engine.
 
-    Each sample is judged exactly as ``is_los`` judges it, all samples
-    against every block the walk's box query returns in one (sample x block)
-    array; a block outside a sample's own box does not block it.  Raises
-    ValueError unless ``samples`` is a positive int.
+    Each sample is judged exactly as ``is_los`` judges it, its ground check
+    too, all samples against every block the walk's box query returns in one
+    (sample x block) array; a block outside a sample's own box does not block
+    it.  Raises ValueError unless ``samples`` is a positive int.
     """
     if not (isinstance(samples, (int, np.integer)) and samples > 0):
         raise ValueError(f"samples must be a positive int, got {samples!r}")
@@ -178,10 +177,10 @@ def los_time_sampled(
     ts = (np.arange(samples) + 0.5) * (T / samples)
     gx = motion.x0 + motion.speed * ts
     gy = motion.y0
-    if grid.band_at("y", gy)[0] == "building":
-        x = next((x for x in gx.tolist() if grid.is_inside_building(x, gy)), None)
-        if x is not None:
-            raise UserInBuildingError(f"ground point ({x}, {gy}) is inside a building")
+    cities = grid.cities
+    # a sample can lie inside a building only on a walk line in a building row
+    if np.count_nonzero((cities.south <= gy) & (gy < cities.north)):
+        _check_ground(cities, gx, np.full(samples, gy))
     west, east, south, north, height = grid.blocks_overlapping(
         min(gx[0], u.x), max(gx[-1], u.x), min(gy, u.y), max(gy, u.y)
     )
@@ -286,6 +285,28 @@ def _in_bands(lo: np.ndarray, hi: np.ndarray, city: np.ndarray, n: int, c: np.nd
     return i * n + city[band]
 
 
+def _check_walk_lines(cities: _Cities, ys) -> None:
+    """Raises UserInBuildingError for the first walk line y of ys that a
+    building row of any of the cities holds."""
+    for y in dict.fromkeys(ys):
+        if np.count_nonzero((cities.south <= y) & (y < cities.north)):
+            raise UserInBuildingError(f"walk line y = {y} lies in a building band")
+
+
+def _check_ground(cities: _Cities, x: np.ndarray, y: np.ndarray) -> None:
+    """Raises UserInBuildingError for the first ground point (x[i], y[i])
+    inside a building of any of the cities: one city holds both its x and
+    its y in building bands."""
+    n = len(cities.nx)
+    held = np.zeros(len(x) * n, dtype=bool)
+    held[_in_bands(cities.west, cities.east, cities.col_city, n, x)] = True
+    both = _in_bands(cities.south, cities.north, cities.row_city, n, y)
+    both = both[held[both]]
+    if len(both):
+        x, y = x[both[0] // n].tolist(), y[both[0] // n].tolist()
+        raise UserInBuildingError(f"ground point ({x}, {y}) is inside a building")
+
+
 def _check_trials(trials: int) -> None:
     if not isinstance(trials, (int, np.integer)):
         raise ValueError(f"trials must be an int, got {trials!r}")
@@ -337,9 +358,7 @@ def _walk_clear(cities: _Cities, pairs: Pairs) -> np.ndarray:
     _, y0, speed, duration = walks[:4].tolist()
     clear = np.zeros((n, walks.shape[1]))
     live = [k for k, T in enumerate(duration) if T > 0.0]
-    for y in dict.fromkeys(y0[k] for k in live):
-        if np.count_nonzero((cities.south <= y) & (y < cities.north)):
-            raise UserInBuildingError(f"walk line y = {y} lies in a building band")
+    _check_walk_lines(cities, [y0[k] for k in live])
     still = [k for k in live if speed[k] == 0.0]
     moving = [k for k in live if speed[k] != 0.0]
     if still:
@@ -357,15 +376,8 @@ def _point_clear(cities: _Cities, gx, gy, ux, uy, uh) -> np.ndarray:
     links at once, each judged on the blocks of its own box and blocked when
     any of them blocks it."""
     n, links = len(cities.nx), len(gx)
-    # a point is inside a building of a city holding both its x and its y
-    x, y = np.array(list(dict.fromkeys(zip(gx.tolist(), gy.tolist())))).reshape(-1, 2).T
-    held = np.zeros(len(x) * n, dtype=bool)
-    held[_in_bands(cities.west, cities.east, cities.col_city, n, x)] = True
-    both = _in_bands(cities.south, cities.north, cities.row_city, n, y)
-    both = both[held[both]]
-    if len(both):
-        x, y = x[both[0] // n].tolist(), y[both[0] // n].tolist()
-        raise UserInBuildingError(f"ground point ({x}, {y}) is inside a building")
+    points = np.array(list(dict.fromkeys(zip(gx.tolist(), gy.tolist())))).reshape(-1, 2)
+    _check_ground(cities, *points.T)  # each distinct ground point once
     link, *blocks = _link_blocks(cities, np.minimum(gx, ux), np.maximum(gx, ux),
                                  np.minimum(gy, uy), np.maximum(gy, uy))
     k = link % links

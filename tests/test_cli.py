@@ -18,7 +18,7 @@ from uavlos.cli import (
     config_hash,
     main,
 )
-from uavlos.env import UrbanGrid
+from uavlos.env import GridParams, UrbanGrid, sample_grid_anchored
 
 
 def _cfg(**extra) -> dict:
@@ -360,6 +360,10 @@ def test_grid_dump_round_trips(tmp_path):
     g = UrbanGrid.from_json(out.read_text())
     assert g.seed == 3
     assert g.params.mu_b == 45.0 and g.params.mu_s == 13.0
+    # unanchored, the one sampler pins a street edge at the region's low edge
+    want = sample_grid_anchored(GridParams(45.0, 13.0, 8.0), 3, -200.0)
+    assert out.read_text() == want.to_json() + "\n"
+    assert g.y_points[0] == -200.0
 
 
 def test_grid_dump_anchored(tmp_path):
@@ -371,9 +375,17 @@ def test_grid_dump_anchored(tmp_path):
     assert g.band_at("y", 6.0) == ("street", g.band_at("y", 6.0)[1], 0.0, 13.0)
 
 
-def test_validate_quadrature_passes(capsys):
+def test_validate_quadrature_passes(monkeypatch, capsys):
+    # a clock whose every reading is further on: the second run takes longer
+    # than the first, and still prints the same bytes
+    ticks = iter(range(1, 100))
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks) ** 2 / 100)
+    monkeypatch.setattr(checks, "time", clock)
     assert main(["validate", "c1"]) == 0
-    tag, name, blob = capsys.readouterr().out.split(" ", 2)
+    printed = capsys.readouterr().out
+    assert main(["validate", "c1"]) == 0
+    assert capsys.readouterr().out == printed
+    tag, name, blob = printed.split(" ", 2)
     v = json.loads(blob)
     assert (tag, name, v["ok"], v["tolerance"], v["trials"]) == ("PASS", "c1", True, 1e-9, 1000)
     assert set(v) == {"name", "ok", "measured", "tolerance", "trials", "detail", "expected_fail"}

@@ -26,7 +26,6 @@ from uavlos.env import (
     _any,
     corner_events,
     corner_position,
-    sample_grid,
     sample_grid_anchored,
     _FACE,
     _OPEN,
@@ -109,16 +108,16 @@ def test_non_finite_fields_are_rejected(field, value):
 
 
 def test_sampling_deterministic(urban):
-    a = sample_grid(urban, 42)
-    b = sample_grid(urban, 42)
+    a = sample_grid_anchored(urban, 42, urban.box[2])
+    b = sample_grid_anchored(urban, 42, urban.box[2])
     assert np.array_equal(a.x_points, b.x_points)
     assert np.array_equal(a.block_heights, b.block_heights)
-    c = sample_grid(urban, 43)
+    c = sample_grid_anchored(urban, 43, urban.box[2])
     assert not np.array_equal(a.x_points, c.x_points)
 
 
 def test_band_queries_consistent(urban):
-    g = sample_grid(urban, 0)
+    g = sample_grid_anchored(urban, 0, urban.box[2])
     for axis, points, splits in (("x", g.x_points, g.x_splits), ("y", g.y_points, g.y_splits)):
         for k in range(len(points) - 1):
             mid_street = 0.5 * (points[k] + splits[k])
@@ -158,7 +157,7 @@ def test_street_width_errors(urban):
 
 
 def test_rayleigh_heights_scale(urban):
-    g = sample_grid(urban, 5)
+    g = sample_grid_anchored(urban, 5, urban.box[2])
     h = g.block_heights.ravel()
     assert np.all(h > 0)
     # Rayleigh mean is sigma * sqrt(pi/2); ~50 blocks, loose statistical gate
@@ -232,7 +231,7 @@ def _cells_grid(nx: int, ny: int) -> UrbanGrid:
 
 _GRIDS = {
     "hand": lambda urban: _cells_grid(2, 3),
-    "sample_grid": lambda urban: sample_grid(urban, 42),
+    "sample_grid": lambda urban: sample_grid_anchored(urban, 42, urban.box[2]),
     "from_json": lambda urban: UrbanGrid.from_json(
         sample_grid_anchored(urban, 9, 0.0, 13.0).to_json()),
     "no x points": lambda urban: _cells_grid(-1, 2),
@@ -403,7 +402,7 @@ def test_seed_state_refuses_a_negative_seed():
 
 
 def test_blocks_overlapping_brute_force(urban):
-    g = sample_grid(urban, 2)
+    g = sample_grid_anchored(urban, 2, urban.box[2])
     cw, ce = g.building_columns()
     rs, rn = g.building_rows()
     box = (-80.0, 40.0, -10.0, 120.0)
@@ -419,7 +418,7 @@ def test_blocks_overlapping_brute_force(urban):
 
 def test_blocks_overlapping_x_major_order(urban):
     # the blocks in the order of the index grid (x cell outer, y cell inner)
-    g = sample_grid(urban, 2)
+    g = sample_grid_anchored(urban, 2, urban.box[2])
     cw, ce = g.building_columns()
     rs, rn = g.building_rows()
     boxes = [(-80.0, 40.0, -10.0, 120.0), (-500.0, 500.0, -500.0, 500.0),
@@ -435,7 +434,7 @@ def test_blocks_overlapping_x_major_order(urban):
 
 
 def test_is_inside_building(urban):
-    g = sample_grid(urban, 2)
+    g = sample_grid_anchored(urban, 2, urban.box[2])
     cw, ce = g.building_columns()
     rs, rn = g.building_rows()
     bx, by = 0.5 * (cw[0] + ce[0]), 0.5 * (rs[0] + rn[0])

@@ -360,6 +360,22 @@ def test_los_time_sampled_user_in_building():
         los_time_sampled(g, UserMotion(0.0, 20.0, 1.0, 20.0), UAV, samples=64)
     # the same building band, but every sample west of the block
     assert los_time_sampled(g, UserMotion(-20.0, 20.0, 1.0, 20.0), UAV, samples=64) == 20.0
+    # a ground point on the block's south edge [8, 12] x {16} is inside it, one
+    # on its north edge is not: every point referee says so, in the same words
+    # (two samples of the walk fall at x = 10 and 11)
+    for y, inside in ((16.0, True), (24.0, False)):
+        walk, links = UserMotion(9.5, y, 1.0, 2.0), point_links((10.0, y), [UAV])
+        if inside:
+            text = rf"^ground point \(10.0, {y}\) is inside a building$"
+            for refuse in (lambda: los_time_sampled(g, walk, UAV, samples=2),
+                           lambda: is_los(g, (10.0, y), UAV),
+                           lambda: _point_clear(g.cities, *links)):
+                with pytest.raises(UserInBuildingError, match=text):
+                    refuse()
+        else:
+            hits = sum(is_los(g, (x, y), UAV) for x in (10.0, 11.0))
+            assert los_time_sampled(g, walk, UAV, samples=2) == hits == 2.0
+            assert _point_clear(g.cities, *links).tolist() == [[is_los(g, (10.0, y), UAV)]]
 
 
 def test_los_time_empty_grid_is_full_epoch():
@@ -854,6 +870,20 @@ def test_walk_clear_refuses_a_walk_line_in_a_building_band():
             _walk_clear(cities, Pairs.of(motions, [UAV] * len(motions)))
     with pytest.raises(UserInBuildingError):
         los_time(grid, inside, UAV)
+    # a walk line on the band's south edge lies in it, one on its north edge
+    # does not: every walk referee says so, moving or still, in the same words
+    for y, refused in ((16.0, True), (24.0, False)):
+        for speed in (1.0, 0.0):
+            walk = replace(inside, y0=y, speed=speed)
+            referees = (lambda: los_intervals(grid, walk, UAV), lambda: los_time(grid, walk, UAV),
+                        lambda: _walk_clear(cities, Pairs.of([walk], [UAV]))[0, 0])
+            if refused:
+                for refuse in referees:
+                    with pytest.raises(UserInBuildingError,
+                                       match=f"^walk line y = {y} lies in a building band$"):
+                        refuse()
+            else:
+                assert [r() for r in referees[1:]] == [los_time(grid, walk, UAV)] * 2
     # an empty walk is not judged, as ``los_time`` and ``los_time_sampled`` do not judge it
     empty = replace(inside, duration=0.0)
     assert _walk_clear(cities, Pairs.of([WALK, empty], [UAV, UAV])).tolist() == [
