@@ -537,8 +537,9 @@ def test_faces_and_open_segments_track_no_wall(x0, speed, duration, ux, uy, mu_b
         pairs = Pairs.of([m] * len(counts), [u] * len(counts))
         t = _canonical_table(mu_b, mu_s, pairs, mu_s, np.array(counts))
     else:
-        # a 2 m wide region is too narrow for a building column
-        region = (2.0, 60.0) if layout == "no columns" else (400.0, 400.0)
+        # a building column needs two X points: in a 1 mm wide region that
+        # happens once in about 1e9 draws (in a 2 m one, 48 of 10,001 seeds)
+        region = (1e-3, 60.0) if layout == "no columns" else (400.0, 400.0)
         g = sample_grid_anchored(GridParams(mu_b, mu_s, 8.0, region), seed, 0.0, 13.0)
         assert layout == "realized" or g.building_columns()[0].size == 0
         t = corner_events(g, m, u)
