@@ -24,19 +24,14 @@ from .env import (
     UrbanGrid,
     UserMotion,
     _Cities,
-    _draw_anchored,
-    _generator,
-    _join_cities,
-    _law,
-    _seed_state,
 )
 from .analytic import RayleighHeights
 from .mobility import EpochGeometry, _expected_los
 from .oracle import (
     TrialStats,
     _check_trials,
-    _chunks,
     _point_clear,
+    _run_chunks,
     _walk_clear,
     coverage_time,
 )
@@ -258,13 +253,15 @@ def compare_policies(
 
     The mobility-aware assignment is fixed up front (it uses no realized
     geometry); the benchmark re-assigns on every draw since it reads the
-    realized start-of-walk blockage.  Trial i draws its city as
-    ``sample_grid_anchored(params, SeedSequence([seed, i]), y0, params.mu_s)``
-    does, from the same stream, which one ``_seed_state`` hash seeds for the
-    whole chunk; both values are ``realized_value`` of the two assignments
-    on that city, bit for bit, computed for a chunk of cities at once: every
-    user's start links in one ``_point_clear`` call (``_nearest``), then
-    every walk either policy assigns in the chunk in one ``_walk_clear`` call.
+    realized start-of-walk blockage.  The trials run on the Monte Carlo
+    runners' driver (``oracle._run_chunks``) without a contact condition:
+    trial i draws its city as ``sample_grid_anchored(params,
+    SeedSequence([seed, i, 0]), y0, params.mu_s)`` does, so ``draws`` holds
+    one city per trial.  Both values are ``realized_value`` of the two
+    assignments on that city, bit for bit, computed for a chunk of cities at
+    once: every user's start links in one ``_point_clear`` call
+    (``_nearest``), then every walk either policy assigns in the chunk in
+    one ``_walk_clear`` call.
     """
     _check_trials(trials)
     y0 = _shared_street(users)
@@ -273,15 +270,11 @@ def compare_policies(
     fixed = _greedy(scores)
     candidates = _candidates(users, uavs)
     fixed_pairs = np.array([-1 if k is None else k for k in fixed.pairs], dtype=int)
-    values = [np.empty((2, 0))]
-    law = _law(params)
-    for chunk in _chunks(trials):
-        state = _seed_state(seed, np.arange(chunk.start, chunk.stop))
-        cities = _join_cities([_draw_anchored(_generator(w), law, y0, params.mu_s)
-                               for w in state], [1] * len(chunk), y0, law)
+
+    def referee(cities: _Cities) -> np.ndarray:
         bench = _nearest(cities, walks, candidates)
-        values.append(_realized(cities, walks,
-                                np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench])))
-    va, vb = np.concatenate(values, axis=1)
-    draws = np.ones(trials, dtype=int)  # association draws are never rejected
-    return PolicyComparison(TrialStats(va, draws), TrialStats(vb, draws), fixed, scores)
+        return _realized(cities, walks,
+                         np.stack([np.broadcast_to(fixed_pairs, bench.shape), bench]))
+
+    proposed, benchmark = _run_chunks(params, seed, trials, y0, None, referee, rows=2)
+    return PolicyComparison(proposed, benchmark, fixed, scores)

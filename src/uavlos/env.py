@@ -663,7 +663,8 @@ def _draw_cities(
     """For each trial, the first city over seeds [seed, trial, attempt],
     attempt = 0, 1, ..., with a building band at contact_x (the first city
     when contact_x is None), exactly as ``sample_grid_anchored`` draws it
-    with the anchored street as wide as the mean street width.
+    with the anchored street as wide as the mean street width.  This is the
+    one seed rule of every Monte Carlo trial, drawn by ``oracle._run_chunks``.
 
     Trials draw in order, as one ``SeedSequence([seed, trial, attempt])`` per
     draw would, from the same streams: one ``_seed_state`` hash seeds a

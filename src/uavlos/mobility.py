@@ -116,8 +116,6 @@ class EpochGeometry(Pairs):
     lam: float
     model: HeightModel
 
-    pair = classmethod(Pairs.one.__func__)  # (motion, u, street_width, lam, model)
-
 
 def _wall_contacts(g: Pairs, x, ahead, back):
     """Where the wall-pinned links with the user at x meet their wall,
@@ -477,7 +475,7 @@ def expected_los_total(
     case of the batched pass that ``assoc`` runs over a whole score matrix.
     """
     m = RayleighHeights(params.sigma) if model is None else model
-    geom = EpochGeometry.pair(motion, u, params.mu_s, params.lam, m)
+    geom = EpochGeometry.one(motion, u, params.mu_s, params.lam, m)
     expected, per_count, ((weights, dropped),) = _expected_los(params, geom, epsilon)
     return ExpectedLosResult(expected.item(), len(weights) - 1, per_count.tolist(),
                              list(weights), epsilon, dropped)

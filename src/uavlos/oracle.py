@@ -12,13 +12,15 @@ and the clear intervals are the complement of their union.  One referee,
 ``_walk_clear``, applies the same algebra to a whole chunk of sampled cities
 and any number of walks at once, and ``_point_clear`` any number of links at
 an instant, each on the blocks of its own box (``env._link_blocks``, the one
-box query): the Monte Carlo runners judge their one walk or link with them,
-``assoc`` every walk and start link of a chunk, and ``is_los`` is
-``_point_clear`` on the grid's one city; ``los_intervals`` and
-``los_time_sampled`` judge walk lines and ground points with the passes' band
-checks on that city.  Touching a footprint's face or corner does not block,
-while reaching exactly the link height does, so the box query is a prefilter
-only: every verdict is the same on any superset of a link's blocks.
+box query).  One Monte Carlo driver, ``_run_chunks``, draws every chunk of
+trials by one seed rule (``env._draw_cities``) and referees it: the runners
+judge their one walk or link, ``assoc.compare_policies`` every walk and start
+link of the chunk.  ``is_los`` is ``_point_clear`` on the grid's one city;
+``los_intervals`` and ``los_time_sampled`` judge walk lines and ground points
+with the passes' band checks on that city.  Touching a footprint's face or
+corner does not block, while reaching exactly the link height does, so the box
+query is a prefilter only: every verdict is the same on any superset of a
+link's blocks.
 None of it reuses the closed-form machinery, so it can referee it.
 """
 
@@ -386,14 +388,17 @@ def _point_clear(cities: _Cities, gx, gy, ux, uy, uh) -> np.ndarray:
 
 
 def _run_chunks(params: GridParams, seed: int, trials: int, y_anchor: float,
-                contact_x: float | None, referee) -> TrialStats:
-    """Trial values of a runner, ``referee`` applied to each chunk of drawn cities."""
-    values, draws = [np.empty(0)], [np.empty(0, dtype=int)]
+                contact_x: float | None, referee, rows: int = 1) -> list[TrialStats]:
+    """The one Monte Carlo driver: trial i's city is ``_draw_cities``'s over
+    seeds [seed, i, attempt], and ``referee`` maps each chunk of cities to
+    (rows, cities) values; one ``TrialStats`` per row, all with the same draws."""
+    values, draws = [np.empty((rows, 0))], [np.empty(0, dtype=int)]
     for chunk in _chunks(trials):
         cities = _draw_cities(params, seed, chunk, y_anchor, contact_x)
         values.append(referee(cities))
         draws.append(cities.draws)
-    return TrialStats(np.concatenate(values), np.concatenate(draws))
+    draws = np.concatenate(draws)
+    return [TrialStats(v, draws) for v in np.concatenate(values, axis=1)]
 
 
 def monte_carlo_expected_los(
@@ -419,7 +424,7 @@ def monte_carlo_expected_los(
     _check_trials(trials)
     cx = start_contact_x(params, (motion.x0, motion.y0), u) if require_contact else None
     return _run_chunks(params, seed, trials, motion.y0, cx,
-                       lambda cities: _walk_clear(cities, Pairs.one(motion, u))[:, 0])
+                       lambda cities: _walk_clear(cities, Pairs.one(motion, u)).T)[0]
 
 
 def monte_carlo_static_los(
@@ -443,4 +448,4 @@ def monte_carlo_static_los(
     cx = start_contact_x(params, g, u) if require_contact else None
     link = np.array([[g[0]], [g[1]], [u.x], [u.y], [u.height]], dtype=float)
     return _run_chunks(params, seed, trials, g[1], cx,
-                       lambda cities: np.where(_point_clear(cities, *link)[:, 0], 1.0, 0.0))
+                       lambda cities: np.where(_point_clear(cities, *link).T, 1.0, 0.0))[0]

@@ -208,7 +208,15 @@ def test_compare_policies_referees_each_chunk_in_one_walk_pass(urban, monkeypatc
         calls.append((len(cities.nx), len(pairs.x0)))
         return real(cities, pairs)
 
+    drawn = []  # (trials, y_anchor, contact_x) of each chunk draw
+    draw = oracle._draw_cities
+
+    def spied(params, seed, trials, y_anchor, contact_x):
+        drawn.append((trials, y_anchor, contact_x))
+        return draw(params, seed, trials, y_anchor, contact_x)
+
     monkeypatch.setattr(assoc, "_walk_clear", counted)
+    monkeypatch.setattr(oracle, "_draw_cities", spied)
     monkeypatch.setattr(oracle, "_CHUNK", 32)
     users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-170.0, -55.0, 40.0)]
     uavs = [Uav(m.x0 + dx, 45.0, 100.0) for m in users for dx in (-25.0, 60.0)]
@@ -216,6 +224,10 @@ def test_compare_policies_referees_each_chunk_in_one_walk_pass(urban, monkeypatc
     # one pass per chunk, over at most every (user, platform) pair
     assert [c for c, _ in calls] == [32, 32, 1]
     assert all(len(users) <= w <= len(users) * len(uavs) for _, w in calls)
+    # the chunks are the Monte Carlo runners' draws on the users' street,
+    # one per chunk and without a contact condition
+    assert drawn == [(range(0, 32), 0.0, None), (range(32, 64), 0.0, None),
+                     (range(64, 65), 0.0, None)]
 
 
 _PRESETS = [(37.0, 10.0), (45.0, 13.0), (60.0, 20.0)]
@@ -384,7 +396,7 @@ def _per_city_reference(params, users, uavs, trials, seed, fixed):
     """(proposed, benchmark) per trial, one sampled city at a time."""
     out = []
     for i in range(trials):
-        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i]), users[0].y0,
+        grid = sample_grid_anchored(params, np.random.SeedSequence([seed, i, 0]), users[0].y0,
                                     params.mu_s)
         bench = per_city.assign_nearest_los(users, uavs, grid)
         out.append((per_city.realized_value(fixed, grid, users, uavs),

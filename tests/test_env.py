@@ -582,7 +582,7 @@ def test_corner_events_without_building_columns_are_one_open_segment():
     assert (t.row.tolist(), t.kind.tolist(), t.t_start.tolist(), t.t_end.tolist()) == (
         [0], [_OPEN], [0.0], [10.0])
     w = g.street_width_at_y(m.y0)
-    geom = EpochGeometry.pair(m, u, w, params.lam, RayleighHeights(8.0))
+    geom = EpochGeometry.one(m, u, w, params.lam, RayleighHeights(8.0))
     assert expected_los_piecewise(t, geom) == 10.0
     with pytest.raises(DegenerateGeometryError, match="far line"):
         corner_events(g, m, Uav(120.0, m.y0 + w, 100.0))

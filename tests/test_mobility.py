@@ -338,7 +338,7 @@ def test_face_expectation_matches_dense_integral():
     u = Uav(50.0, 90.0, 100.0)
     m = UserMotion(-30.0, 0.0, 15.0, 10.0)
     w, lam = 13.0, 1.0 / 58.0
-    geom = EpochGeometry.pair(m, u, w, lam, RAY)
+    geom = EpochGeometry.one(m, u, w, lam, RAY)
     got = expected_los_piecewise(canonical_plan(45.0, w, m, u, w, 0), geom)
     ts = np.linspace(0.0, m.duration, 20001)
     ps = [p_los_static(m.position(float(t)), u, w, lam, RAY) for t in ts]
@@ -349,7 +349,7 @@ def test_face_expectation_matches_dense_integral():
 def test_open_segment_counts_full_length():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
+    geom = EpochGeometry.one(m, u, 13.0, 1.0 / 58.0, RAY)
     table = SegmentTable(np.zeros(1, dtype=int), np.array([_OPEN]), np.zeros(1), np.array([10.0]),
                          np.array([math.inf]), np.array([-math.inf]))
     assert expected_los_piecewise(table, geom) == 10.0
@@ -363,13 +363,13 @@ def test_hand_built_face_table_refuses_a_platform_not_beyond_the_street():
     face = SegmentTable(np.zeros(1, dtype=int), np.array([_FACE]), np.zeros(1), np.array([10.0]),
                         np.array([math.inf]), np.array([-math.inf]))
     for dy in (0.0, 5.0, 13.0):
-        geom = EpochGeometry.pair(m, Uav(120.0, dy, 100.0), 13.0, 1.0 / 58.0, RAY)
+        geom = EpochGeometry.one(m, Uav(120.0, dy, 100.0), 13.0, 1.0 / 58.0, RAY)
         with pytest.raises(DegenerateGeometryError, match="far line"):
             expected_los_piecewise(face, geom)
     # beyond the far line, hand-built and builder-made tables price as before
     for dy, hand, plan in ((13.5, 10.0, 10.0), (90.0, 7.902878649873793, 8.23891811289297)):
         u = Uav(120.0, dy, 100.0)
-        geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
+        geom = EpochGeometry.one(m, u, 13.0, 1.0 / 58.0, RAY)
         assert expected_los_piecewise(face, geom) == hand
         assert expected_los_piecewise(canonical_plan(45.0, 13.0, m, u, 13.0, 3), geom) == plan
 
@@ -377,7 +377,7 @@ def test_hand_built_face_table_refuses_a_platform_not_beyond_the_street():
 def test_piecewise_detail_rows_sum_to_total():
     u = Uav(120.0, 90.0, 100.0)
     m = UserMotion(0.0, 0.0, 15.0, 10.0)
-    geom = EpochGeometry.pair(m, u, 13.0, 1.0 / 58.0, RAY)
+    geom = EpochGeometry.one(m, u, 13.0, 1.0 / 58.0, RAY)
     plan = canonical_plan(45.0, 13.0, m, u, 13.0, 3)
     total, rows = expected_los_piecewise(plan, geom, detail=True)
     assert math.isclose(total, sum(contrib for *_, contrib, _ in rows), rel_tol=1e-12)
@@ -418,7 +418,7 @@ def test_detail_residuals_match_the_scalar_reference(model, realized, crossings,
         table = corner_events(sample_grid_anchored(params, seed, 0.0, 13.0), m, u)
     else:
         table = canonical_plan(params.mu_b, params.mu_s, m, u, 13.0, crossings)
-    geom = EpochGeometry.pair(m, u, 13.0, params.lam, model)
+    geom = EpochGeometry.one(m, u, 13.0, params.lam, model)
     total, rows = expected_los_piecewise(table, geom, detail=True)
     assert total == expected_los_piecewise(table, geom)
     assert [c for *_, c, _ in rows] == _segment_integrals(table, geom).tolist()
@@ -439,7 +439,7 @@ def test_face_and_wall_contacts_share_one_panel_build():
     model = CdfHeights(lambda h: calls.append(h) or RAY.cdf(h))
     _tail_integral(model, 100.0, np.array([0.5]))
     build = len(calls)
-    geom = EpochGeometry.pair(UserMotion(0.0, 0.0, 5.0, 4.0), Uav(120.0, 90.0, 100.0), 15.0,
+    geom = EpochGeometry.one(UserMotion(0.0, 0.0, 5.0, 4.0), Uav(120.0, 90.0, 100.0), 15.0,
                               1.0 / 58.0, model)
     # the user walks x = 10 to 20 over the wall segment, meeting the wall at x = 50 throughout
     table = SegmentTable(np.zeros(2, dtype=int), np.array([_FACE, _WALL]), np.array([0.0, 2.0]),
@@ -532,7 +532,7 @@ def test_batched_counts_match_single_plans(speed, duration, ux, uy, height, eps)
     m = UserMotion(-20.0, 0.0, speed, duration)
     u = Uav(ux, uy, height)
     r = expected_los_total(params, m, u, epsilon=eps)
-    geom = EpochGeometry.pair(m, u, params.mu_s, params.lam, RAY)
+    geom = EpochGeometry.one(m, u, params.mu_s, params.lam, RAY)
     for n, e in enumerate(r.per_count):
         plan = canonical_plan(params.mu_b, params.mu_s, m, u, params.mu_s, n)
         assert e == expected_los_piecewise(plan, geom)
@@ -655,7 +655,7 @@ def test_degenerate_walks_price_exactly(preset, seed, under, x0, ux, beyond, h, 
     m = UserMotion(start, 0.0, speed, 0.0)
     table = corner_events(grid, m, u)
     assert table.kind.tolist() == [_WALL] and table.t_end.tolist() == [0.0]
-    geom = EpochGeometry.pair(m, u, mu_s, params.lam, RAY)
+    geom = EpochGeometry.one(m, u, mu_s, params.lam, RAY)
     assert expected_los_piecewise(table, geom) == 0.0
 
 
