@@ -210,13 +210,8 @@ def test_compare_policies_referees_each_chunk_in_one_walk_pass(urban, monkeypatc
 
     drawn = []  # (trials, y_anchor, contact_x) of each chunk draw
     draw = oracle._draw_cities
-
-    def spied(params, seed, trials, y_anchor, contact_x):
-        drawn.append((trials, y_anchor, contact_x))
-        return draw(params, seed, trials, y_anchor, contact_x)
-
     monkeypatch.setattr(assoc, "_walk_clear", counted)
-    monkeypatch.setattr(oracle, "_draw_cities", spied)
+    monkeypatch.setattr(oracle, "_draw_cities", lambda *a: drawn.append(a[2:]) or draw(*a))
     monkeypatch.setattr(oracle, "_CHUNK", 32)
     users = [UserMotion(x, 0.0, 15.0, 10.0) for x in (-170.0, -55.0, 40.0)]
     uavs = [Uav(m.x0 + dx, 45.0, 100.0) for m in users for dx in (-25.0, 60.0)]
