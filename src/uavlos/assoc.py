@@ -232,7 +232,8 @@ def _realized(cities: _Cities, walks: Pairs, pairs: np.ndarray) -> np.ndarray:
     read by one index, a zero column standing for an unassigned user."""
     n_users, n_uavs = walks.x0.shape
     code = np.where(pairs >= 0, np.arange(n_users) * n_uavs + pairs, -1)
-    rows = np.unique(code[code >= 0])
+    # the distinct codes in order; np.unique would load numpy.ma for this
+    rows = np.flatnonzero(np.bincount(code[code >= 0], minlength=n_users * n_uavs))
     clear = np.concatenate([_walk_clear(cities, walks.take(np.divmod(rows, n_uavs))),
                             np.zeros((len(cities.nx), 1))], axis=1)
     column = np.where(code >= 0, np.searchsorted(rows, code), -1)

@@ -34,8 +34,10 @@ def test_rayleigh_cdf_shape():
     hs = [1.0, 5.0, 10.0, 20.0, 40.0]
     assert all(RAY.cdf(a) < RAY.cdf(b) for a, b in zip(hs, hs[1:]))
     assert math.isclose(RAY.mean, 8.0 * math.sqrt(math.pi / 2.0))
-    with pytest.raises(ValueError):
-        RayleighHeights(0.0)
+    # a nan scale makes every CDF value nan and an infinite one every value 0
+    for sigma in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RayleighHeights(sigma)
 
 
 def test_cdf_heights_clamps():
@@ -241,6 +243,14 @@ def test_p_static_rejects_a_street_width_that_is_not_positive(w):
         p_los_static((0.0, 0.0), Uav(120.0, 90.0, 100.0), w, URBAN_LAM, RAY)
 
 
+@pytest.mark.parametrize("lam", [-0.05, math.nan])
+def test_p_static_rejects_a_density_that_is_negative_or_nan(lam):
+    # a negative density priced Uav(70, 45, 70) at w = 13 above its lam = 0
+    # value (0.968 against 0.959), and a NaN one returned NaN
+    with pytest.raises(ValueError):
+        p_los_static((0.0, 0.0), Uav(70.0, 45.0, 70.0), 13.0, lam, RAY)
+
+
 @given(
     ux=st.floats(-300.0, 300.0),
     uy=st.floats(1.0, 300.0),
@@ -270,7 +280,8 @@ def test_import_leaves_quadrature_unloaded():
     # memory; only the acceptance checks use it, as their own reference, so
     # neither the import nor pricing an epoch on a generic height law loads it.
     # erf comes from its own extension module, so pricing a Rayleigh epoch
-    # does not load scipy.special's package either
+    # does not load scipy.special's package either.  Nor do the two Monte
+    # Carlo runs load numpy.ma or numpy.polynomial, which no computation needs
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -281,14 +292,20 @@ def test_import_leaves_quadrature_unloaded():
         "law = uavlos.CdfHeights(lambda h: -math.expm1(-h * h / 128.0) if h > 0.0 else 0.0)\n"
         "for model in (law, None):\n"
         "    assert 0.0 < uavlos.expected_los_total(*args, model=model).expected_time < 10.0\n"
+        "users = [uavlos.UserMotion(0.0, 0.0, 15.0, 10.0), uavlos.UserMotion(40.0, 0.0, 5.0, 10.0)]\n"
+        "uavs = [uavlos.Uav(120.0, 90.0, 100.0), uavlos.Uav(-60.0, 60.0, 80.0)]\n"
+        "assert len(uavlos.compare_policies(args[0], users, uavs, 3, 0).proposed.values) == 3\n"
+        "assert len(uavlos.monte_carlo_expected_los(*args, 20, 0).values) == 20\n"
         "ufuncs = sys.modules.get('scipy.special._special_ufuncs')\n"
         "print(json.dumps(['scipy.integrate' in sys.modules, 'scipy.special' in sys.modules,\n"
-        "                  getattr(ufuncs, 'erf', None) is erf]))"
+        "                  getattr(ufuncs, 'erf', None) is erf,\n"
+        "                  [m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules]]))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    integrate, special, own_module = json.loads(done.stdout)
+    integrate, special, own_module, numpy_subpackages = json.loads(done.stdout)
     assert not integrate
+    assert numpy_subpackages == []
     if not own_module:
         pytest.skip("this SciPy defines erf outside scipy.special._special_ufuncs, "
                     "so the import falls back to scipy.special")
@@ -314,3 +331,32 @@ def test_erf_loader_falls_back_to_scipy_special(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
                         classmethod(lambda cls, *args, **kwargs: None))
     assert analytic._load_erf() is scipy_erf
+
+
+def test_panel_matrix_is_the_chebint_construction_bit_for_bit():
+    # numpy.polynomial is the reference here alone; the package sums its
+    # series in-house so that no run loads it
+    from numpy.polynomial import chebyshev
+
+    n = analytic._X.size - 1
+    k = np.arange(n + 1)
+    ends = np.where((k == 0) | (k == n), 0.5, 1.0)
+    to_coef = (2.0 / n) * np.outer(ends, ends) * np.cos(np.pi * np.outer(k, n - k) / n)
+    anti = chebyshev.chebint(np.eye(n + 1), lbnd=-1.0)
+    tail = -anti
+    tail[0] += chebyshev.chebval(1.0, anti)
+    panel = np.vstack([np.einsum("ij,jk->ik", tail, to_coef), to_coef[-3:]])
+    assert np.array_equal(analytic._PANEL.view(np.int64), panel.view(np.int64))
+
+
+@pytest.mark.parametrize("terms", [17, 18])
+def test_chebval_is_numpy_chebval_bit_for_bit(terms):
+    from numpy.polynomial import chebyshev
+
+    rng = np.random.default_rng(terms)
+    c = rng.normal(size=(terms, 1000)) * 10.0 ** rng.uniform(-15.0, 2.0, size=(terms, 1))
+    x = np.concatenate([[-1.0, 1.0, 0.0, -0.0], rng.uniform(-1.0, 1.0, size=996)])
+    got = analytic._chebval(x, c)
+    assert np.array_equal(got.view(np.int64),
+                          chebyshev.chebval(x, c, tensor=False).view(np.int64))
+    assert analytic._chebval(0.5, c[:, 0]) == chebyshev.chebval(0.5, c[:, 0])
