@@ -18,7 +18,7 @@ law that is smooth between a few kinks or jumps; 1e-10 is the promise).
 The panels' Chebyshev series are integrated and summed in-house, by the
 recurrences ``numpy.polynomial.chebyshev`` uses and in its order of
 operations, so every value keeps its bits: importing that package for two
-calls would cost every run about 0.6 MB and 5 ms.
+calls would cost every run about 0.75 MB and 3-4 ms.
 
 The per-instant pieces (height CDF, void rate, ``erf_diff`` and
 ``p_los_contact``) take floats or NumPy arrays, so an epoch evaluator can
